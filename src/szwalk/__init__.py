@@ -9,12 +9,11 @@ from .entropy import (ConvergenceReport, JointDistribution, Partition, ProbVecto
 from .errors import (AccuracyError, NumericError, ResourceLimitError, SZWalkError,
                      UnsupportedConfigurationError, ValidationError)
 from .quantum import (DensityState, Instrument, InstrumentKind, Operator, apply_instrument,
-                      coherent_instrument, general_instrument, lvn_instrument, make_density,
+                      coherent_instrument, general_instrument, lvn_instrument,
                       maximally_mixed, outcome_pmf, pure_state)
 from .sz import (ClassMasses, EntropyReport, MarkovReduction, RunOptions, SZRun,
-                 TrajectoryBranch, classify_constant_runs, cs_transition_matrix,
-                 cylinder_probability, dynamical_entropy, markov_reduction,
-                 measurement_entropy, sz_entropy_run)
+                 cs_transition_matrix, cylinder_probability, dynamical_entropy,
+                 markov_reduction, measurement_entropy, sz_entropy_run)
 from .walks import (CoinedWalk, ShiftPermutation, coin_vertex_instrument, coined_walk,
                     eigencheck, hadamard_coin, hadamard_eigenstate, hadamard_walk,
                     integer_shift, position_instrument, unitary_power, vertex_partition)
@@ -26,14 +25,14 @@ __all__ = [
     "EntropyReport", "FiniteMap", "Instrument", "InstrumentKind", "JointDistribution",
     "MarkovReduction", "NumericError", "Operator", "Partition", "ProbVector",
     "ResourceLimitError", "RunOptions", "SZRun", "SZWalkError", "ShiftPermutation",
-    "TrajectoryBranch", "TransitionMatrix", "UnsupportedConfigurationError",
-    "ValidationError", "apply_instrument", "classify_constant_runs", "coherent_instrument",
-    "coin_vertex_instrument", "coined_walk", "conditional_entropy", "cs_transition_matrix",
-    "cycle_walk", "cylinder_probability", "dynamical_entropy", "eigencheck", "entropy",
-    "entropy_rate", "eta", "general_instrument", "hadamard_coin", "hadamard_eigenstate",
-    "hadamard_walk", "integer_shift", "is_coarser", "join", "joint_entropy", "ks_estimate",
-    "limit_estimate", "lvn_instrument", "make_density", "markov_entropy", "markov_reduction",
-    "matrix_power", "maximally_mixed", "measurement_entropy", "outcome_pmf",
-    "position_instrument", "process_joint_entropy", "pure_state", "sz_entropy_run",
-    "stationary_distribution", "unitary_power", "vertex_partition",
+    "TransitionMatrix", "UnsupportedConfigurationError", "ValidationError",
+    "apply_instrument", "coherent_instrument", "coin_vertex_instrument", "coined_walk",
+    "conditional_entropy", "cs_transition_matrix", "cycle_walk", "cylinder_probability",
+    "dynamical_entropy", "eigencheck", "entropy", "entropy_rate", "eta", "general_instrument",
+    "hadamard_coin", "hadamard_eigenstate", "hadamard_walk", "integer_shift", "is_coarser",
+    "join", "joint_entropy", "ks_estimate", "limit_estimate", "lvn_instrument",
+    "markov_entropy", "markov_reduction", "matrix_power", "maximally_mixed",
+    "measurement_entropy", "outcome_pmf", "position_instrument", "process_joint_entropy",
+    "pure_state", "sz_entropy_run", "stationary_distribution", "unitary_power",
+    "vertex_partition",
 ]

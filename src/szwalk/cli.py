@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +83,7 @@ class ExperimentConfig:
 
     @property
     def step_unitary(self) -> np.ndarray:
-        return walks.unitary_power(self.walk, self.power) if self.power > 1 else self.walk.unitary
+        return walks.unitary_power(self.walk, self.power)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -111,7 +111,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     N = walk.vertex_count
 
     power = raw.get("power", 1)
-    if not isinstance(power, int) or power < 1:
+    if not isinstance(power, int) or isinstance(power, bool) or power < 1:
         raise ConfigError("field 'power' must be an integer >= 1")
 
     inst_spec = _require(raw, "instrument", "config")
@@ -175,15 +175,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     run_spec = raw.get("run", {})
     if not isinstance(run_spec, dict):
         raise ConfigError("field 'run' must be an object")
-    known = {"n_max": int, "tol": float, "window": int, "prune_eps": float,
-             "merge_tol": float, "merge": bool, "classify": bool, "strict": bool,
-             "branch_budget": int, "min_steps": int}
-    kwargs = {}
-    for key, value in run_spec.items():
+    known = {f.name for f in fields(sz.RunOptions)}
+    for key in run_spec:
         if key not in known:
             raise ConfigError(f"unknown field 'run.{key}'")
-        kwargs["track_classes" if key == "classify" else key] = known[key](value)
-    options = sz.RunOptions(**kwargs)
+    try:
+        options = sz.RunOptions(**run_spec)
+    except ValidationError as exc:
+        raise ConfigError(f"field 'run': {exc}") from exc
 
     return ExperimentConfig(walk=walk, power=power, instrument=instrument, state=state,
                             partition=partition, options=options, raw=raw)
@@ -207,7 +206,6 @@ class RunRecord:
     """Everything one `run` invocation produced."""
 
     config: dict
-    rows: list[sz.DepthRecord]
     report: sz.EntropyReport
     duration_s: float
     csv_path: Path | None = None
@@ -230,7 +228,7 @@ def write_outputs(record: RunRecord, stem: str, out_dir: Path) -> None:
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for row in record.rows:
+        for row in record.report.records:
             classes = row.classes
             writer.writerow([
                 row.depth, _fmt(row.a_n), _fmt(row.cesaro), row.branch_count,
@@ -259,20 +257,13 @@ def run_config(path: str | Path, out_dir: str | Path | None = None,
     """Execute a config file and write its per-depth CSV and summary JSON."""
     path = Path(path)
     config = load_config(path)
-    if strict is not None and strict != config.options.strict:
-        config.options = sz.RunOptions(**{**vars(config.options), "strict": strict})
+    if strict is not None:
+        config.options = replace(config.options, strict=strict)
     started = time.perf_counter()
-    run = sz.sz_entropy_run(config.step_unitary, config.instrument, config.state,
-                            config.partition, config.options)
-    meas = sz.measurement_entropy(config.instrument, config.state, config.partition,
-                                  config.options)
-    value = None
-    if run.report.converged and meas.converged:
-        value = run.report.converged_value - meas.converged_value
-    report = sz.EntropyReport(sz_entropy=run.report, measurement_entropy=meas,
-                              dynamical_entropy=value, settings=dict(vars(config.options)))
+    report = sz.dynamical_entropy(config.step_unitary, config.instrument, config.state,
+                                  config.partition, config.options)
     duration = time.perf_counter() - started
-    record = RunRecord(config=config.raw, rows=run.records, report=report, duration_s=duration)
+    record = RunRecord(config=config.raw, report=report, duration_s=duration)
     write_outputs(record, path.stem, Path(out_dir) if out_dir is not None else path.parent)
     return record
 
@@ -280,9 +271,7 @@ def run_config(path: str | Path, out_dir: str | Path | None = None,
 # Closed-form reference rows: (name, builder, expected, tolerance).
 
 def _row_cycle_entropy(power: int) -> float:
-    P = classical.cycle_walk(5)
-    if power > 1:
-        P = classical.matrix_power(P, power)
+    P = classical.matrix_power(classical.cycle_walk(5), power)
     return classical.markov_entropy(P, classical.stationary_distribution(P))
 
 
@@ -349,9 +338,7 @@ def markov_cmd(N: int, power: int, start: str = "uniform", n_max: int = 30,
     stream = stream or sys.stdout
     if N < 3:
         raise ValidationError(f"markov command needs N >= 3, got {N}")
-    P = classical.cycle_walk(N)
-    if power > 1:
-        P = classical.matrix_power(P, power)
+    P = classical.matrix_power(classical.cycle_walk(N), power)
     scale = 1.0 / LN2 if bits else 1.0
     unit = "bits" if bits else "nats"
     stationary = classical.stationary_distribution(P)
@@ -430,7 +417,7 @@ def main(argv=None) -> int:
         if args.command == "markov":
             return markov_cmd(args.n, args.power, args.start, bits=args.bits)
         raise ValidationError(f"unknown command {args.command!r}")
-    except (ConfigError, ValidationError, UnsupportedConfigurationError) as exc:
+    except (ValidationError, UnsupportedConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

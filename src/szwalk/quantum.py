@@ -78,11 +78,6 @@ class DensityState:
         return f"DensityState(dim={self.dim})"
 
 
-def make_density(m) -> DensityState:
-    """Validate a matrix as a density state (error names the failed check)."""
-    return DensityState(m)
-
-
 def maximally_mixed(dim: int) -> DensityState:
     """identity/dim: the maximally mixed state."""
     if dim < 1:

@@ -18,8 +18,9 @@ Two exact reductions keep the tree small:
 
 from __future__ import annotations
 
+import numbers
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from .entropy import ConvergenceReport, Partition, ProbVector, eta, limit_estima
 from .errors import (AccuracyError, NumericError, ResourceLimitError,
                      UnsupportedConfigurationError, ValidationError)
 from .quantum import (DensityState, Instrument, InstrumentKind, Operator, as_operator,
-                      apply_instrument, min_eigenvalue, outcome_pmf)
+                      apply_instrument, outcome_pmf)
 
 NORMALIZATION_TOL = 1e-8
 PRUNED_MASS_LIMIT = 1e-6
@@ -37,7 +38,12 @@ PRUNED_MASS_LIMIT = 1e-6
 
 @dataclass(frozen=True)
 class RunOptions:
-    """Knobs for the trajectory engine (defaults suit the desk-scale walks)."""
+    """Knobs for the trajectory engine (defaults suit the desk-scale walks).
+
+    Each field must have its default's type (an int is accepted where a float
+    is expected, a bool never counts as a number) and lie in the range that
+    `__post_init__` checks; anything else raises `ValidationError` naming the field.
+    """
 
     n_max: int = 25
     tol: float = 1e-7
@@ -45,10 +51,29 @@ class RunOptions:
     prune_eps: float = 1e-14
     merge_tol: float = 1e-10
     merge: bool = True
-    track_classes: bool = False
+    classify: bool = False
     strict: bool = False
     branch_budget: int = 1_000_000
     min_steps: int = 0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, wanted = getattr(self, f.name), type(f.default)
+            kind = {bool: bool, int: numbers.Integral, float: numbers.Real}[wanted]
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                raise ValidationError(
+                    f"option '{f.name}' must be of type {wanted.__name__}, got {value!r}")
+        # NaN fails every comparison, so it is rejected here too.
+        for name, ok, rule in (("tol", self.tol > 0, "> 0"),
+                               ("merge_tol", self.merge_tol > 0, "> 0"),
+                               ("prune_eps", self.prune_eps >= 0, ">= 0"),
+                               ("n_max", self.n_max >= 0, ">= 0"),
+                               ("min_steps", self.min_steps >= 0, ">= 0"),
+                               ("branch_budget", self.branch_budget >= 1, ">= 1"),
+                               ("window", self.window >= 2, ">= 2")):
+            if not ok:
+                raise ValidationError(
+                    f"option '{name}' must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +89,9 @@ class RunStats:
     parity: int
     entry_block: int | None
 
-    def extend(self, same_block: bool, previous_block: int) -> "RunStats":
+    def extend(self, same_block: bool, previous_block: int | None) -> "RunStats":
+        if previous_block is None:
+            return RunStats(True, 0, None)
         if same_block:
             return RunStats(self.constant, self.parity ^ 1, self.entry_block)
         return RunStats(False, 0, previous_block)
@@ -72,22 +99,12 @@ class RunStats:
 
 @dataclass
 class TrajectoryBranch:
-    """One live node of the trajectory tree."""
+    """One live node of the trajectory tree (the root has no block yet)."""
 
-    last_block: int
+    last_block: int | None
     weight: float
     conditional_op: np.ndarray
-    block_sequence: tuple[int, ...] | None = None
     stats: RunStats | None = None
-
-    def validate(self, tol: float = 1e-10) -> None:
-        tr = float(np.real(np.trace(self.conditional_op)))
-        if abs(tr - self.weight) > tol:
-            raise NumericError(
-                f"branch weight {self.weight!r} vs trace {tr!r} differ by {abs(tr - self.weight):.3e}")
-        lam = min_eigenvalue(self.conditional_op)
-        if lam < -1e-9:
-            raise NumericError(f"branch operator not PSD: min eigenvalue {lam:.3e}")
 
 
 @dataclass(frozen=True)
@@ -116,22 +133,19 @@ class SZRun:
 
     branches: list[TrajectoryBranch]
     depth: int
-    conditional_entropies: list[float]
     records: list[DepthRecord]
-    merged_count: int
     pruned_mass: float
     report: ConvergenceReport
-    options: RunOptions
 
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """SZ run with dynamics, the identity-dynamics run, and their difference."""
+    """SZ and measurement entropies, their difference, and the SZ run's depth records."""
 
     sz_entropy: ConvergenceReport
     measurement_entropy: ConvergenceReport
     dynamical_entropy: float | None
-    settings: dict
+    records: list[DepthRecord]
 
 
 @dataclass(frozen=True)
@@ -214,34 +228,16 @@ def _merge_children(children: list[TrajectoryBranch], opts: RunOptions) -> tuple
     return merged, len(children) - len(merged)
 
 
-def _classes_of(branches: list[TrajectoryBranch], pruned_mass: float) -> ClassMasses:
+def _classes_of(branches: list[TrajectoryBranch]) -> ClassMasses:
     c = e = o = 0.0
     for b in branches:
-        stats = b.stats if b.stats is not None else _stats_from_sequence(b.block_sequence)
-        if stats.constant:
+        if b.stats.constant:
             c += b.weight
-        elif stats.parity == 1:
+        elif b.stats.parity == 1:
             o += b.weight
         else:
             e += b.weight
-    total = c + e + o + pruned_mass
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise NumericError(f"class masses sum to {total!r}")
     return ClassMasses(constant=c, even=e, odd=o)
-
-
-def _stats_from_sequence(seq: tuple[int, ...] | None) -> RunStats:
-    if seq is None:
-        raise UnsupportedConfigurationError(
-            "branch histories were merged away; rerun with track_classes=True "
-            "(or merge=False) to classify terminal runs")
-    n = len(seq) - 1
-    run = 0
-    while run < n and seq[n - run - 1] == seq[n]:
-        run += 1
-    if run == n:
-        return RunStats(True, run % 2, None)
-    return RunStats(False, run % 2, seq[n - run - 1])
 
 
 def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensityState,
@@ -262,51 +258,19 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
             f"state dimension {rho.dim} does not match instrument dimension {t.dim}")
     u = None if walk_unitary is None else _check_unitary(walk_unitary, t.dim)
     udag = None if u is None else u.conj().T
-    keep_history = not opts.merge
 
+    # Depth 0 measures rho itself: the root is the one parent that is not evolved.
+    branches = [TrajectoryBranch(last_block=None, weight=1.0, conditional_op=rho.matrix,
+                                 stats=RunStats(True, 0, None) if opts.classify else None)]
     pruned_mass = 0.0
-    total_merged = 0
     a_seq: list[float] = []
     records: list[DepthRecord] = []
-
-    # Depth 0: measure rho itself, once per partition block.
-    children: list[TrajectoryBranch] = []
-    a0 = 0.0
-    for bi, block in enumerate(partition.blocks):
-        op = apply_instrument(t, block, rho.matrix)
-        w = max(float(np.real(np.trace(op))), 0.0)
-        a0 += eta(min(w, 1.0))
-        if w > opts.prune_eps:
-            children.append(TrajectoryBranch(
-                last_block=bi, weight=w, conditional_op=op,
-                block_sequence=(bi,) if keep_history else None,
-                stats=RunStats(True, 0, None) if opts.track_classes else None))
-        else:
-            pruned_mass += w
-    branches, merged = _merge_children(children, opts)
-    total_merged += merged
-    a_seq.append(a0)
-
-    def snapshot(depth: int) -> None:
-        total = sum(b.weight for b in branches) + pruned_mass
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NumericError(
-                f"branch mass {total!r} at depth {depth} drifted from 1 by {abs(total - 1.0):.3e}")
-        classes = _classes_of(branches, pruned_mass) if opts.track_classes else None
-        records.append(DepthRecord(
-            depth=depth, a_n=a_seq[depth],
-            cesaro=float(np.mean(a_seq)),
-            branch_count=len(branches), merged_count=merged,
-            pruned_mass=pruned_mass, classes=classes))
-
-    snapshot(0)
-
-    depth = 0
-    for n in range(1, opts.n_max + 1):
+    for depth in range(opts.n_max + 1):
         children = []
         a_n = 0.0
         for parent in branches:
-            evolved = parent.conditional_op if u is None else u @ parent.conditional_op @ udag
+            evolved = (parent.conditional_op if u is None or depth == 0
+                       else u @ parent.conditional_op @ udag)
             for bi, block in enumerate(partition.blocks):
                 op = apply_instrument(t, block, evolved)
                 w = max(float(np.real(np.trace(op))), 0.0)
@@ -315,33 +279,35 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
                 if w > opts.prune_eps:
                     children.append(TrajectoryBranch(
                         last_block=bi, weight=w, conditional_op=op,
-                        block_sequence=parent.block_sequence + (bi,) if keep_history else None,
                         stats=parent.stats.extend(bi == parent.last_block, parent.last_block)
-                        if opts.track_classes else None))
+                        if opts.classify else None))
                 else:
                     pruned_mass += w
         branches, merged = _merge_children(children, opts)
-        total_merged += merged
         if len(branches) > opts.branch_budget:
             raise ResourceLimitError(
                 f"live branch count {len(branches)} exceeds the budget of {opts.branch_budget}")
         a_seq.append(max(a_n, 0.0))
-        depth = n
-        snapshot(n)
+        total = sum(b.weight for b in branches) + pruned_mass
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise NumericError(
+                f"branch mass {total!r} at depth {depth} drifted from 1 by {abs(total - 1.0):.3e}")
+        records.append(DepthRecord(
+            depth=depth, a_n=a_seq[depth], cesaro=float(np.mean(a_seq)),
+            branch_count=len(branches), merged_count=merged, pruned_mass=pruned_mass,
+            classes=_classes_of(branches) if opts.classify else None))
         report = limit_estimate(a_seq, tol=opts.tol, window=opts.window)
-        if report.converged and n >= opts.min_steps:
+        if report.converged and depth >= opts.min_steps:
             break
 
-    report = limit_estimate(a_seq, tol=opts.tol, window=opts.window)
     if pruned_mass > PRUNED_MASS_LIMIT:
         message = (f"pruned mass {pruned_mass:.3e} exceeds {PRUNED_MASS_LIMIT:g}; "
                    "entropies may be inaccurate")
         if opts.strict:
             raise AccuracyError(message)
         warnings.warn(message, stacklevel=2)
-    return SZRun(branches=branches, depth=depth, conditional_entropies=list(a_seq),
-                 records=records, merged_count=total_merged, pruned_mass=pruned_mass,
-                 report=report, options=opts)
+    return SZRun(branches=branches, depth=depth, records=records, pruned_mass=pruned_mass,
+                 report=report)
 
 
 def measurement_entropy(t: Instrument, rho: DensityState, partition: Partition,
@@ -360,16 +326,7 @@ def dynamical_entropy(walk_unitary: Operator, t: Instrument, rho: DensityState,
     if run.report.converged and meas.converged:
         value = run.report.converged_value - meas.converged_value
     return EntropyReport(sz_entropy=run.report, measurement_entropy=meas,
-                         dynamical_entropy=value, settings=asdict(opts))
-
-
-def classify_constant_runs(run: SZRun) -> ClassMasses:
-    """Mass of the current branches by terminal-run class (constant/even/odd).
-
-    Requires the run to have kept either run statistics (track_classes) or
-    full block histories (merge disabled).
-    """
-    return _classes_of(run.branches, run.pruned_mass)
+                         dynamical_entropy=value, records=run.records)
 
 
 def markov_reduction(walk_unitary: Operator, t: Instrument, rho: DensityState) -> MarkovReduction:

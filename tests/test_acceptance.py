@@ -75,11 +75,11 @@ def test_criterion_03_coarser_partition_runs():
     part = vertex_partition(N)
     run1 = sz_entropy_run(hadamard_walk(N).unitary, t, rho, part,
                           RunOptions(n_max=10, min_steps=10))
-    worst1 = max(abs(a - LN2) for a in run1.conditional_entropies[1:11])
+    worst1 = max(abs(a - LN2) for a in run1.report.direct_sequence[1:11])
     assert worst1 < 1e-10
     run2 = sz_entropy_run(unitary_power(hadamard_walk(N), 2), t, rho, part,
                           RunOptions(n_max=10, min_steps=10))
-    worst2 = max(abs(a - 1.5 * LN2) for a in run2.conditional_entropies[1:11])
+    worst2 = max(abs(a - 1.5 * LN2) for a in run2.report.direct_sequence[1:11])
     assert worst2 < 1e-10
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
@@ -116,7 +116,7 @@ def test_criterion_05_class_dynamics():
     N = 5
     run = sz_entropy_run(unitary_power(hadamard_walk(N), 2), position_instrument(N),
                          maximally_mixed(2 * N), Partition.atomic(N),
-                         RunOptions(n_max=14, min_steps=14, track_classes=True))
+                         RunOptions(n_max=14, min_steps=14, classify=True))
     classes = [rec.classes for rec in run.records]
     assert len(classes) == 15
     for n, cm in enumerate(classes):
@@ -292,7 +292,7 @@ class TestCriterion09PropertySuites:
             opts_off = RunOptions(n_max=depth, min_steps=depth, merge=False)
             on = sz_entropy_run(u, t, rho, part, opts_on)
             off = sz_entropy_run(u, t, rho, part, opts_off)
-            for a, b in zip(on.conditional_entropies, off.conditional_entropies):
+            for a, b in zip(on.report.direct_sequence, off.report.direct_sequence):
                 assert abs(a - b) < 1e-10
         _announce(9, f"merge-on/off a_n equality on {self.INSTANCES} random runs")
 

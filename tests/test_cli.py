@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from szwalk.cli import ConfigError, load_config, main, run_config
 from szwalk.walks import integer_shift
 
 LN2 = math.log(2.0)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_config(path, **overrides):
@@ -41,6 +43,23 @@ class TestConfigParsing:
         cfg.write_text("{\n  \"walk\": ,\n}")
         with pytest.raises(ConfigError, match="line 2"):
             load_config(cfg)
+
+    @pytest.mark.parametrize("run, field", [
+        ({"merge_tol": 0}, "merge_tol"),  # every branch would share one merge bucket
+        ({"merge": "false"}, "merge"),
+        ({"classify": "no"}, "classify"),
+        ({"window": 2.9}, "window"),
+        ({"n_max": -3}, "n_max"),
+        ({"window": 1}, "window"),  # a_1 = a_2 here would pass as converged
+    ])
+    def test_bad_run_option_exits_2(self, tmp_path, capsys, run, field):
+        cfg = write_config(tmp_path / "bad.json", run={"n_max": 25, **run})
+        assert main(["run", str(cfg)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def test_boolean_power_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="power"):
+            load_config(write_config(tmp_path / "c.json", power=True))
 
     def test_unknown_run_key(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", run={"n_max": 5, "bogus": 1})
@@ -125,6 +144,17 @@ class TestRunCommand:
         sa.pop("duration_s"), sb.pop("duration_s")
         assert sa == sb
 
+    @pytest.mark.parametrize("stem", ["rank2_u2_classify", "rank2_u2_unmerged",
+                                      "coherent_depth0"])
+    def test_outputs_match_golden_files(self, tmp_path, stem):
+        run_config(GOLDEN / f"{stem}.json", out_dir=tmp_path)
+        assert ((tmp_path / f"{stem}_depth.csv").read_bytes()
+                == (GOLDEN / f"{stem}_depth.csv").read_bytes())
+        summary = json.loads((tmp_path / f"{stem}_summary.json").read_text())
+        del summary["duration_s"]
+        assert (json.dumps(summary, indent=2, sort_keys=True) + "\n"
+                == (GOLDEN / f"{stem}_summary.json").read_text())
+
     def test_outputs_land_next_to_config_by_default(self, tmp_path):
         cfg = write_config(tmp_path / "here.json", run={"n_max": 3})
         record = run_config(cfg)
@@ -157,7 +187,7 @@ class TestRunCommand:
     def test_rows_strictly_increasing_in_depth(self, tmp_path):
         cfg = write_config(tmp_path / "rows.json", run={"n_max": 6})
         record = run_config(cfg, out_dir=tmp_path / "out")
-        depths = [row.depth for row in record.rows]
+        depths = [row.depth for row in record.report.records]
         assert depths == sorted(set(depths))
 
     def test_bits_flag_scales_display(self, tmp_path, capsys):
@@ -187,6 +217,9 @@ class TestMarkovCommand:
 
     def test_too_small_cycle(self):
         assert main(["markov", "--n", "2"]) == 2
+
+    def test_power_zero_rejected(self):
+        assert main(["markov", "--n", "5", "--power", "0"]) == 2
 
 
 class TestPaperCheck:

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from szwalk import (InstrumentKind, ValidationError, apply_instrument, coherent_instrument,
-                    general_instrument, lvn_instrument, make_density, maximally_mixed,
-                    outcome_pmf, pure_state)
+from szwalk import (DensityState, InstrumentKind, ValidationError, apply_instrument, coherent_instrument,
+                    general_instrument, lvn_instrument, maximally_mixed, outcome_pmf,
+                    pure_state)
 from szwalk.quantum import min_eigenvalue
 from szwalk.walks import coin_vertex_instrument, hadamard_eigenstate, position_instrument
 
@@ -18,20 +18,20 @@ SQRT2 = math.sqrt(2.0)
 
 class TestMakeDensity:
     def test_maximally_mixed_is_valid(self):
-        rho = make_density(np.eye(3) / 3)
+        rho = DensityState(np.eye(3) / 3)
         assert rho.dim == 3
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError, match="Hermitian"):
-            make_density([[0.5, 1.0], [0.0, 0.5]])
+            DensityState([[0.5, 1.0], [0.0, 0.5]])
 
     def test_wrong_trace_rejected(self):
         with pytest.raises(ValidationError, match="trace"):
-            make_density(np.eye(2))
+            DensityState(np.eye(2))
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValidationError, match="positive semidefinite"):
-            make_density([[1.5, 0.0], [0.0, -0.5]])
+            DensityState([[1.5, 0.0], [0.0, -0.5]])
 
 
 class TestStateConstructors:

@@ -7,10 +7,11 @@ import pytest
 
 from szwalk import (AccuracyError, Partition, ResourceLimitError, RunOptions,
                     UnsupportedConfigurationError, ValidationError, apply_instrument,
-                    classify_constant_runs, cs_transition_matrix, cylinder_probability,
+                    cs_transition_matrix, cylinder_probability,
                     dynamical_entropy, entropy_rate, general_instrument, hadamard_walk,
                     markov_reduction, maximally_mixed, measurement_entropy,
                     sz_entropy_run, unitary_power)
+from szwalk.quantum import min_eigenvalue
 from szwalk.walks import (basis_index, coin_vertex_instrument, hadamard_eigenstate,
                           position_instrument, vertex_partition)
 
@@ -98,6 +99,21 @@ class TestCSTransitionMatrix:
             cs_transition_matrix(np.eye(2), [[1.0, 0.0], [1.0, 0.0]])
 
 
+class TestRunOptions:
+    @pytest.mark.parametrize("field, value", [
+        ("merge_tol", 0.0), ("tol", -1e-7), ("tol", float("nan")), ("prune_eps", -1e-14),
+        ("n_max", -3), ("min_steps", -1), ("branch_budget", 0), ("window", 1),
+        ("window", 2.9), ("n_max", True), ("tol", True), ("merge", "false"),
+        ("classify", "no"), ("strict", 1), ("branch_budget", None),
+    ])
+    def test_bad_value_names_the_field(self, field, value):
+        with pytest.raises(ValidationError, match=f"'{field}'"):
+            RunOptions(**{field: value})
+
+    def test_int_accepted_for_float_fields(self):
+        assert RunOptions(tol=1, prune_eps=0, window=2).tol == 1
+
+
 class TestSZEntropyRun:
     def test_eigenstate_atomic_run_is_ln2(self):
         N = 5
@@ -105,7 +121,7 @@ class TestSZEntropyRun:
                              hadamard_eigenstate(N),
                              _atomic_for(coin_vertex_instrument(N)),
                              RunOptions(n_max=8, min_steps=8))
-        for a in run.conditional_entropies[1:]:
+        for a in run.report.direct_sequence[1:]:
             assert a == pytest.approx(LN2, abs=1e-12)
         assert run.report.converged
 
@@ -113,7 +129,7 @@ class TestSZEntropyRun:
         N = 4
         run = sz_entropy_run(None, position_instrument(N), maximally_mixed(2 * N),
                              Partition.atomic(N), RunOptions(n_max=6, min_steps=6))
-        assert run.conditional_entropies[1:] == [0.0] * 6
+        assert run.report.direct_sequence[1:] == (0.0,) * 6
 
     def test_branch_invariants(self):
         N = 5
@@ -121,7 +137,9 @@ class TestSZEntropyRun:
                              maximally_mixed(2 * N), Partition.atomic(N),
                              RunOptions(n_max=6, min_steps=6))
         for branch in run.branches:
-            branch.validate()
+            op = branch.conditional_op
+            assert abs(float(np.real(np.trace(op))) - branch.weight) < 1e-10
+            assert min_eigenvalue(op) > -1e-9
 
     def test_normalization_at_every_depth(self):
         N = 5
@@ -161,7 +179,7 @@ def run():
     N = 5
     return sz_entropy_run(unitary_power(hadamard_walk(N), 2), position_instrument(N),
                           maximally_mixed(2 * N), Partition.atomic(N),
-                          RunOptions(n_max=14, min_steps=14, track_classes=True))
+                          RunOptions(n_max=14, min_steps=14, classify=True))
 
 
 class TestRankTwoSquaredRun:
@@ -206,23 +224,30 @@ class TestRankTwoSquaredRun:
             else:
                 assert ws == pytest.approx([0.5, 0.5], abs=1e-10)
 
-    def test_classify_requires_tracking_or_histories(self, run):
+    def test_unmerged_classes_match_merged(self, run):
         N = 5
-        merged = sz_entropy_run(unitary_power(hadamard_walk(N), 2), position_instrument(N),
-                                maximally_mixed(2 * N), Partition.atomic(N),
-                                RunOptions(n_max=3, min_steps=3))
-        with pytest.raises(UnsupportedConfigurationError):
-            classify_constant_runs(merged)
-        unmerged = sz_entropy_run(unitary_power(hadamard_walk(N), 2), position_instrument(N),
-                                  maximally_mixed(2 * N), Partition.atomic(N),
-                                  RunOptions(n_max=6, min_steps=6, merge=False))
-        tracked = classify_constant_runs(run)
-        from_history = classify_constant_runs(unmerged)
+        args = (unitary_power(hadamard_walk(N), 2), position_instrument(N),
+                maximally_mixed(2 * N), Partition.atomic(N))
+        unmerged = sz_entropy_run(*args, RunOptions(n_max=6, min_steps=6, merge=False,
+                                                    classify=True))
+        assert len(unmerged.records) == 7
+        for rec, ref in zip(unmerged.records, run.records):
+            assert rec.classes.constant == pytest.approx(ref.classes.constant, abs=1e-12)
+            assert rec.classes.even == pytest.approx(ref.classes.even, abs=1e-12)
+            assert rec.classes.odd == pytest.approx(ref.classes.odd, abs=1e-12)
+        # Depth 6 again, from every block history: constant, or else odd or
+        # even by the parity of (length of its terminal constant run - 1).
+        masses = {"constant": 0.0, "even": 0.0, "odd": 0.0}
+        for seq, w in cylinder_level_joints(*args, 6)[6].items():
+            tail = 1
+            while tail < len(seq) and seq[-tail - 1] == seq[-1]:
+                tail += 1
+            key = "constant" if tail == len(seq) else ("odd" if tail % 2 == 0 else "even")
+            masses[key] += w
         ref = run.records[6].classes
-        assert from_history.constant == pytest.approx(ref.constant, abs=1e-12)
-        assert from_history.even == pytest.approx(ref.even, abs=1e-12)
-        assert from_history.odd == pytest.approx(ref.odd, abs=1e-12)
-        assert tracked.constant == pytest.approx(2.0 ** -14, abs=1e-12)
+        assert masses["constant"] == pytest.approx(ref.constant, abs=1e-12)
+        assert masses["even"] == pytest.approx(ref.even, abs=1e-12)
+        assert masses["odd"] == pytest.approx(ref.odd, abs=1e-12)
 
     def test_depth_zero_is_all_constant(self, run):
         rec = run.records[0]
@@ -242,7 +267,7 @@ class TestMergeExactness:
             on = sz_entropy_run(u, t, rho, part, RunOptions(n_max=7, min_steps=7))
             off = sz_entropy_run(u, t, rho, part, RunOptions(n_max=7, min_steps=7, merge=False))
             assert len(on.branches) < len(off.branches)
-            for a, b in zip(on.conditional_entropies, off.conditional_entropies):
+            for a, b in zip(on.report.direct_sequence, off.report.direct_sequence):
                 assert a == pytest.approx(b, abs=1e-10)
 
     def test_engine_matches_bruteforce_enumeration(self):
@@ -256,8 +281,8 @@ class TestMergeExactness:
         part = vertex_partition(N)
         run = sz_entropy_run(u, t, rho, part, RunOptions(n_max=5, min_steps=5))
         oracle = conditional_sequence_from_levels(cylinder_level_joints(u, t, rho, part, 5))
-        assert len(oracle) == len(run.conditional_entropies)
-        for a, b in zip(run.conditional_entropies, oracle):
+        assert len(oracle) == len(run.report.direct_sequence)
+        for a, b in zip(run.report.direct_sequence, oracle):
             assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -323,12 +348,13 @@ class TestDynamicalEntropy:
                                    RunOptions(n_max=5, min_steps=5))
         assert report.dynamical_entropy == pytest.approx(LN2, abs=1e-9)
 
-    def test_reports_echo_settings(self):
+    def test_reports_carry_depth_records(self):
         N = 3
         opts = RunOptions(n_max=4)
         report = dynamical_entropy(hadamard_walk(N).unitary, coin_vertex_instrument(N),
                                    maximally_mixed(2 * N), vertex_partition(N), opts)
-        assert report.settings["n_max"] == 4
+        assert [rec.depth for rec in report.records] == list(range(len(report.records)))
+        assert tuple(rec.a_n for rec in report.records) == report.sz_entropy.direct_sequence
         assert (report.dynamical_entropy
                 == report.sz_entropy.converged_value
                 - report.measurement_entropy.converged_value)
@@ -379,5 +405,5 @@ class TestMarkovReduction:
         run = sz_entropy_run(u, t, rho, _atomic_for(t), RunOptions(n_max=8, min_steps=8))
         # engine a_n = rate direct_sequence shifted by one (a_0 is H(X_0))
         for k in range(8):
-            assert run.conditional_entropies[k + 1] == pytest.approx(
+            assert run.report.direct_sequence[k + 1] == pytest.approx(
                 rate.direct_sequence[k], abs=1e-10)

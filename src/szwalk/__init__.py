@@ -8,9 +8,9 @@ from .entropy import (ConvergenceReport, JointDistribution, Partition, ProbVecto
                       limit_estimate)
 from .errors import (AccuracyError, NumericError, ResourceLimitError, SZWalkError,
                      UnsupportedConfigurationError, ValidationError)
-from .quantum import (DensityState, Instrument, InstrumentKind, Operator, apply_instrument,
-                      coherent_instrument, general_instrument, lvn_instrument,
-                      maximally_mixed, outcome_pmf, pure_state)
+from .quantum import (DensityState, Instrument, Operator, apply_instrument, coherent_instrument,
+                      general_instrument, lvn_instrument, maximally_mixed, outcome_pmf,
+                      pure_state)
 from .sz import (ClassMasses, EntropyReport, MarkovReduction, RunOptions, SZRun,
                  cs_transition_matrix, cylinder_probability, dynamical_entropy,
                  markov_reduction, measurement_entropy, sz_entropy_run)
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "ClassMasses", "CoinedWalk", "ConvergenceReport", "DensityState",
-    "EntropyReport", "FiniteMap", "Instrument", "InstrumentKind", "JointDistribution",
+    "EntropyReport", "FiniteMap", "Instrument", "JointDistribution",
     "MarkovReduction", "NumericError", "Operator", "Partition", "ProbVector",
     "ResourceLimitError", "RunOptions", "SZRun", "SZWalkError", "ShiftPermutation",
     "TransitionMatrix", "UnsupportedConfigurationError", "ValidationError",

@@ -52,6 +52,14 @@ def _require(mapping: dict, field: str, context: str):
     return mapping[field]
 
 
+def _checked(value, field: str, kind: type, minimum: int = 0):
+    """`value`, never converted, if it is a `kind` (not a bool) and an int is >= `minimum`."""
+    if not isinstance(value, kind) or isinstance(value, bool) or (kind is int and value < minimum):
+        wanted = {int: f"an integer >= {minimum}", list: "a list", dict: "an object"}[kind]
+        raise ConfigError(f"field '{field}' must be {wanted}")
+    return value
+
+
 def _parse_complex(value, context: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
@@ -62,8 +70,9 @@ def _parse_complex(value, context: str) -> complex:
 
 
 def _parse_matrix(rows, context: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise ConfigError(f"field '{context}' must be a non-empty matrix (list of rows)")
+    if not isinstance(rows, list) or not rows or not all(
+            isinstance(row, list) and len(row) == len(rows) for row in rows):
+        raise ConfigError(f"field '{context}' must be a non-empty square matrix (list of rows)")
     data = [[_parse_complex(x, f"{context}[{i}][{j}]") for j, x in enumerate(row)]
             for i, row in enumerate(rows)]
     return np.array(data, dtype=complex)
@@ -90,40 +99,36 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
 
-    walk_spec = _require(raw, "walk", "config")
+    walk_spec = _checked(_require(raw, "walk", "config"), "walk", dict)
     kind = _require(walk_spec, "kind", "walk")
     if kind == "hadamard":
-        N = _require(walk_spec, "N", "walk")
-        if not isinstance(N, int) or N < 2:
-            raise ConfigError("field 'walk.N' must be an integer >= 2")
-        walk = walks.hadamard_walk(N)
+        walk = walks.hadamard_walk(_checked(_require(walk_spec, "N", "walk"), "walk.N", int, 2))
     elif kind == "explicit":
-        sigma = _require(walk_spec, "sigma", "walk")
-        coins = _require(walk_spec, "coins", "walk")
-        vertices = _require(walk_spec, "vertices", "walk")
-        coin_count = walk_spec.get("coin_count", 2)
-        shift = walks.ShiftPermutation(tuple(int(s) for s in sigma),
-                                       coin_count=int(coin_count), vertex_count=int(vertices))
+        sigma = _checked(_require(walk_spec, "sigma", "walk"), "walk.sigma", list)
+        coins = _checked(_require(walk_spec, "coins", "walk"), "walk.coins", list)
+        shift = walks.ShiftPermutation(
+            tuple(_checked(s, f"walk.sigma[{i}]", int) for i, s in enumerate(sigma)),
+            coin_count=_checked(walk_spec.get("coin_count", 2), "walk.coin_count", int, 1),
+            vertex_count=_checked(_require(walk_spec, "vertices", "walk"), "walk.vertices", int, 1))
         coin_ops = [_parse_matrix(c, f"walk.coins[{i}]") for i, c in enumerate(coins)]
         walk = walks.coined_walk(shift, coin_ops)
     else:
         raise ConfigError(f"field 'walk.kind' must be 'hadamard' or 'explicit', got {kind!r}")
     N = walk.vertex_count
 
-    power = raw.get("power", 1)
-    if not isinstance(power, int) or isinstance(power, bool) or power < 1:
-        raise ConfigError("field 'power' must be an integer >= 1")
+    power = _checked(raw.get("power", 1), "power", int, 1)
 
-    inst_spec = _require(raw, "instrument", "config")
+    inst_spec = _checked(_require(raw, "instrument", "config"), "instrument", dict)
     inst_kind = _require(inst_spec, "kind", "instrument")
     if inst_kind == "coherent":
         instrument = walks.coin_vertex_instrument(N)
     elif inst_kind == "rank2_position":
         instrument = walks.position_instrument(N)
     elif inst_kind == "explicit_kraus":
-        kraus = _require(inst_spec, "kraus", "instrument")
+        kraus = _checked(_require(inst_spec, "kraus", "instrument"), "instrument.kraus", list)
         ops = [_parse_matrix(k, f"instrument.kraus[{i}]") for i, k in enumerate(kraus)]
-        instrument = general_instrument(ops, labels=inst_spec.get("labels"))
+        labels = _checked(inst_spec.get("labels", []), "instrument.labels", list)
+        instrument = general_instrument(ops, labels=labels)
     else:
         raise ConfigError(
             "field 'instrument.kind' must be 'coherent', 'rank2_position' or "
@@ -132,7 +137,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             f"instrument dimension {instrument.dim} does not match walk dimension {walk.dim}")
 
-    state_spec = _require(raw, "state", "config")
+    state_spec = _checked(_require(raw, "state", "config"), "state", dict)
     state_kind = _require(state_spec, "kind", "state")
     if state_kind == "maximally_mixed":
         state = maximally_mixed(walk.dim)
@@ -149,7 +154,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             f"state dimension {state.dim} does not match walk dimension {walk.dim}")
 
-    part_spec = _require(raw, "partition", "config")
+    part_spec = _checked(_require(raw, "partition", "config"), "partition", dict)
     part_kind = _require(part_spec, "kind", "partition")
     if part_kind == "atomic":
         partition = Partition.atomic(instrument.n_outcomes, labels=instrument.outcome_labels)
@@ -160,9 +165,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 f"with {2 * N} outcomes, got {instrument.n_outcomes}")
         partition = walks.vertex_partition(N)
     elif part_kind == "explicit":
-        blocks = _require(part_spec, "blocks", "partition")
-        partition = Partition(blocks, labels=part_spec.get("labels"),
-                              size=instrument.n_outcomes)
+        blocks = _checked(_require(part_spec, "blocks", "partition"), "partition.blocks", list)
+        blocks = [[_checked(x, f"partition.blocks[{i}]", int) for x in
+                   _checked(b, f"partition.blocks[{i}]", list)] for i, b in enumerate(blocks)]
+        labels = _checked(part_spec.get("labels", []), "partition.labels", list) or None
+        partition = Partition(blocks, labels=labels, size=instrument.n_outcomes)
     else:
         raise ConfigError(
             "field 'partition.kind' must be 'atomic', 'vertex_blocks' or 'explicit', "
@@ -172,9 +179,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"partition covers {partition.size} outcomes, instrument has "
             f"{instrument.n_outcomes}")
 
-    run_spec = raw.get("run", {})
-    if not isinstance(run_spec, dict):
-        raise ConfigError("field 'run' must be an object")
+    run_spec = _checked(raw.get("run", {}), "run", dict)
     known = {f.name for f in fields(sz.RunOptions)}
     for key in run_spec:
         if key not in known:

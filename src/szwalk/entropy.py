@@ -8,6 +8,7 @@ tolerance because their weights accumulate rounding over long products.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -97,6 +98,10 @@ class Partition:
 
     def __init__(self, blocks: Iterable[Iterable[int]], labels: Sequence[str] | None = None,
                  size: int | None = None):
+        blocks = [list(b) for b in blocks]
+        if any(isinstance(i, bool) or not isinstance(i, numbers.Integral)
+               for b in blocks for i in b):
+            raise ValidationError(f"partition outcomes must be integers, got blocks {blocks!r}")
         raw = [tuple(sorted(set(int(i) for i in b))) for b in blocks]
         if any(len(b) == 0 for b in raw):
             raise ValidationError("partition blocks must be non-empty")

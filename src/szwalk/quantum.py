@@ -2,15 +2,15 @@
 
 Operators are dense complex numpy arrays; dimensions stay small (a few
 dozen), so no sparse machinery. An instrument is a finite Kraus family
-{B_i} with sum B_i† B_i = 1; `kind` records how much structure was
-verified (general Kraus family, orthogonal projections, or rank-1
-orthogonal projections).
+{B_i} with sum B_i† B_i = 1; the constructors for projective and
+coherent-states instruments check their extra structure once, when the
+instrument is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -95,63 +95,35 @@ def pure_state(v) -> DensityState:
     return DensityState(np.outer(vec, vec.conj()))
 
 
-class InstrumentKind(str, Enum):
-    GENERAL = "general"
-    LUDERS_VON_NEUMANN = "luders_von_neumann"
-    COHERENT_STATES = "coherent_states"
-
-
 @dataclass(frozen=True)
 class Instrument:
-    """Kraus family indexed by a discrete outcome set.
+    """A complete Kraus family {B_i} (sum B_i† B_i = 1) indexed by labeled outcomes.
 
-    kind=LUDERS_VON_NEUMANN additionally certifies pairwise-orthogonal
-    projections; kind=COHERENT_STATES certifies rank-1 projections on top.
+    Absent or empty labels default to "0", "1", ...; constructors that promise more structure
+    (projections, rank-1 projections) check it themselves.
     """
 
     kraus: tuple[Operator, ...]
-    outcome_labels: tuple[str, ...]
-    kind: InstrumentKind
+    outcome_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not self.kraus:
-            raise ValidationError("instrument needs at least one Kraus operator")
         ops = tuple(as_operator(b) for b in self.kraus)
+        if not ops:
+            raise ValidationError("instrument needs at least one Kraus operator")
         dim = ops[0].shape[0]
         if any(b.shape[0] != dim for b in ops):
             raise ValidationError("Kraus operators have mismatched dimensions")
-        if len(self.outcome_labels) != len(ops):
-            raise ValidationError(
-                f"{len(self.outcome_labels)} labels for {len(ops)} outcomes")
+        labels = tuple(str(x) for x in self.outcome_labels or range(len(ops)))
+        if len(labels) != len(ops):
+            raise ValidationError(f"{len(labels)} labels for {len(ops)} outcomes")
         total = sum(b.conj().T @ b for b in ops)
         res = float(np.abs(total - np.eye(dim)).max())
         if res > COMPLETENESS_TOL:
             raise ValidationError(
                 f"Kraus completeness fails: max |sum B†B - 1| = {res:.3e} "
                 f"(tol {COMPLETENESS_TOL:g})")
-        if self.kind is not InstrumentKind.GENERAL:
-            for i, b in enumerate(ops):
-                herm = hermiticity_residual(b)
-                idem = float(np.abs(b @ b - b).max())
-                if herm > PROJECTION_TOL or idem > PROJECTION_TOL:
-                    raise ValidationError(
-                        f"outcome {i}: not a projection "
-                        f"(|B-B†|={herm:.3e}, |B²-B|={idem:.3e})")
-            for i in range(len(ops)):
-                for j in range(i + 1, len(ops)):
-                    res = float(np.abs(ops[i] @ ops[j]).max())
-                    if res > PROJECTION_TOL:
-                        raise ValidationError(
-                            f"projections {i} and {j} overlap: max |P_iP_j| = {res:.3e}")
-        if self.kind is InstrumentKind.COHERENT_STATES:
-            for i, b in enumerate(ops):
-                rank = float(np.real(np.trace(b)))
-                if abs(rank - 1.0) > 1e-8:
-                    raise ValidationError(
-                        f"outcome {i}: projection rank {rank:.6f}, coherent-states "
-                        "instruments need rank 1")
         object.__setattr__(self, "kraus", ops)
-        object.__setattr__(self, "outcome_labels", tuple(str(x) for x in self.outcome_labels))
+        object.__setattr__(self, "outcome_labels", labels)
 
     @property
     def dim(self) -> int:
@@ -162,35 +134,31 @@ class Instrument:
         return len(self.kraus)
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(n))
-
-
 def general_instrument(kraus: Sequence, labels: Sequence[str] | None = None) -> Instrument:
     """Instrument from an arbitrary Kraus family (only completeness checked)."""
-    ops = tuple(as_operator(b) for b in kraus)
-    return Instrument(ops, tuple(labels) if labels else _default_labels(len(ops)),
-                      InstrumentKind.GENERAL)
+    return Instrument(kraus, labels)
 
 
 def lvn_instrument(projections: Sequence, labels: Sequence[str] | None = None) -> Instrument:
-    """Instrument from pairwise-orthogonal projections summing to the identity.
+    """Instrument from pairwise-orthogonal projections summing to the identity."""
+    t = Instrument(projections, labels)
+    for i, b in enumerate(t.kraus):
+        herm = hermiticity_residual(b)
+        idem = float(np.abs(b @ b - b).max())
+        if herm > PROJECTION_TOL or idem > PROJECTION_TOL:
+            raise ValidationError(
+                f"outcome {i}: not a projection (|B-B†|={herm:.3e}, |B²-B|={idem:.3e})")
+    for i, j in combinations(range(t.n_outcomes), 2):
+        res = float(np.abs(t.kraus[i] @ t.kraus[j]).max())
+        if res > PROJECTION_TOL:
+            raise ValidationError(f"projections {i} and {j} overlap: max |P_iP_j| = {res:.3e}")
+    return t
 
-    If every projection has rank 1 the result is tagged coherent_states.
-    """
-    ops = tuple(as_operator(p) for p in projections)
-    all_rank1 = all(abs(float(np.real(np.trace(p))) - 1.0) <= 1e-8 for p in ops)
-    kind = InstrumentKind.COHERENT_STATES if all_rank1 else InstrumentKind.LUDERS_VON_NEUMANN
-    return Instrument(ops, tuple(labels) if labels else _default_labels(len(ops)), kind)
 
-
-def coherent_instrument(basis: Sequence, labels: Sequence[str] | None = None) -> Instrument:
-    """Coherent-states instrument |a_i><a_i| from an orthonormal basis."""
+def orthonormal_columns(basis: Sequence, dim: int) -> np.ndarray:
+    """The matrix A whose columns are `basis`, checked to be an orthonormal basis of C^dim."""
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in basis]
-    if not vecs:
-        raise ValidationError("coherent instrument needs at least one basis vector")
-    dim = vecs[0].size
-    if any(v.size != dim for v in vecs) or len(vecs) != dim:
+    if len(vecs) != dim or any(v.size != dim for v in vecs):
         raise ValidationError(
             f"need {dim} vectors of dimension {dim} for a full orthonormal basis")
     A = np.column_stack(vecs)
@@ -198,9 +166,20 @@ def coherent_instrument(basis: Sequence, labels: Sequence[str] | None = None) ->
     if res > ORTHONORMAL_TOL:
         raise ValidationError(
             f"basis not orthonormal: max |A†A - 1| = {res:.3e} (tol {ORTHONORMAL_TOL:g})")
-    ops = tuple(np.outer(v, v.conj()) for v in vecs)
-    return Instrument(ops, tuple(labels) if labels else _default_labels(len(ops)),
-                      InstrumentKind.COHERENT_STATES)
+    return A
+
+
+def coherent_instrument(basis: Sequence, labels: Sequence[str] | None = None) -> Instrument:
+    """Coherent-states instrument |a_i><a_i| from an orthonormal basis.
+
+    Orthonormality to ORTHONORMAL_TOL already bounds |P_iP_j|, |P_i² - P_i| and
+    |tr P_i - 1| by the same tolerance, so nothing else is checked.
+    """
+    basis = list(basis)
+    if not basis:
+        raise ValidationError("coherent instrument needs at least one basis vector")
+    A = orthonormal_columns(basis, np.size(basis[0]))
+    return Instrument(tuple(np.outer(a, a.conj()) for a in A.T), labels)
 
 
 def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> Operator:
@@ -220,9 +199,9 @@ def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> O
 
 
 def outcome_pmf(t: Instrument, rho: DensityState) -> ProbVector:
-    """Outcome distribution tr(B_i rho B_i†) of measuring rho once."""
+    """Outcome distribution tr(B_i rho B_i†) = <B_i, B_i rho>_F of measuring rho once."""
     if rho.dim != t.dim:
         raise ValidationError(
             f"state dimension {rho.dim} does not match instrument dimension {t.dim}")
-    probs = [float(np.real(np.trace(b @ rho.matrix @ b.conj().T))) for b in t.kraus]
+    probs = [float(np.real(np.vdot(b, b @ rho.matrix))) for b in t.kraus]
     return ProbVector(np.clip(probs, 0.0, None), tol=1e-10)

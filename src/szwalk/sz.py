@@ -29,11 +29,12 @@ from .classical import TransitionMatrix
 from .entropy import ConvergenceReport, Partition, ProbVector, eta, limit_estimate
 from .errors import (AccuracyError, NumericError, ResourceLimitError,
                      UnsupportedConfigurationError, ValidationError)
-from .quantum import (DensityState, Instrument, InstrumentKind, Operator, as_operator,
-                      apply_instrument, outcome_pmf)
+from .quantum import (DensityState, Instrument, Operator, as_operator, apply_instrument,
+                      orthonormal_columns, outcome_pmf)
 
 NORMALIZATION_TOL = 1e-8
 PRUNED_MASS_LIMIT = 1e-6
+RANK1_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -191,14 +192,7 @@ def cylinder_probability(walk_unitary: Operator | None, t: Instrument, rho: Dens
 def cs_transition_matrix(u: Operator, basis: Sequence) -> TransitionMatrix:
     """Markov transition matrix |<a_i|U|a_j>|^2 of a coherent-state measurement."""
     u = as_operator(u)
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in basis]
-    dim = u.shape[0]
-    if len(vecs) != dim or any(v.size != dim for v in vecs):
-        raise ValidationError(f"need {dim} basis vectors of dimension {dim}")
-    A = np.column_stack(vecs)
-    res = float(np.abs(A.conj().T @ A - np.eye(dim)).max())
-    if res > 1e-10:
-        raise ValidationError(f"basis not orthonormal: max |A†A - 1| = {res:.3e}")
+    A = orthonormal_columns(basis, u.shape[0])
     amps = A.conj().T @ u @ A
     return TransitionMatrix(np.abs(amps) ** 2)
 
@@ -320,8 +314,9 @@ def dynamical_entropy(walk_unitary: Operator, t: Instrument, rho: DensityState,
                       partition: Partition, opts: RunOptions | None = None) -> EntropyReport:
     """Full SZ entropy, measurement entropy, and their difference when defined."""
     opts = opts or RunOptions()
-    run = sz_entropy_run(walk_unitary, t, rho, partition, opts)
+    # Measurement first: it keeps only its report, so one tree is resident at a time.
     meas = measurement_entropy(t, rho, partition, opts)
+    run = sz_entropy_run(walk_unitary, t, rho, partition, opts)
     value = None
     if run.report.converged and meas.converged:
         value = run.report.converged_value - meas.converged_value
@@ -332,17 +327,19 @@ def dynamical_entropy(walk_unitary: Operator, t: Instrument, rho: DensityState,
 def markov_reduction(walk_unitary: Operator, t: Instrument, rho: DensityState) -> MarkovReduction:
     """Classical reduction of a coherent-state run: transition matrix plus initial pmf.
 
-    Only coherent-states instruments admit this fast path; the entropy-rate
-    computation itself is the classical module's job.
+    Only instruments made of rank-1 projections |a_i><a_i| admit this fast
+    path; the entropy-rate computation itself is the classical module's job.
     """
-    if t.kind is not InstrumentKind.COHERENT_STATES:
-        raise UnsupportedConfigurationError(
-            f"Markov reduction needs a coherent-states instrument, got kind={t.kind.value}")
     basis = []
-    for b in t.kraus:
-        col = int(np.argmax(np.abs(np.diagonal(b))))
-        vec = b[:, col]
-        basis.append(vec / np.linalg.norm(vec))
+    for i, b in enumerate(t.kraus):
+        vec = b[:, int(np.argmax(np.abs(np.diagonal(b))))]
+        vec = vec / (np.linalg.norm(vec) or 1.0)  # a zero column stays zero and fails below
+        res = float(np.abs(b - np.outer(vec, vec.conj())).max())
+        if res > RANK1_TOL:
+            raise UnsupportedConfigurationError(
+                f"Markov reduction needs rank-1 projections: outcome {i} has "
+                f"max |B - vv†| = {res:.3e} (tol {RANK1_TOL:g})")
+        basis.append(vec)
     P = cs_transition_matrix(walk_unitary, basis)
     mu0 = outcome_pmf(t, rho)
     return MarkovReduction(transition_matrix=P, initial_distribution=mu0)

@@ -57,6 +57,39 @@ class TestConfigParsing:
         assert main(["run", str(cfg)]) == 2
         assert f"'{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("walk", "vertices", 3.7, "walk.vertices"),
+        ("walk", "vertices", "3", "walk.vertices"),
+        ("walk", "coin_count", 2.2, "walk.coin_count"),
+        ("walk", "sigma", [1.9, 2, 0, 5, 3, 4], "walk.sigma"),
+        (None, "walk", 5, "walk"),
+        ("walk", "coins", 5, "walk.coins"),
+        ("instrument", "kraus", 5, "instrument.kraus"),
+        ("partition", "blocks", 5, "partition.blocks"),
+        ("partition", "labels", 7, "partition.labels"),
+        ("partition", "blocks", [[0.2], [1], [2]], "partition.blocks"),
+        ("partition", "blocks", [["0"], [1], [2]], "partition.blocks"),
+        ("partition", "blocks", [[False], [True], [2]], "partition.blocks"),
+    ])
+    def test_bad_explicit_field_exits_2(self, tmp_path, capsys, section, key, value, field):
+        N = 3
+        position = [[[1 if r == c and r % N == v else 0 for c in range(2 * N)]
+                     for r in range(2 * N)] for v in range(N)]
+        config = {
+            "walk": {"kind": "explicit", "vertices": N, "coin_count": 2,
+                     "sigma": list(integer_shift(N).sigma), "coins": [[[1, 0], [0, 1]]] * N},
+            "instrument": {"kind": "explicit_kraus", "kraus": position},
+            "state": {"kind": "maximally_mixed"},
+            "partition": {"kind": "explicit", "blocks": [[0], [1], [2]],
+                          "labels": ["a", "b", "c"]},
+            "run": {"n_max": 2},
+        }
+        (config if section is None else config[section])[key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", str(cfg)]) == 2
+        assert f"'{field}" in capsys.readouterr().err
+
     def test_boolean_power_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="power"):
             load_config(write_config(tmp_path / "c.json", power=True))
@@ -145,7 +178,7 @@ class TestRunCommand:
         assert sa == sb
 
     @pytest.mark.parametrize("stem", ["rank2_u2_classify", "rank2_u2_unmerged",
-                                      "coherent_depth0"])
+                                      "coherent_depth0", "explicit_kraus"])
     def test_outputs_match_golden_files(self, tmp_path, stem):
         run_config(GOLDEN / f"{stem}.json", out_dir=tmp_path)
         assert ((tmp_path / f"{stem}_depth.csv").read_bytes()

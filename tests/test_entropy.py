@@ -107,6 +107,17 @@ class TestJointDistribution:
 
 
 class TestPartition:
+    @pytest.mark.parametrize("blocks", [[[0.2], [1], [2]], [["0"], [1], [2]],
+                                        [[False], [True], [2]], [[0.0], [1], [2]]])
+    def test_non_integer_outcomes_rejected(self, blocks):
+        with pytest.raises(ValidationError, match="must be integers"):
+            Partition(blocks)
+
+    def test_numpy_integer_outcomes_accepted(self):
+        p = Partition([np.array([1, 0]), [np.int64(2)]])
+        assert p == Partition([[0, 1], [2]])
+        assert all(type(i) is int for b in p.blocks for i in b)
+
     def test_join_idempotent(self):
         c = Partition([[0, 1], [2, 3]])
         assert join([c, c]) == c

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from szwalk import (DensityState, InstrumentKind, ValidationError, apply_instrument, coherent_instrument,
-                    general_instrument, lvn_instrument, maximally_mixed, outcome_pmf,
-                    pure_state)
+from szwalk import (DensityState, Instrument, ValidationError, apply_instrument,
+                    coherent_instrument, general_instrument, lvn_instrument, maximally_mixed,
+                    outcome_pmf, pure_state)
 from szwalk.quantum import min_eigenvalue
 from szwalk.walks import coin_vertex_instrument, hadamard_eigenstate, position_instrument
 
@@ -69,13 +69,16 @@ class TestStateConstructors:
 
 
 class TestInstrumentConstructors:
-    def test_computational_projectors_become_coherent(self):
-        t = lvn_instrument([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        assert t.kind is InstrumentKind.COHERENT_STATES
+    def test_lvn_keeps_projections_and_default_labels(self):
+        projections = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        t = lvn_instrument(projections)
+        assert t.outcome_labels == ("0", "1")
+        assert all(np.array_equal(b, p) and b.dtype == complex
+                   for b, p in zip(t.kraus, projections))
 
     def test_position_projections_are_rank_two_lvn(self):
         t = position_instrument(5)
-        assert t.kind is InstrumentKind.LUDERS_VON_NEUMANN
+        assert t.outcome_labels == ("v0", "v1", "v2", "v3", "v4")
         assert all(np.real(np.trace(p)) == pytest.approx(2.0) for p in t.kraus)
 
     def test_overlapping_projections_rejected(self):
@@ -94,11 +97,13 @@ class TestInstrumentConstructors:
 
     def test_coherent_computational_basis(self):
         t = coherent_instrument(list(np.eye(4, dtype=complex)))
-        assert t.kind is InstrumentKind.COHERENT_STATES and t.n_outcomes == 4
+        assert t.n_outcomes == 4 and t.dim == 4
+        assert all(np.array_equal(b, np.diag(np.eye(4)[i])) for i, b in enumerate(t.kraus))
 
     def test_coherent_hadamard_basis(self):
         t = coherent_instrument([[1 / SQRT2, 1 / SQRT2], [1 / SQRT2, -1 / SQRT2]])
-        assert t.kind is InstrumentKind.COHERENT_STATES
+        assert np.allclose(t.kraus[0], [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+        assert np.allclose(t.kraus[1], [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
 
     def test_coherent_repeated_vector_rejected(self):
         v = [1.0, 0.0]
@@ -108,8 +113,27 @@ class TestInstrumentConstructors:
     def test_general_family_only_needs_completeness(self):
         u1 = np.eye(2, dtype=complex)
         u2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        t = general_instrument([u1 / SQRT2, u2 / SQRT2])
-        assert t.kind is InstrumentKind.GENERAL
+        t = general_instrument([u1 / SQRT2, u2 / SQRT2], labels=["a", "b"])
+        assert t.n_outcomes == 2 and t.outcome_labels == ("a", "b")
+        assert np.array_equal(t.kraus[1], u2 / SQRT2)
+
+    def test_instrument_defaults_labels(self):
+        t = Instrument([np.eye(2)])
+        assert t.outcome_labels == ("0",) and isinstance(t.kraus, tuple)
+
+    @pytest.mark.parametrize("kraus, labels, match", [
+        ([], None, "at least one"),
+        ([np.eye(2), np.zeros((3, 3))], None, "mismatched"),
+        ([np.eye(2)], ["a", "b"], "2 labels for 1 outcomes"),
+        ([np.eye(2) / SQRT2], None, "completeness"),
+    ])
+    def test_instrument_rejects(self, kraus, labels, match):
+        with pytest.raises(ValidationError, match=match):
+            Instrument(kraus, labels)
+
+    def test_coherent_instrument_without_vectors_rejected(self):
+        with pytest.raises(ValidationError, match="at least one basis vector"):
+            coherent_instrument([])
 
 
 class TestApplyInstrument:

@@ -1,22 +1,24 @@
 """Unit tests for the SZ trajectory engine and its classical reductions."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from szwalk import (AccuracyError, Partition, ResourceLimitError, RunOptions,
                     UnsupportedConfigurationError, ValidationError, apply_instrument,
-                    cs_transition_matrix, cylinder_probability,
+                    coherent_instrument, cs_transition_matrix, cylinder_probability,
                     dynamical_entropy, entropy_rate, general_instrument, hadamard_walk,
-                    markov_reduction, maximally_mixed, measurement_entropy,
+                    lvn_instrument, markov_reduction, maximally_mixed, measurement_entropy, sz,
                     sz_entropy_run, unitary_power)
 from szwalk.quantum import min_eigenvalue
 from szwalk.walks import (basis_index, coin_vertex_instrument, hadamard_eigenstate,
                           position_instrument, vertex_partition)
 
 from helpers import (conditional_sequence_from_levels, cylinder_level_joints, random_density,
-                     random_lvn, random_unitary)
+                     random_general, random_lvn, random_unitary)
 
 LN2 = math.log(2.0)
 
@@ -359,6 +361,25 @@ class TestDynamicalEntropy:
                 == report.sz_entropy.converged_value
                 - report.measurement_entropy.converged_value)
 
+    def test_one_tree_resident_at_a_time(self, monkeypatch):
+        # Each run holds its last branch list; none may outlive its report
+        # while the next tree grows.
+        runs, alive_at_start = [], []
+        real_run = sz.sz_entropy_run
+
+        def tracked_run(*args, **kwargs):
+            gc.collect()
+            alive_at_start.append(sum(r() is not None for r in runs))
+            run = real_run(*args, **kwargs)
+            runs.append(weakref.ref(run))
+            return run
+
+        monkeypatch.setattr(sz, "sz_entropy_run", tracked_run)
+        N = 3
+        dynamical_entropy(unitary_power(hadamard_walk(N), 2), position_instrument(N),
+                          maximally_mixed(2 * N), Partition.atomic(N), RunOptions(n_max=6))
+        assert alive_at_start == [0, 0]
+
 
 class TestMarkovReduction:
     def test_eigenstate_distribution_not_invariant_but_maps_to_uniform(self):
@@ -384,6 +405,31 @@ class TestMarkovReduction:
         assert np.allclose(red.transition_matrix.entries, np.eye(2 * N), atol=1e-14)
         rep = entropy_rate(red.transition_matrix, red.initial_distribution, n_max=4, tol=1e-10)
         assert rep.converged and rep.converged_value == 0.0
+
+    def test_rank_one_projections_from_any_constructor(self):
+        N = 3
+        u = hadamard_walk(N).unitary
+        rho = random_density(np.random.default_rng(5), 2 * N)
+        basis = list(random_unitary(np.random.default_rng(6), 2 * N).T)
+        coherent = coherent_instrument(basis)
+        expected = markov_reduction(u, coherent, rho)
+        for t in (lvn_instrument(coherent.kraus), general_instrument(coherent.kraus)):
+            red = markov_reduction(u, t, rho)
+            assert np.array_equal(red.transition_matrix.entries,
+                                  expected.transition_matrix.entries)
+            assert np.array_equal(red.initial_distribution.entries,
+                                  expected.initial_distribution.entries)
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_general(np.random.default_rng(7), 4, 4),
+        # complete, but the second operator has a zero diagonal, so no vector is read off it
+        lambda: general_instrument([np.diag([1.0, 0.0]), [[0.0, 1.0], [0.0, 0.0]]]),
+    ])
+    def test_non_projective_family_unsupported(self, make):
+        t = make()
+        with pytest.raises(UnsupportedConfigurationError, match="rank-1 projections"):
+            markov_reduction(random_unitary(np.random.default_rng(8), t.dim), t,
+                             maximally_mixed(t.dim))
 
     def test_requires_coherent_instrument(self):
         N = 3

@@ -10,6 +10,7 @@ instrument is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -133,6 +134,20 @@ class Instrument:
     def n_outcomes(self) -> int:
         return len(self.kraus)
 
+    @cached_property
+    def supports(self) -> tuple[tuple[tuple, Operator, Operator], ...]:
+        """Per outcome, (index of S×S, B[S,S], B[S,S]†) with S = B's nonzero rows ∪ columns.
+
+        A dense B keeps plain `[:, :]` slices, so it enters the same products as B itself.
+        """
+        out = []
+        for b in self.kraus:
+            s = np.flatnonzero((b != 0).any(axis=0) | (b != 0).any(axis=1))
+            idx = (slice(None), slice(None)) if s.size == self.dim else np.ix_(s, s)
+            bs = np.ascontiguousarray(b[idx])
+            out.append((idx, bs, np.ascontiguousarray(bs.conj().T)))
+        return tuple(out)
+
 
 def general_instrument(kraus: Sequence, labels: Sequence[str] | None = None) -> Instrument:
     """Instrument from an arbitrary Kraus family (only completeness checked)."""
@@ -183,18 +198,23 @@ def coherent_instrument(basis: Sequence, labels: Sequence[str] | None = None) ->
 
 
 def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> Operator:
-    """Unnormalized post-measurement operator sum_{i in E} B_i rho B_i†."""
-    rho = as_operator(rho)
-    if rho.shape[0] != t.dim:
+    """Unnormalized post-measurement operator sum_{i in E} B_i rho B_i†.
+
+    Each B_i acts on its support S_i only: out[S,S] += B_S rho[S,S] B_S†. The terms left
+    out are products with exact zeros. rho is checked for shape only, not re-scanned for
+    non-finite entries: it comes from a validated state or the engine's own products.
+    """
+    rho = np.asarray(rho)
+    if rho.ndim != 2 or rho.shape != (t.dim, t.dim):
         raise ValidationError(
-            f"state dimension {rho.shape[0]} does not match instrument dimension {t.dim}")
-    out = np.zeros_like(rho)
+            f"state of shape {rho.shape} does not match instrument dimension {t.dim}")
+    out = np.zeros(rho.shape, dtype=complex)
     for i in outcomes:
         i = int(i)
         if not 0 <= i < t.n_outcomes:
             raise ValidationError(f"outcome index {i} outside range({t.n_outcomes})")
-        b = t.kraus[i]
-        out += b @ rho @ b.conj().T
+        idx, b, bh = t.supports[i]
+        out[idx] += b @ rho[idx] @ bh
     return out
 
 

@@ -198,10 +198,8 @@ def cs_transition_matrix(u: Operator, basis: Sequence) -> TransitionMatrix:
 
 
 def _fingerprint(op: np.ndarray, weight: float, merge_tol: float) -> bytes:
-    normalized = op / weight
-    re = np.round(normalized.real / merge_tol).astype(np.int64)
-    im = np.round(normalized.imag / merge_tol).astype(np.int64)
-    return re.tobytes() + im.tobytes()
+    # Interleaved (re, im) pairs: two ops share a key iff their real and imaginary parts do.
+    return np.round((op / weight).view(np.float64) / merge_tol).astype(np.int64).tobytes()
 
 
 def _merge_children(children: list[TrajectoryBranch], opts: RunOptions) -> tuple[list[TrajectoryBranch], int]:
@@ -267,7 +265,7 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
                        else u @ parent.conditional_op @ udag)
             for bi, block in enumerate(partition.blocks):
                 op = apply_instrument(t, block, evolved)
-                w = max(float(np.real(np.trace(op))), 0.0)
+                w = max(float(op.trace().real), 0.0)
                 ratio = min(w / parent.weight, 1.0)
                 a_n += parent.weight * eta(ratio)
                 if w > opts.prune_eps:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import ConvergenceReport, Partition, ProbVector, eta, join, limit_estimate
-from .errors import NumericError, ResourceLimitError, ValidationError
+from .errors import NumericError, ResourceLimitError, ValidationError, require
 
 COLUMN_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
@@ -32,13 +32,11 @@ class TransitionMatrix:
             raise ValidationError(f"transition matrix must be square, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("transition matrix has non-finite entries")
-        if arr.min() < -COLUMN_SUM_TOL or arr.max() > 1.0 + COLUMN_SUM_TOL:
-            raise ValidationError(
+        require(arr.min() >= -COLUMN_SUM_TOL and arr.max() <= 1.0 + COLUMN_SUM_TOL,
                 f"transition entries outside [0,1]: min={arr.min()!r}, max={arr.max()!r}")
         colsums = arr.sum(axis=0)
         worst = float(np.abs(colsums - 1.0).max())
-        if worst > COLUMN_SUM_TOL:
-            raise ValidationError(
+        require(worst <= COLUMN_SUM_TOL,
                 f"columns must sum to 1, worst deviation {worst:.3e} (tol {COLUMN_SUM_TOL:g})")
         arr = np.clip(arr, 0.0, 1.0)
         arr.flags.writeable = False
@@ -116,14 +114,12 @@ def stationary_distribution(P: TransitionMatrix,
     vals, vecs = np.linalg.eig(A)
     best = int(np.argmin(np.abs(vals - 1.0)))
     vec = np.real(vecs[:, best])
-    if abs(vec.sum()) < 1e-300:
-        raise NumericError("stationary eigenvector has zero total mass")
+    require(abs(vec.sum()) >= 1e-300, "stationary eigenvector has zero total mass", NumericError)
     vec = vec / vec.sum()
     residual = float(np.abs(A @ vec - vec).max())
-    if residual > 1e-10 or vec.min() < -1e-9:
-        raise NumericError(
+    require(residual <= 1e-10 and vec.min() >= -1e-9,
             f"no stationary distribution found after {max_iter} iterations; "
-            f"eigen-solve residual {residual:.3e}")
+            f"eigen-solve residual {residual:.3e}", NumericError)
     return ProbVector(np.clip(vec, 0.0, None) / np.clip(vec, 0.0, None).sum(), tol=1e-9)
 
 

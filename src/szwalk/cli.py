@@ -25,10 +25,11 @@ import numpy as np
 from . import classical, sz, walks
 from .entropy import Partition, ProbVector
 from .errors import (AccuracyError, NumericError, ResourceLimitError, SZWalkError,
-                     UnsupportedConfigurationError, ValidationError)
+                     UnsupportedConfigurationError, ValidationError, is_kind, require)
 from .quantum import DensityState, Instrument, general_instrument, maximally_mixed
 
 LN2 = math.log(2.0)
+JSON_NUMBER = (int, float)  # what `json` parses numbers to; checked with `is_kind`, so no bools
 
 CSV_COLUMNS = ("depth", "a_n", "cesaro", "branch_count", "merged_count", "pruned_mass",
                "c_n", "e_n", "o_n")
@@ -54,17 +55,17 @@ def _require(mapping: dict, field: str, context: str):
 
 def _checked(value, field: str, kind: type, minimum: int = 0):
     """`value`, never converted, if it is a `kind` (not a bool) and an int is >= `minimum`."""
-    if not isinstance(value, kind) or isinstance(value, bool) or (kind is int and value < minimum):
+    if not is_kind(value, kind) or (kind is int and value < minimum):
         wanted = {int: f"an integer >= {minimum}", list: "a list", dict: "an object"}[kind]
         raise ConfigError(f"field '{field}' must be {wanted}")
     return value
 
 
 def _parse_complex(value, context: str) -> complex:
-    if isinstance(value, (int, float)):
+    if is_kind(value, JSON_NUMBER):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(
-            isinstance(x, (int, float)) for x in value):
+    if (isinstance(value, list) and len(value) == 2 and is_kind(value[0], JSON_NUMBER)
+            and is_kind(value[1], JSON_NUMBER)):
         return complex(value[0], value[1])
     raise ConfigError(f"field '{context}' must be a number or [re, im] pair")
 
@@ -347,12 +348,10 @@ def markov_cmd(N: int, power: int, start: str = "uniform", n_max: int = 30,
     scale = 1.0 / LN2 if bits else 1.0
     unit = "bits" if bits else "nats"
     stationary = classical.stationary_distribution(P)
-    if start == "uniform":
-        mu0 = ProbVector.uniform(N)
-    elif start.startswith("point:"):
-        mu0 = ProbVector.point_mass(int(start.split(":", 1)[1]), N)
-    else:
-        raise ValidationError(f"start must be 'uniform' or 'point:K', got {start!r}")
+    kind, _, k = start.partition(":")
+    require(start == "uniform" or (kind == "point" and k.isdecimal()),
+            f"--start must be 'uniform' or 'point:K', got {start!r}")
+    mu0 = ProbVector.uniform(N) if start == "uniform" else ProbVector.point_mass(int(k), N)
     print(f"H(P^{power}) = {_fmt(classical.markov_entropy(P, stationary) * scale)} {unit}",
           file=stream)
     print("stationary distribution:", " ".join(_fmt(x) for x in stationary.entries),

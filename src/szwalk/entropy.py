@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_kind, require
 
 PROB_SUM_TOL = 1e-12  # freshly constructed probability vectors
 JOINT_SUM_TOL = 1e-10  # derived joints (accumulated rounding)
@@ -45,12 +45,10 @@ class ProbVector:
             raise ValidationError("probability vector must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("probability vector has non-finite entries")
-        if arr.min() < -tol or arr.max() > 1.0 + tol:
-            raise ValidationError(
+        require(arr.min() >= -tol and arr.max() <= 1.0 + tol,
                 f"probability entries outside [0,1]: min={arr.min()!r}, max={arr.max()!r}")
         total = float(arr.sum())
-        if abs(total - 1.0) > tol:
-            raise ValidationError(
+        require(abs(total - 1.0) <= tol,
                 f"probabilities sum to {total!r}, off by {abs(total - 1.0):.3e} (tol {tol:g})")
         arr = np.clip(arr, 0.0, 1.0)
         arr.flags.writeable = False
@@ -99,9 +97,10 @@ class Partition:
     def __init__(self, blocks: Iterable[Iterable[int]], labels: Sequence[str] | None = None,
                  size: int | None = None):
         blocks = [list(b) for b in blocks]
-        if any(isinstance(i, bool) or not isinstance(i, numbers.Integral)
-               for b in blocks for i in b):
-            raise ValidationError(f"partition outcomes must be integers, got blocks {blocks!r}")
+        require(all(is_kind(i, numbers.Integral) for b in blocks for i in b),
+                lambda: f"partition outcomes must be integers, got blocks {blocks!r}")
+        require(size is None or is_kind(size, numbers.Integral),
+                f"partition size must be an integer, got {size!r}")
         raw = [tuple(sorted(set(int(i) for i in b))) for b in blocks]
         if any(len(b) == 0 for b in raw):
             raise ValidationError("partition blocks must be non-empty")
@@ -197,11 +196,10 @@ class JointDistribution:
         n = lengths.pop()
         if length is not None and length != n:
             raise ValidationError(f"declared length {length} but keys have length {n}")
-        if any(w < -tol for w in items.values()):
-            raise ValidationError("joint distribution has negative weights")
+        require(all(w >= -tol for w in items.values()),
+                "joint distribution has negative weights")
         total = sum(items.values())
-        if abs(total - 1.0) > tol:
-            raise ValidationError(
+        require(abs(total - 1.0) <= tol,
                 f"joint weights sum to {total!r}, off by {abs(total - 1.0):.3e}")
         self.support = {k: max(w, 0.0) for k, w in items.items()}
         self.length = n
@@ -267,8 +265,7 @@ def limit_estimate(seq: Sequence[float], tol: float, window: int) -> Convergence
     values = [float(x) for x in seq]
     if not values:
         raise ValidationError("limit estimate of an empty sequence")
-    if tol <= 0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
+    require(tol > 0, f"tolerance must be positive, got {tol}")
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {window}")
     cesaro = np.cumsum(values) / np.arange(1, len(values) + 1)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two rules every check uses."""
+
+from typing import Callable
 
 
 class SZWalkError(Exception):
@@ -23,3 +25,18 @@ class ResourceLimitError(SZWalkError):
 
 class UnsupportedConfigurationError(SZWalkError):
     """The requested computation is unavailable for this configuration."""
+
+
+def require(ok, message: str | Callable[[], str],
+            error: type[SZWalkError] = ValidationError) -> None:
+    """Raise `error(message)` unless `ok`, the condition that must hold (so a NaN fails it).
+
+    Inside a loop, pass `message` as a function returning it: it is formatted only on failure.
+    """
+    if not ok:
+        raise error(message() if callable(message) else message)
+
+
+def is_kind(value, kind: type | tuple[type, ...]) -> bool:
+    """The number rule: `value` is a `kind`, a bool counts only as a bool, nothing is converted."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))

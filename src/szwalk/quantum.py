@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .entropy import ProbVector
-from .errors import ValidationError
+from .errors import ValidationError, require
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -44,6 +44,11 @@ def hermiticity_residual(m: Operator) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
+def identity_residual(gram: np.ndarray) -> float:
+    """max |G - 1| of a square G, e.g. a Gram matrix A†A or a completeness sum Σ B†B."""
+    return float(np.abs(gram - np.eye(gram.shape[0])).max())
+
+
 def min_eigenvalue(m: Operator) -> float:
     return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
 
@@ -56,16 +61,13 @@ class DensityState:
     def __init__(self, matrix):
         m = as_operator(matrix)
         res = hermiticity_residual(m)
-        if res > HERMITIAN_TOL:
-            raise ValidationError(
+        require(res <= HERMITIAN_TOL,
                 f"density matrix not Hermitian: max |A - A†| = {res:.3e} (tol {HERMITIAN_TOL:g})")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(
+        require(abs(tr - 1.0) <= TRACE_TOL,
                 f"density matrix trace {tr!r} differs from 1 by {abs(tr - 1.0):.3e}")
         lam = min_eigenvalue(m)
-        if lam < PSD_TOL:
-            raise ValidationError(
+        require(lam >= PSD_TOL,
                 f"density matrix not positive semidefinite: min eigenvalue {lam:.3e}")
         m = m.copy()
         m.flags.writeable = False
@@ -117,12 +119,9 @@ class Instrument:
         labels = tuple(str(x) for x in self.outcome_labels or range(len(ops)))
         if len(labels) != len(ops):
             raise ValidationError(f"{len(labels)} labels for {len(ops)} outcomes")
-        total = sum(b.conj().T @ b for b in ops)
-        res = float(np.abs(total - np.eye(dim)).max())
-        if res > COMPLETENESS_TOL:
-            raise ValidationError(
-                f"Kraus completeness fails: max |sum B†B - 1| = {res:.3e} "
-                f"(tol {COMPLETENESS_TOL:g})")
+        res = identity_residual(sum(b.conj().T @ b for b in ops))
+        require(res <= COMPLETENESS_TOL, f"Kraus completeness fails: max |sum B†B - 1| = "
+                f"{res:.3e} (tol {COMPLETENESS_TOL:g})")
         object.__setattr__(self, "kraus", ops)
         object.__setattr__(self, "outcome_labels", labels)
 
@@ -160,13 +159,12 @@ def lvn_instrument(projections: Sequence, labels: Sequence[str] | None = None) -
     for i, b in enumerate(t.kraus):
         herm = hermiticity_residual(b)
         idem = float(np.abs(b @ b - b).max())
-        if herm > PROJECTION_TOL or idem > PROJECTION_TOL:
-            raise ValidationError(
-                f"outcome {i}: not a projection (|B-B†|={herm:.3e}, |B²-B|={idem:.3e})")
+        require(herm <= PROJECTION_TOL and idem <= PROJECTION_TOL,
+                lambda: f"outcome {i}: not a projection (|B-B†|={herm:.3e}, |B²-B|={idem:.3e})")
     for i, j in combinations(range(t.n_outcomes), 2):
         res = float(np.abs(t.kraus[i] @ t.kraus[j]).max())
-        if res > PROJECTION_TOL:
-            raise ValidationError(f"projections {i} and {j} overlap: max |P_iP_j| = {res:.3e}")
+        require(res <= PROJECTION_TOL,
+                lambda: f"projections {i} and {j} overlap: max |P_iP_j| = {res:.3e}")
     return t
 
 
@@ -177,9 +175,8 @@ def orthonormal_columns(basis: Sequence, dim: int) -> np.ndarray:
         raise ValidationError(
             f"need {dim} vectors of dimension {dim} for a full orthonormal basis")
     A = np.column_stack(vecs)
-    res = float(np.abs(A.conj().T @ A - np.eye(dim)).max())
-    if res > ORTHONORMAL_TOL:
-        raise ValidationError(
+    res = identity_residual(A.conj().T @ A)
+    require(res <= ORTHONORMAL_TOL,
             f"basis not orthonormal: max |A†A - 1| = {res:.3e} (tol {ORTHONORMAL_TOL:g})")
     return A
 

@@ -28,9 +28,9 @@ import numpy as np
 from .classical import TransitionMatrix
 from .entropy import ConvergenceReport, Partition, ProbVector, eta, limit_estimate
 from .errors import (AccuracyError, NumericError, ResourceLimitError,
-                     UnsupportedConfigurationError, ValidationError)
+                     UnsupportedConfigurationError, ValidationError, is_kind, require)
 from .quantum import (DensityState, Instrument, Operator, as_operator, apply_instrument,
-                      orthonormal_columns, outcome_pmf)
+                      identity_residual, orthonormal_columns, outcome_pmf)
 
 NORMALIZATION_TOL = 1e-8
 PRUNED_MASS_LIMIT = 1e-6
@@ -61,10 +61,8 @@ class RunOptions:
         for f in fields(self):
             value, wanted = getattr(self, f.name), type(f.default)
             kind = {bool: bool, int: numbers.Integral, float: numbers.Real}[wanted]
-            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-                raise ValidationError(
+            require(is_kind(value, kind),
                     f"option '{f.name}' must be of type {wanted.__name__}, got {value!r}")
-        # NaN fails every comparison, so it is rejected here too.
         for name, ok, rule in (("tol", self.tol > 0, "> 0"),
                                ("merge_tol", self.merge_tol > 0, "> 0"),
                                ("prune_eps", self.prune_eps >= 0, ">= 0"),
@@ -72,9 +70,7 @@ class RunOptions:
                                ("min_steps", self.min_steps >= 0, ">= 0"),
                                ("branch_budget", self.branch_budget >= 1, ">= 1"),
                                ("window", self.window >= 2, ">= 2")):
-            if not ok:
-                raise ValidationError(
-                    f"option '{name}' must be {rule}, got {getattr(self, name)!r}")
+            require(ok, f"option '{name}' must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -162,9 +158,8 @@ def _check_unitary(u, dim: int) -> Operator:
     if u.shape[0] != dim:
         raise ValidationError(
             f"dynamics dimension {u.shape[0]} does not match instrument dimension {dim}")
-    res = float(np.abs(u.conj().T @ u - np.eye(dim)).max())
-    if res > 1e-8:
-        raise ValidationError(f"dynamics not unitary: residual {res:.3e}")
+    res = identity_residual(u.conj().T @ u)
+    require(res <= 1e-8, f"dynamics not unitary: residual {res:.3e}")
     return u
 
 
@@ -200,24 +195,6 @@ def cs_transition_matrix(u: Operator, basis: Sequence) -> TransitionMatrix:
 def _fingerprint(op: np.ndarray, weight: float, merge_tol: float) -> bytes:
     # Interleaved (re, im) pairs: two ops share a key iff their real and imaginary parts do.
     return np.round((op / weight).view(np.float64) / merge_tol).astype(np.int64).tobytes()
-
-
-def _merge_children(children: list[TrajectoryBranch], opts: RunOptions) -> tuple[list[TrajectoryBranch], int]:
-    """Deterministically merge same-block children with matching normalized ops."""
-    if not opts.merge:
-        return children, 0
-    buckets: dict[tuple, TrajectoryBranch] = {}
-    for child in children:
-        key = (child.last_block, _fingerprint(child.conditional_op, child.weight, opts.merge_tol),
-               child.stats)
-        kept = buckets.get(key)
-        if kept is None:
-            buckets[key] = child
-        else:
-            kept.weight += child.weight
-            kept.conditional_op = kept.conditional_op + child.conditional_op
-    merged = list(buckets.values())
-    return merged, len(children) - len(merged)
 
 
 def _classes_of(branches: list[TrajectoryBranch]) -> ClassMasses:
@@ -258,7 +235,10 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
     a_seq: list[float] = []
     records: list[DepthRecord] = []
     for depth in range(opts.n_max + 1):
-        children = []
+        # Children merge as they are made, summed in order of creation into the live branch
+        # with their key; without merging every key is new. The budget is checked per new key.
+        live: dict = {}
+        merged = 0
         a_n = 0.0
         for parent in branches:
             evolved = (parent.conditional_op if u is None or depth == 0
@@ -268,22 +248,29 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
                 w = max(float(op.trace().real), 0.0)
                 ratio = min(w / parent.weight, 1.0)
                 a_n += parent.weight * eta(ratio)
-                if w > opts.prune_eps:
-                    children.append(TrajectoryBranch(
-                        last_block=bi, weight=w, conditional_op=op,
-                        stats=parent.stats.extend(bi == parent.last_block, parent.last_block)
-                        if opts.classify else None))
-                else:
+                if not w > opts.prune_eps:
                     pruned_mass += w
-        branches, merged = _merge_children(children, opts)
-        if len(branches) > opts.branch_budget:
-            raise ResourceLimitError(
-                f"live branch count {len(branches)} exceeds the budget of {opts.branch_budget}")
+                    continue
+                stats = (parent.stats.extend(bi == parent.last_block, parent.last_block)
+                         if opts.classify else None)
+                key = ((bi, _fingerprint(op, w, opts.merge_tol), stats) if opts.merge
+                       else len(live))
+                kept = live.get(key)
+                if kept is None:
+                    live[key] = TrajectoryBranch(bi, w, op, stats)
+                    if len(live) > opts.branch_budget:
+                        raise ResourceLimitError(f"live branch count {len(live)} exceeds "
+                                                 f"the budget of {opts.branch_budget}")
+                else:
+                    kept.weight += w
+                    kept.conditional_op = kept.conditional_op + op
+                    merged += 1
+        branches = list(live.values())
         a_seq.append(max(a_n, 0.0))
         total = sum(b.weight for b in branches) + pruned_mass
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NumericError(
-                f"branch mass {total!r} at depth {depth} drifted from 1 by {abs(total - 1.0):.3e}")
+        require(abs(total - 1.0) <= NORMALIZATION_TOL,
+                f"branch mass {total!r} at depth {depth} drifted from 1 by {abs(total - 1.0):.3e}",
+                NumericError)
         records.append(DepthRecord(
             depth=depth, a_n=a_seq[depth], cesaro=float(np.mean(a_seq)),
             branch_count=len(branches), merged_count=merged, pruned_mass=pruned_mass,
@@ -333,10 +320,9 @@ def markov_reduction(walk_unitary: Operator, t: Instrument, rho: DensityState) -
         vec = b[:, int(np.argmax(np.abs(np.diagonal(b))))]
         vec = vec / (np.linalg.norm(vec) or 1.0)  # a zero column stays zero and fails below
         res = float(np.abs(b - np.outer(vec, vec.conj())).max())
-        if res > RANK1_TOL:
-            raise UnsupportedConfigurationError(
-                f"Markov reduction needs rank-1 projections: outcome {i} has "
-                f"max |B - vv†| = {res:.3e} (tol {RANK1_TOL:g})")
+        require(res <= RANK1_TOL,
+                lambda: f"Markov reduction needs rank-1 projections: outcome {i} has "
+                f"max |B - vv†| = {res:.3e} (tol {RANK1_TOL:g})", UnsupportedConfigurationError)
         basis.append(vec)
     P = cs_transition_matrix(walk_unitary, basis)
     mu0 = outcome_pmf(t, rho)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import Partition
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, require
 from .quantum import (DensityState, Instrument, Operator, as_operator, coherent_instrument,
-                      lvn_instrument, pure_state)
+                      identity_residual, lvn_instrument, pure_state)
 
 UNITARY_TOL = 1e-10
 POWER_UNITARY_TOL = 1e-8
@@ -116,9 +116,8 @@ def coined_walk(shift: ShiftPermutation, coins) -> CoinedWalk:
     for v, c in enumerate(coins):
         if c.shape[0] != k:
             raise ValidationError(f"coin at vertex {v} has dimension {c.shape[0]}, expected {k}")
-        res = float(np.abs(c.conj().T @ c - np.eye(k)).max())
-        if res > UNITARY_TOL:
-            raise ValidationError(f"coin at vertex {v} not unitary: residual {res:.3e}")
+        res = identity_residual(c.conj().T @ c)
+        require(res <= UNITARY_TOL, lambda: f"coin at vertex {v} not unitary: residual {res:.3e}")
     dim = shift.dim
     coin_layer = np.zeros((dim, dim), dtype=complex)
     for v in range(N):
@@ -126,9 +125,8 @@ def coined_walk(shift: ShiftPermutation, coins) -> CoinedWalk:
             for c2 in range(k):
                 coin_layer[c1 * N + v, c2 * N + v] = coins[v][c1, c2]
     U = shift.operator() @ coin_layer
-    res = float(np.abs(U.conj().T @ U - np.eye(dim)).max())
-    if res > UNITARY_TOL:
-        raise NumericError(f"assembled walk not unitary: residual {res:.3e}")
+    res = identity_residual(U.conj().T @ U)
+    require(res <= UNITARY_TOL, f"assembled walk not unitary: residual {res:.3e}", NumericError)
     homogeneous = all(np.abs(c - coins[0]).max() <= RECONSTRUCTION_TOL for c in coins)
     return CoinedWalk(unitary=U, shift=shift, coins=coins,
                       coin_preserving=shift.coin_preserving,
@@ -150,9 +148,9 @@ def unitary_power(w: CoinedWalk, m: int) -> Operator:
     out = U.copy()
     for _ in range(m - 1):
         out = U @ out
-    res = float(np.abs(out.conj().T @ out - np.eye(w.dim)).max())
-    if res > POWER_UNITARY_TOL:
-        raise NumericError(f"unitarity lost after powering: residual {res:.3e}")
+    res = identity_residual(out.conj().T @ out)
+    require(res <= POWER_UNITARY_TOL, f"unitarity lost after powering: residual {res:.3e}",
+            NumericError)
     return out
 
 
@@ -171,8 +169,8 @@ def eigencheck(u: Operator, v) -> complex:
     pivot = int(np.argmax(np.abs(vec)))
     lam = complex(image[pivot] / vec[pivot])
     residual = float(np.abs(image - lam * vec).max())
-    if residual > 1e-8:
-        raise NumericError(f"not an eigenvector: residual {residual:.3e} (tol 1e-08)")
+    require(residual <= 1e-8, f"not an eigenvector: residual {residual:.3e} (tol 1e-08)",
+            NumericError)
     return lam
 
 

@@ -73,6 +73,16 @@ def random_general(rng: np.random.Generator, dim: int, n_outcomes: int) -> Instr
     return general_instrument([g @ inv_sqrt for g in gs])
 
 
+def dense_apply(t: Instrument, outcomes, rho: np.ndarray) -> np.ndarray:
+    """Sum of B_i rho B_i† over `outcomes` by full dim×dim products: the oracle for
+    `apply_instrument`, which multiplies each B_i on its support only."""
+    out = np.zeros(rho.shape, dtype=complex)
+    for i in outcomes:
+        b = t.kraus[int(i)]
+        out += b @ rho @ b.conj().T
+    return out
+
+
 def random_joint(rng: np.random.Generator, nc: int, nd: int) -> JointDistribution:
     w = rng.random((nc, nd)) ** 3
     w[rng.random((nc, nd)) < 0.25] = 0.0

@@ -70,6 +70,11 @@ class TestConfigParsing:
         ("partition", "blocks", [[0.2], [1], [2]], "partition.blocks"),
         ("partition", "blocks", [["0"], [1], [2]], "partition.blocks"),
         ("partition", "blocks", [[False], [True], [2]], "partition.blocks"),
+        ("walk", "coins", [[[True, 0], [0, True]]] * 3, "walk.coins[0][0][0]"),
+        ("walk", "coins", [[[[1, False], 0], [0, 1]]] * 3, "walk.coins[0][0][0]"),
+        ("instrument", "kraus", [[[True if r == c and r % 3 == v else 0 for c in range(6)]
+                                  for r in range(6)] for v in range(3)],
+         "instrument.kraus[0][0][0]"),
     ])
     def test_bad_explicit_field_exits_2(self, tmp_path, capsys, section, key, value, field):
         N = 3
@@ -247,6 +252,11 @@ class TestMarkovCommand:
 
     def test_bad_start_spec(self, capsys):
         assert main(["markov", "--n", "4", "--start", "everywhere"]) == 2
+
+    @pytest.mark.parametrize("start", ["point:x", "point:1.0", "point:", "point:-1"])
+    def test_malformed_point_start_exits_2(self, capsys, start):
+        assert main(["markov", "--n", "4", "--start", start]) == 2
+        assert "--start" in capsys.readouterr().err
 
     def test_too_small_cycle(self):
         assert main(["markov", "--n", "2"]) == 2

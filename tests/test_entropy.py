@@ -101,6 +101,10 @@ class TestJointDistribution:
         with pytest.raises(ValidationError):
             JointDistribution({(0, 0): 1.2, (1, 1): -0.2})
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValidationError):
+            JointDistribution({(0, 0): math.nan, (1, 0): 1.0})
+
     def test_marginal(self):
         j = JointDistribution({(0, 0): 0.5, (1, 0): 0.25, (1, 1): 0.25})
         assert np.allclose(j.marginal(1).entries, [0.75, 0.25])
@@ -117,6 +121,14 @@ class TestPartition:
         p = Partition([np.array([1, 0]), [np.int64(2)]])
         assert p == Partition([[0, 1], [2]])
         assert all(type(i) is int for b in p.blocks for i in b)
+
+    @pytest.mark.parametrize("size", [2.7, 3.0, True, "3"])
+    def test_non_integer_size_rejected(self, size):
+        with pytest.raises(ValidationError, match="size must be an integer"):
+            Partition([[0], [1], [2]], size=size)
+
+    def test_numpy_integer_size_accepted(self):
+        assert Partition([[0], [1], [2]], size=np.int64(3)).size == 3
 
     def test_join_idempotent(self):
         c = Partition([[0, 1], [2, 3]])
@@ -201,6 +213,10 @@ class TestLimitEstimate:
             limit_estimate([1.0], tol=0.0, window=3)
         with pytest.raises(ValidationError):
             limit_estimate([1.0], tol=1e-6, window=0)
+
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValidationError, match="tolerance must be positive"):
+            limit_estimate([1.0, 1.0, 1.0, 1.0], tol=math.nan, window=3)
 
 
 class TestProperties:

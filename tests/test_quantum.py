@@ -8,10 +8,11 @@ import pytest
 from szwalk import (DensityState, Instrument, ValidationError, apply_instrument,
                     coherent_instrument, general_instrument, lvn_instrument, maximally_mixed,
                     outcome_pmf, pure_state)
-from szwalk.quantum import min_eigenvalue
+from szwalk.quantum import min_eigenvalue, orthonormal_columns
 from szwalk.walks import coin_vertex_instrument, hadamard_eigenstate, position_instrument
 
-from helpers import random_coherent, random_density, random_general, random_lvn, random_unitary
+from helpers import (dense_apply, random_coherent, random_density, random_general, random_lvn,
+                     random_unitary)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -110,6 +111,10 @@ class TestInstrumentConstructors:
         with pytest.raises(ValidationError, match="orthonormal"):
             coherent_instrument([v, v])
 
+    def test_nan_basis_rejected(self):
+        with pytest.raises(ValidationError, match="orthonormal"):
+            orthonormal_columns([[math.nan, 0.0], [0.0, 1.0]], 2)
+
     def test_general_family_only_needs_completeness(self):
         u1 = np.eye(2, dtype=complex)
         u2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -160,6 +165,34 @@ class TestApplyInstrument:
         t = coin_vertex_instrument(2)
         with pytest.raises(ValidationError):
             apply_instrument(t, [4], maximally_mixed(4).matrix)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: position_instrument(5),
+        lambda rng: coin_vertex_instrument(5),
+        lambda rng: random_lvn(rng, 8, 3),
+    ])
+    def test_projections_match_dense_products_bitwise(self, make):
+        rng = np.random.default_rng(11)
+        t = make(rng)
+        rho = random_density(rng, t.dim).matrix
+        for outcomes in ([0], [1, 0], range(t.n_outcomes)):
+            assert np.array_equal(apply_instrument(t, outcomes, rho), dense_apply(t, outcomes, rho))
+
+    def test_kraus_families_match_dense_products(self):
+        rng = np.random.default_rng(12)
+        # B0 has a zero row and column 0, so its support leaves index 0 out; B1 completes it.
+        b0 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        b0[0, :] = b0[:, 0] = 0.0
+        b0 *= 0.9 / np.linalg.norm(b0, 2)
+        vals, vecs = np.linalg.eigh(np.eye(4) - b0.conj().T @ b0)
+        b1 = random_unitary(rng, 4) @ vecs @ np.diag(np.sqrt(vals)) @ vecs.conj().T
+        families = [general_instrument([b0, b1])] + [random_general(rng, 5, 3) for _ in range(3)]
+        assert families[0].supports[0][1].shape == (3, 3)
+        for t in families:
+            rho = random_density(rng, t.dim).matrix
+            for outcomes in ([0], [1], range(t.n_outcomes)):
+                assert np.allclose(apply_instrument(t, outcomes, rho),
+                                   dense_apply(t, outcomes, rho), rtol=0.0, atol=1e-15)
 
 
 class TestOutcomePmf:

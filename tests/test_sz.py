@@ -17,8 +17,8 @@ from szwalk.quantum import min_eigenvalue
 from szwalk.walks import (basis_index, coin_vertex_instrument, hadamard_eigenstate,
                           position_instrument, vertex_partition)
 
-from helpers import (conditional_sequence_from_levels, cylinder_level_joints, random_density,
-                     random_general, random_lvn, random_unitary)
+from helpers import (conditional_sequence_from_levels, cylinder_level_joints, dense_apply,
+                     random_density, random_general, random_lvn, random_unitary)
 
 LN2 = math.log(2.0)
 
@@ -159,6 +159,22 @@ class TestSZEntropyRun:
                            maximally_mixed(2 * N), vertex_partition(N),
                            RunOptions(n_max=8, merge=False, branch_budget=10))
 
+    def test_budget_raises_as_the_first_extra_branch_is_added(self, monkeypatch):
+        N, budget = 5, 500
+        args = (unitary_power(hadamard_walk(N), 3), position_instrument(N),
+                maximally_mixed(2 * N), Partition.atomic(N))
+        counts = [r.branch_count for r in
+                  sz_entropy_run(*args, RunOptions(n_max=6, min_steps=6)).records]
+        over = next(d for d, c in enumerate(counts) if c > budget)
+        whole_depth_calls = N * (1 + sum(counts[:over]))  # one call per (parent, block)
+        calls = []
+        monkeypatch.setattr(sz, "apply_instrument",
+                            lambda *a: calls.append(1) or apply_instrument(*a))
+        with pytest.raises(ResourceLimitError,
+                           match=f"live branch count {budget + 1} exceeds the budget of {budget}"):
+            sz_entropy_run(*args, RunOptions(branch_budget=budget))
+        assert len(calls) < whole_depth_calls
+
     def test_aggressive_pruning_warns_and_strict_raises(self):
         N = 3
         args = (hadamard_walk(N).unitary, coin_vertex_instrument(N), maximally_mixed(2 * N),
@@ -271,6 +287,19 @@ class TestMergeExactness:
             assert len(on.branches) < len(off.branches)
             for a, b in zip(on.report.direct_sequence, off.report.direct_sequence):
                 assert a == pytest.approx(b, abs=1e-10)
+
+    @pytest.mark.parametrize("power, make, classify", [
+        (2, lambda rng: position_instrument(5), True),
+        (1, lambda rng: random_general(rng, 10, 2), False),
+    ])
+    def test_support_kernel_matches_dense_products(self, monkeypatch, power, make, classify):
+        rng = np.random.default_rng(5)
+        t = make(rng)
+        args = (unitary_power(hadamard_walk(5), power), t, maximally_mixed(10), _atomic_for(t),
+                RunOptions(n_max=9, classify=classify))
+        support = sz_entropy_run(*args).records
+        monkeypatch.setattr(sz, "apply_instrument", dense_apply)
+        assert sz_entropy_run(*args).records == support
 
     def test_engine_matches_bruteforce_enumeration(self):
         # Fresh cylinder-probability recomputation per sequence, chain-ruled

@@ -62,11 +62,14 @@ def _checked(value, field: str, kind: type, minimum: int = 0):
 
 
 def _parse_complex(value, context: str) -> complex:
-    if is_kind(value, JSON_NUMBER):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2 and is_kind(value[0], JSON_NUMBER)
-            and is_kind(value[1], JSON_NUMBER)):
-        return complex(value[0], value[1])
+    try:
+        if is_kind(value, JSON_NUMBER):
+            return complex(value)
+        if (isinstance(value, list) and len(value) == 2 and is_kind(value[0], JSON_NUMBER)
+                and is_kind(value[1], JSON_NUMBER)):
+            return complex(value[0], value[1])
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError(f"field '{context}' is too large for a float") from None
     raise ConfigError(f"field '{context}' must be a number or [re, im] pair")
 
 
@@ -314,7 +317,11 @@ REFERENCE_ROWS = (
     ("H(P^2) cycle N=5", lambda: _row_cycle_entropy(2), 1.5 * LN2, 1e-12),
     ("CS eigenstate rate N=5", _row_cs_eigenstate, LN2, 1e-9),
     ("SZ dyn U^2 coherent C_V", lambda: _row_sz(2, "coherent"), 1.5 * LN2, 1e-9),
-    ("SZ dyn U^2 rank-2 atomic", lambda: _row_sz(2, "rank2"), 4.0 / 3.0 * LN2, 1e-5),
+    ("SZ dyn U rank-2 atomic", lambda: _row_sz(1, "rank2"), LN2, 1e-12),
+    ("SZ dyn U^2 rank-2 atomic", lambda: _row_sz(2, "rank2"), 4.0 / 3.0 * LN2, 1e-12),
+    # The paper's claim: measured every m steps, the entropy is not m times h(U).
+    ("h(U^2) - 2 h(U) rank-2", lambda: _row_sz(2, "rank2") - 2.0 * _row_sz(1, "rank2"),
+     -2.0 / 3.0 * LN2, 1e-12),
 )
 
 

@@ -21,9 +21,9 @@ JOINT_SUM_TOL = 1e-10  # derived joints (accumulated rounding)
 
 
 def eta(x: float) -> float:
-    """Return -x*ln(x) for x > 0 and 0 for x = 0; negative input is an error."""
-    if x < 0:
-        raise ValidationError(f"eta is undefined for negative input {x!r}")
+    """Return -x*ln(x) for x > 0 and 0 for x = 0; negative or NaN input is an error."""
+    if not x >= 0:  # inline, not `require`: this runs once per child in the engine
+        raise ValidationError(f"eta is undefined for input {x!r}")
     if x == 0.0:
         return 0.0
     return -x * math.log(x)
@@ -266,8 +266,8 @@ def limit_estimate(seq: Sequence[float], tol: float, window: int) -> Convergence
     if not values:
         raise ValidationError("limit estimate of an empty sequence")
     require(tol > 0, f"tolerance must be positive, got {tol}")
-    if window < 1:
-        raise ValidationError(f"window must be >= 1, got {window}")
+    require(is_kind(window, numbers.Integral) and window >= 1,
+            f"window must be an integer >= 1, got {window!r}")
     cesaro = np.cumsum(values) / np.arange(1, len(values) + 1)
     diffs = [abs(values[i] - values[i - 1]) for i in range(1, len(values))]
     converged = len(diffs) >= window and all(d < tol for d in diffs[-window:])

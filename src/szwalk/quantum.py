@@ -133,16 +133,28 @@ class Instrument:
     def n_outcomes(self) -> int:
         return len(self.kraus)
 
+    def support_index(self, outcomes: Iterable[int]) -> tuple:
+        """Index of S×S, S the union of the outcomes' nonzero Kraus rows and columns.
+
+        Every B_i ρ B_i† with i among `outcomes` is exactly zero outside S×S. A full S gives
+        plain `[:, :]` slices.
+        """
+        nonzero = np.zeros(self.dim, dtype=bool)
+        for i in outcomes:
+            b = self.kraus[i] != 0
+            nonzero |= b.any(axis=0) | b.any(axis=1)
+        s = np.flatnonzero(nonzero)
+        return (slice(None), slice(None)) if s.size == self.dim else np.ix_(s, s)
+
     @cached_property
     def supports(self) -> tuple[tuple[tuple, Operator, Operator], ...]:
-        """Per outcome, (index of S×S, B[S,S], B[S,S]†) with S = B's nonzero rows ∪ columns.
+        """Per outcome i, (index of S×S, B[S,S], B[S,S]†) with S from `support_index([i])`.
 
-        A dense B keeps plain `[:, :]` slices, so it enters the same products as B itself.
+        A dense B keeps plain slices, so it enters the same products as B itself.
         """
         out = []
-        for b in self.kraus:
-            s = np.flatnonzero((b != 0).any(axis=0) | (b != 0).any(axis=1))
-            idx = (slice(None), slice(None)) if s.size == self.dim else np.ix_(s, s)
+        for i, b in enumerate(self.kraus):
+            idx = self.support_index([i])
             bs = np.ascontiguousarray(b[idx])
             out.append((idx, bs, np.ascontiguousarray(bs.conj().T)))
         return tuple(out)

@@ -7,20 +7,28 @@ The entropy estimate is the conditional-entropy sequence
 a_n = H(X_n | X_0..X_{n-1}), whose limit (when it exists) equals the
 entropy rate of the outcome process.
 
-Two exact reductions keep the tree small:
+Three exact reductions keep the tree small or end it:
 
 * branches landing in the same block whose trace-normalized conditional
   operators agree are merged (the normalized operator determines every
   future conditional distribution, so a_n is unchanged);
 * branches below `prune_eps` (numerically zero) are dropped, with their
-  mass tracked in `pruned_mass`.
+  mass tracked in `pruned_mass`;
+* when every child of a depth merges into a key of the previous depth's
+  live branches, the live set is closed under the dynamics. The merged
+  branches are then the states of Blackwell's belief-state chain: with M
+  the state-to-state transition matrix, h the per-state entropy of the
+  next block and π the children's weights, a_{n+1+k} = π M^k h exactly,
+  and the limit of a_n (in the Cesàro sense, which covers periodic
+  chains) is π Π h with Π the eigenvalue-1 projector of M. The run stops
+  there with that limit.
 """
 
 from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +43,10 @@ from .quantum import (DensityState, Instrument, Operator, as_operator, apply_ins
 NORMALIZATION_TOL = 1e-8
 PRUNED_MASS_LIMIT = 1e-6
 RANK1_TOL = 1e-8
+LIFT_MAX_STATES = 1000  # closure is tracked only while at most this many branches are live
+# Singular values of M - 1 up to this span M's eigenvalue-1 space, and the projector Π built
+# on it must satisfy MΠ = ΠM = Π to this; otherwise the tree grows on.
+LIFT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -124,15 +136,37 @@ class DepthRecord:
     classes: ClassMasses | None = None
 
 
+@dataclass(frozen=True)
+class BeliefLift:
+    """A closed tree as a finite Markov chain on its merged states.
+
+    State s is the s-th live branch before the closing depth d. `transitions[s, t]` is the
+    probability that s moves to state t, `entropies[s]` the entropy of s's next outcome
+    block and `weights[t]` the mass on t after depth d, so that
+    a_{d+1+k} = weights · transitions^k · entropies. `limit` is the Cesàro limit of a_n.
+    """
+
+    transitions: np.ndarray
+    entropies: np.ndarray
+    weights: np.ndarray
+    limit: float
+
+
 @dataclass
 class SZRun:
-    """Result of one trajectory-tree run."""
+    """Result of one trajectory-tree run.
+
+    `stop_reason` is "closed" (the live states closed; `lift` holds the chain whose limit is
+    the report's value), "converged" (`limit_estimate` accepted a_n) or "n_max".
+    """
 
     branches: list[TrajectoryBranch]
     depth: int
     records: list[DepthRecord]
     pruned_mass: float
     report: ConvergenceReport
+    stop_reason: str
+    lift: BeliefLift | None = None
 
 
 @dataclass(frozen=True)
@@ -197,6 +231,28 @@ def _fingerprint(op: np.ndarray, weight: float, merge_tol: float) -> bytes:
     return np.round((op / weight).view(np.float64) / merge_tol).astype(np.int64).tobytes()
 
 
+def _belief_lift(moves: list[tuple[int, int, float]], entropies: list[float],
+                 weights: np.ndarray) -> BeliefLift | None:
+    """The lift of a closed depth, or None where M's eigenvalue-1 projector is not resolved."""
+    n = len(entropies)
+    m = np.zeros((n, n))
+    for s, t, p in moves:
+        m[s, t] = p
+    # Π = R (L R)⁻¹ L, with R and L the right and left null spaces of M - 1.
+    u, sv, vh = np.linalg.svd(m - np.eye(n))
+    null = sv <= LIFT_TOL
+    right, left = vh[null].T, u[:, null].T
+    projector = right @ np.linalg.pinv(left @ right) @ left
+    residual = max(np.abs(m @ projector - projector).max(initial=0.0),
+                   np.abs(projector @ m - projector).max(initial=0.0))
+    if not residual <= LIFT_TOL:
+        return None
+    h = np.array(entropies)
+    # π Π h as the next a_n plus the part of π that Π removes: exact already at the limit.
+    limit = float(weights @ h + (weights @ projector - weights) @ h)
+    return BeliefLift(transitions=m, entropies=h, weights=weights, limit=limit)
+
+
 def _classes_of(branches: list[TrajectoryBranch]) -> ClassMasses:
     c = e = o = 0.0
     for b in branches:
@@ -216,7 +272,8 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
     Each step conjugates every branch operator by the walk unitary and splits
     it across the partition blocks; a_n is accumulated from the per-branch
     conditional block distributions. The run stops when `limit_estimate`
-    declares convergence of a_n (not before `min_steps`) or at `n_max`.
+    declares convergence of a_n, or when the merged live states close (see the module
+    docstring), but not before `min_steps`; otherwise at `n_max`.
     """
     opts = opts or RunOptions()
     if partition.size != t.n_outcomes:
@@ -228,33 +285,50 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
     u = None if walk_unitary is None else _check_unitary(walk_unitary, t.dim)
     udag = None if u is None else u.conj().T
 
+    # A child is zero outside its block's support, so its merge key covers only that.
+    supports = [t.support_index(block) for block in partition.blocks]
+
     # Depth 0 measures rho itself: the root is the one parent that is not evolved.
     branches = [TrajectoryBranch(last_block=None, weight=1.0, conditional_op=rho.matrix,
                                  stats=RunStats(True, 0, None) if opts.classify else None)]
     pruned_mass = 0.0
     a_seq: list[float] = []
     records: list[DepthRecord] = []
+    # Position of each parent by merge key, while every child so far has landed on one; then
+    # moves[(s, t, p)] and entropies[s] describe the depth as a chain on the parents.
+    index: dict | None = None
+    stop_reason, lift = "n_max", None
     for depth in range(opts.n_max + 1):
         # Children merge as they are made, summed in order of creation into the live branch
         # with their key; without merging every key is new. The budget is checked per new key.
         live: dict = {}
         merged = 0
         a_n = 0.0
-        for parent in branches:
+        moves, entropies = ([], []) if index is not None else (None, None)
+        for s, parent in enumerate(branches):
             evolved = (parent.conditional_op if u is None or depth == 0
                        else u @ parent.conditional_op @ udag)
+            h = 0.0
             for bi, block in enumerate(partition.blocks):
                 op = apply_instrument(t, block, evolved)
                 w = max(float(op.trace().real), 0.0)
                 ratio = min(w / parent.weight, 1.0)
-                a_n += parent.weight * eta(ratio)
+                e = eta(ratio)
+                a_n += parent.weight * e
+                h += e
                 if not w > opts.prune_eps:
                     pruned_mass += w
                     continue
                 stats = (parent.stats.extend(bi == parent.last_block, parent.last_block)
                          if opts.classify else None)
-                key = ((bi, _fingerprint(op, w, opts.merge_tol), stats) if opts.merge
-                       else len(live))
+                key = ((bi, _fingerprint(op[supports[bi]], w, opts.merge_tol), stats)
+                       if opts.merge else len(live))
+                if index is not None:
+                    target = index.get(key)
+                    if target is None:  # not closed: release the keys and the moves
+                        index = moves = entropies = None
+                    else:
+                        moves.append((s, target, ratio))
                 kept = live.get(key)
                 if kept is None:
                     live[key] = TrajectoryBranch(bi, w, op, stats)
@@ -265,6 +339,8 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
                     kept.weight += w
                     kept.conditional_op = kept.conditional_op + op
                     merged += 1
+            if entropies is not None:
+                entropies.append(h)
         branches = list(live.values())
         a_seq.append(max(a_n, 0.0))
         total = sum(b.weight for b in branches) + pruned_mass
@@ -276,8 +352,22 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
             branch_count=len(branches), merged_count=merged, pruned_mass=pruned_mass,
             classes=_classes_of(branches) if opts.classify else None))
         report = limit_estimate(a_seq, tol=opts.tol, window=opts.window)
-        if report.converged and depth >= opts.min_steps:
-            break
+        if depth >= opts.min_steps:
+            if index is not None:
+                weights = np.zeros(len(index))
+                for key, b in live.items():
+                    weights[index[key]] = b.weight
+                lift = _belief_lift(moves, entropies, weights)
+            if lift is not None:
+                stop_reason = "closed"
+                report = replace(report, converged=True, converged_value=lift.limit)
+                break
+            if report.converged:
+                stop_reason = "converged"
+                break
+        # A tree whose mass was all pruned has no states to close.
+        index = ({key: i for i, key in enumerate(live)}
+                 if opts.merge and 0 < len(live) <= LIFT_MAX_STATES else None)
 
     if pruned_mass > PRUNED_MASS_LIMIT:
         message = (f"pruned mass {pruned_mass:.3e} exceeds {PRUNED_MASS_LIMIT:g}; "
@@ -286,7 +376,7 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
             raise AccuracyError(message)
         warnings.warn(message, stacklevel=2)
     return SZRun(branches=branches, depth=depth, records=records, pruned_mass=pruned_mass,
-                 report=report)
+                 report=report, stop_reason=stop_reason, lift=lift)
 
 
 def measurement_entropy(t: Instrument, rho: DensityState, partition: Partition,

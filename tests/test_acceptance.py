@@ -303,4 +303,4 @@ def test_criterion_10_reference_table_passes():
     elapsed = time.perf_counter() - started
     assert status == 0
     assert elapsed < 60.0
-    _announce(10, f"all five closed-form rows within tolerance ({elapsed:.2f}s)")
+    _announce(10, f"all seven closed-form rows within tolerance ({elapsed:.2f}s)")

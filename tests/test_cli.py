@@ -75,6 +75,7 @@ class TestConfigParsing:
         ("instrument", "kraus", [[[True if r == c and r % 3 == v else 0 for c in range(6)]
                                   for r in range(6)] for v in range(3)],
          "instrument.kraus[0][0][0]"),
+        ("walk", "coins", [[[10 ** 400, 0], [0, 1]]] * 3, "walk.coins[0][0][0]"),
     ])
     def test_bad_explicit_field_exits_2(self, tmp_path, capsys, section, key, value, field):
         N = 3
@@ -269,11 +270,11 @@ class TestPaperCheck:
     def test_all_rows_pass(self, capsys):
         assert main(["paper-check"]) == 0
         out = capsys.readouterr().out
-        assert out.count(" ok") >= 5
-        assert "5/5 rows ok" in out
+        assert out.count(" ok") >= 7
+        assert "7/7 rows ok" in out
 
     def test_reference_rows_cover_both_instruments(self):
         names = [name for name, *_ in cli.REFERENCE_ROWS]
-        assert len(names) == 5
+        assert len(names) == 7
         assert any("rank-2" in n for n in names)
         assert any("C_V" in n for n in names)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from szwalk import (JointDistribution, Partition, ProbVector, ValidationError,
-                    conditional_entropy, entropy, eta, is_coarser, join, joint_entropy,
-                    limit_estimate)
+                    conditional_entropy, cycle_walk, entropy, entropy_rate, eta, is_coarser,
+                    join, joint_entropy, limit_estimate)
 
 from helpers import random_joint, random_partition, random_prob_vector, coarsen
 
@@ -27,6 +27,10 @@ class TestEta:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             eta(-1e-9)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValidationError, match="nan"):
+            eta(math.nan)
 
 
 class TestProbVector:
@@ -217,6 +221,20 @@ class TestLimitEstimate:
     def test_nan_tolerance_rejected(self):
         with pytest.raises(ValidationError, match="tolerance must be positive"):
             limit_estimate([1.0, 1.0, 1.0, 1.0], tol=math.nan, window=3)
+
+    @pytest.mark.parametrize("window", [math.nan, 2.5, True])
+    def test_non_integer_window_rejected(self, window):
+        with pytest.raises(ValidationError, match="window must be an integer"):
+            limit_estimate([1.0, 1.0, 1.0, 1.0], tol=1e-6, window=window)
+
+    @pytest.mark.parametrize("window", [math.nan, 2.5])
+    def test_non_integer_window_rejected_through_entropy_rate(self, window):
+        P = cycle_walk(3)
+        with pytest.raises(ValidationError, match="window must be an integer"):
+            entropy_rate(P, ProbVector.uniform(3), n_max=4, tol=1e-9, window=window)
+
+    def test_numpy_integer_window_accepted(self):
+        assert limit_estimate([1.0] * 4, tol=1e-6, window=np.int64(3)).converged
 
 
 class TestProperties:

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from szwalk import (AccuracyError, Partition, ResourceLimitError, RunOptions,
+from szwalk import (AccuracyError, DensityState, Partition, ResourceLimitError, RunOptions,
                     UnsupportedConfigurationError, ValidationError, apply_instrument,
                     coherent_instrument, cs_transition_matrix, cylinder_probability,
                     dynamical_entropy, entropy_rate, general_instrument, hadamard_walk,
@@ -18,7 +18,8 @@ from szwalk.walks import (basis_index, coin_vertex_instrument, hadamard_eigensta
                           position_instrument, vertex_partition)
 
 from helpers import (conditional_sequence_from_levels, cylinder_level_joints, dense_apply,
-                     random_density, random_general, random_lvn, random_unitary)
+                     random_coherent, random_density, random_general, random_lvn,
+                     random_unitary)
 
 LN2 = math.log(2.0)
 
@@ -182,6 +183,7 @@ class TestSZEntropyRun:
         with pytest.warns(UserWarning, match="pruned mass"):
             run = sz_entropy_run(*args, RunOptions(n_max=3, prune_eps=0.5))
         assert run.pruned_mass == pytest.approx(1.0)
+        assert run.stop_reason == "n_max"  # an empty tree does not count as closed
         with pytest.raises(AccuracyError, match="pruned mass"):
             sz_entropy_run(*args, RunOptions(n_max=3, prune_eps=0.5, strict=True))
 
@@ -315,6 +317,121 @@ class TestMergeExactness:
         assert len(oracle) == len(run.report.direct_sequence)
         for a, b in zip(run.report.direct_sequence, oracle):
             assert a == pytest.approx(b, abs=1e-10)
+
+
+def _hadamard_setup(N, power, kind):
+    """Hadamard U^power on the N-cycle, maximally mixed: rank-2 position instrument with
+    the atomic partition, or the coin-vertex instrument with vertex blocks."""
+    u = unitary_power(hadamard_walk(N), power)
+    if kind == "rank2":
+        return u, position_instrument(N), maximally_mixed(2 * N), Partition.atomic(N)
+    return u, coin_vertex_instrument(N), maximally_mixed(2 * N), vertex_partition(N)
+
+
+def _predicted_a_n(lift, k):
+    """a_{depth+1+k} of a closed run, from its lift."""
+    return lift.weights @ np.linalg.matrix_power(lift.transitions, k) @ lift.entropies
+
+
+CLOSING = {
+    "rank2-U": (1, "rank2", LN2),
+    "rank2-U2": (2, "rank2", 4.0 / 3.0 * LN2),
+    "coin-vertex-U": (1, "coin-vertex", LN2),
+    "coin-vertex-U2": (2, "coin-vertex", 1.5 * LN2),
+}
+
+
+class TestClosure:
+    """Runs that stop where the merged live states close, against the unclosed tree."""
+
+    @pytest.mark.parametrize("power, kind, expected", CLOSING.values(), ids=CLOSING)
+    def test_closed_run_is_a_prefix_of_the_tree_and_its_lift_predicts_the_rest(
+            self, power, kind, expected):
+        args = _hadamard_setup(5, power, kind)
+        closed = sz_entropy_run(*args, RunOptions(n_max=12))
+        tree = sz_entropy_run(*args, RunOptions(n_max=12, min_steps=12))
+        assert closed.stop_reason == "closed" and closed.depth < 12
+        assert closed.records == tree.records[:closed.depth + 1]
+        lift = closed.lift
+        for k, rec in enumerate(tree.records[closed.depth + 1:]):
+            assert _predicted_a_n(lift, k) == pytest.approx(rec.a_n, abs=1e-12)
+        assert closed.report.converged
+        assert closed.report.converged_value == lift.limit
+        assert lift.limit == pytest.approx(expected, abs=1e-12)
+
+    def test_lift_predicts_the_unmerged_tree_on_random_coherent_runs(self):
+        # A rank-1 outcome fixes the state, so these close at once whatever U and rho are.
+        rng = np.random.default_rng(131)
+        for _ in range(10):
+            dim = int(rng.integers(3, 6))
+            t = random_coherent(rng, dim)
+            args = (random_unitary(rng, dim), t, random_density(rng, dim), _atomic_for(t))
+            closed = sz_entropy_run(*args, RunOptions(n_max=4))
+            tree = sz_entropy_run(*args, RunOptions(n_max=4, min_steps=4, merge=False))
+            assert closed.stop_reason == "closed" and closed.depth < 4
+            for k, rec in enumerate(tree.records[closed.depth + 1:]):
+                assert _predicted_a_n(closed.lift, k) == pytest.approx(rec.a_n, abs=1e-12)
+
+    def test_periodic_chain_gets_its_cesaro_limit(self):
+        # Block {0, 1} goes to {2, 3} through a Hadamard, {2, 3} back by a permutation: a
+        # period-2 chain. From 0.7 on e0 and 0.3 on e2, a_n alternates 0.7 ln 2, 0.3 ln 2.
+        h = 1 / math.sqrt(2)
+        u = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [h, h, 0, 0], [h, -h, 0, 0]])
+        t = coherent_instrument(list(np.eye(4)))
+        rho = DensityState(np.diag([0.7, 0.0, 0.3, 0.0]))
+        closed = sz_entropy_run(u, t, rho, _atomic_for(t), RunOptions(n_max=12))
+        tree = sz_entropy_run(u, t, rho, _atomic_for(t), RunOptions(n_max=12, min_steps=12))
+        assert closed.stop_reason == "closed"
+        assert tree.records[-1].a_n == pytest.approx(0.3 * LN2, abs=1e-12)
+        assert tree.records[-2].a_n == pytest.approx(0.7 * LN2, abs=1e-12)
+        for k, rec in enumerate(tree.records[closed.depth + 1:]):
+            assert _predicted_a_n(closed.lift, k) == pytest.approx(rec.a_n, abs=1e-12)
+        assert closed.report.converged_value == pytest.approx(0.5 * LN2, abs=1e-12)
+
+    @pytest.mark.parametrize("N", [5, 25])
+    def test_rank2_squared_walk_is_exact(self, N):
+        report = dynamical_entropy(*_hadamard_setup(N, 2, "rank2"), RunOptions(n_max=25))
+        assert report.dynamical_entropy == pytest.approx(4.0 / 3.0 * LN2, abs=1e-12)
+
+    def test_nonlinearity_of_the_rank2_entropy(self):
+        h1, h2 = (dynamical_entropy(*_hadamard_setup(5, m, "rank2"),
+                                    RunOptions(n_max=25)).dynamical_entropy for m in (1, 2))
+        assert h2 - 2.0 * h1 == pytest.approx(-2.0 / 3.0 * LN2, abs=1e-12)
+
+    def test_min_steps_defers_the_stop(self):
+        run = sz_entropy_run(*_hadamard_setup(5, 2, "rank2"), RunOptions(n_max=12, min_steps=7))
+        assert run.stop_reason == "closed" and run.depth == 7
+
+    def test_identity_dynamics_closes_at_depth_one(self):
+        _, t, rho, part = _hadamard_setup(5, 1, "rank2")
+        run = sz_entropy_run(None, t, rho, part, RunOptions(n_max=12))
+        assert run.stop_reason == "closed" and run.depth == 1
+        assert run.report.converged_value == 0.0
+
+    @pytest.mark.parametrize("case", CLOSING)
+    def test_merge_off_never_closes(self, case):
+        power, kind, _ = CLOSING[case]
+        run = sz_entropy_run(*_hadamard_setup(5, power, kind), RunOptions(n_max=6, merge=False))
+        assert run.stop_reason in ("converged", "n_max") and run.lift is None
+
+    def test_random_kraus_family_runs_to_n_max(self):
+        t = random_general(np.random.default_rng(11), 10, 2)
+        run = sz_entropy_run(hadamard_walk(5).unitary, t, maximally_mixed(10), _atomic_for(t),
+                             RunOptions(n_max=8))
+        assert run.stop_reason == "n_max" and run.depth == 8 and run.lift is None
+        assert not run.report.converged
+
+    def test_unresolved_projector_keeps_the_tree_growing(self, monkeypatch):
+        monkeypatch.setattr(sz, "LIFT_TOL", -1.0)  # no projector passes the residual check
+        args = _hadamard_setup(5, 2, "rank2")
+        run = sz_entropy_run(*args, RunOptions(n_max=25))
+        assert run.stop_reason == "converged" and run.lift is None
+        assert run.depth == 24
+
+    def test_above_the_state_bound_closure_is_not_tracked(self, monkeypatch):
+        monkeypatch.setattr(sz, "LIFT_MAX_STATES", 24)  # rank-2 U^2 at N=5 lives on 25
+        run = sz_entropy_run(*_hadamard_setup(5, 2, "rank2"), RunOptions(n_max=25))
+        assert run.stop_reason == "converged" and run.depth == 24
 
 
 class TestMeasurementEntropy:

@@ -12,8 +12,8 @@ from .quantum import (DensityState, Instrument, Operator, apply_instrument, cohe
                       general_instrument, lvn_instrument, maximally_mixed, outcome_pmf,
                       pure_state)
 from .sz import (ClassMasses, EntropyReport, MarkovReduction, RunOptions, SZRun,
-                 cs_transition_matrix, cylinder_probability, dynamical_entropy,
-                 markov_reduction, measurement_entropy, sz_entropy_run)
+                 cylinder_probability, dynamical_entropy, markov_reduction,
+                 measurement_entropy, sz_entropy_run)
 from .walks import (CoinedWalk, ShiftPermutation, coin_vertex_instrument, coined_walk,
                     eigencheck, hadamard_coin, hadamard_eigenstate, hadamard_walk,
                     integer_shift, position_instrument, unitary_power, vertex_partition)
@@ -27,7 +27,7 @@ __all__ = [
     "ResourceLimitError", "RunOptions", "SZRun", "SZWalkError", "ShiftPermutation",
     "TransitionMatrix", "UnsupportedConfigurationError", "ValidationError",
     "apply_instrument", "coherent_instrument", "coin_vertex_instrument", "coined_walk",
-    "conditional_entropy", "cs_transition_matrix", "cycle_walk", "cylinder_probability",
+    "conditional_entropy", "cycle_walk", "cylinder_probability",
     "dynamical_entropy", "eigencheck", "entropy", "entropy_rate", "eta", "general_instrument",
     "hadamard_coin", "hadamard_eigenstate", "hadamard_walk", "integer_shift", "is_coarser",
     "join", "joint_entropy", "ks_estimate", "limit_estimate", "lvn_instrument",

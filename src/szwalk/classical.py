@@ -8,16 +8,18 @@ p_{x,y} indexing direct.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import ConvergenceReport, Partition, ProbVector, eta, join, limit_estimate
-from .errors import NumericError, ResourceLimitError, ValidationError, require
+from .errors import NumericError, ResourceLimitError, ValidationError, is_kind, require
 
 COLUMN_SUM_TOL = 1e-12
-STATIONARY_TOL = 1e-12
-STATIONARY_MAX_ITER = 100_000
+# Singular values of m - 1 up to this span m's eigenvalue-1 space, and the projector built on
+# it must satisfy mΠ = Πm = Π to this.
+PROJECTOR_TOL = 1e-9
 DEFAULT_PATH_BUDGET = 10_000_000
 
 
@@ -64,8 +66,8 @@ class FiniteMap:
 
     def iterate(self, k: int) -> "FiniteMap":
         """k-fold composition f^k (k >= 0)."""
-        if k < 0:
-            raise ValidationError(f"iterate needs k >= 0, got {k}")
+        require(is_kind(k, numbers.Integral) and k >= 0,
+                f"iterate needs an integer k >= 0, got {k!r}")
         current = tuple(range(self.size))
         for _ in range(k):
             current = tuple(self.image[i] for i in current)
@@ -74,8 +76,8 @@ class FiniteMap:
 
 def cycle_walk(N: int) -> TransitionMatrix:
     """Unbiased random walk on the N-cycle: p_{v+1,v} = p_{v-1,v} = 1/2 (mod N)."""
-    if N < 3:
-        raise ValidationError(f"cycle walk needs N >= 3, got {N}")
+    require(is_kind(N, numbers.Integral) and N >= 3,
+            f"cycle walk needs an integer N >= 3, got {N!r}")
     P = np.zeros((N, N))
     for v in range(N):
         P[(v + 1) % N, v] += 0.5
@@ -85,42 +87,37 @@ def cycle_walk(N: int) -> TransitionMatrix:
 
 def matrix_power(P: TransitionMatrix, m: int) -> TransitionMatrix:
     """m-step transition matrix P^m (m >= 1)."""
-    if m < 1:
-        raise ValidationError(f"matrix power needs m >= 1, got {m}")
+    require(is_kind(m, numbers.Integral) and m >= 1,
+            f"matrix power needs an integer m >= 1, got {m!r}")
     return TransitionMatrix(np.linalg.matrix_power(P.entries, m))
 
 
-def stationary_distribution(P: TransitionMatrix,
-                            max_iter: int = STATIONARY_MAX_ITER,
-                            tol: float = STATIONARY_TOL) -> ProbVector:
-    """A distribution mu with P mu = mu, found by power iteration from uniform.
+def cesaro_projector(m: np.ndarray) -> np.ndarray | None:
+    """Π = lim (1/n) Σ_{k<n} mᵏ, the projector onto m's eigenvalue-1 space, for any period.
 
-    Periodic chains can cycle instead of settling, so each step also tests the
-    average of two consecutive iterates. If the iteration cap is reached an
-    eigenvector solve is attempted before giving up.
+    Π = R (L R)⁻¹ L, with R and L the right and left null spaces of m - 1. None when Π is
+    not resolved: it must satisfy mΠ = Πm = Π to PROJECTOR_TOL.
     """
-    A = P.entries
-    n = P.size
-    mu = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = A @ mu
-        if np.abs(nxt - mu).sum() < tol:
-            return ProbVector(nxt, tol=1e-9)
-        avg = 0.5 * (mu + nxt)
-        if np.abs(A @ avg - avg).sum() < tol:
-            return ProbVector(avg, tol=1e-9)
-        mu = nxt
+    u, sv, vh = np.linalg.svd(m - np.eye(m.shape[0]))
+    null = sv <= PROJECTOR_TOL
+    right, left = vh[null].T, u[:, null].T
+    projector = right @ np.linalg.pinv(left @ right) @ left
+    residual = max(np.abs(m @ projector - projector).max(initial=0.0),
+                   np.abs(projector @ m - projector).max(initial=0.0))
+    return projector if residual <= PROJECTOR_TOL else None
 
-    vals, vecs = np.linalg.eig(A)
-    best = int(np.argmin(np.abs(vals - 1.0)))
-    vec = np.real(vecs[:, best])
-    require(abs(vec.sum()) >= 1e-300, "stationary eigenvector has zero total mass", NumericError)
-    vec = vec / vec.sum()
-    residual = float(np.abs(A @ vec - vec).max())
-    require(residual <= 1e-10 and vec.min() >= -1e-9,
-            f"no stationary distribution found after {max_iter} iterations; "
-            f"eigen-solve residual {residual:.3e}", NumericError)
-    return ProbVector(np.clip(vec, 0.0, None) / np.clip(vec, 0.0, None).sum(), tol=1e-9)
+
+def stationary_distribution(P: TransitionMatrix) -> ProbVector:
+    """The Cesàro limit of Pⁿ·uniform, a distribution mu with P mu = mu, for any period.
+
+    It is Π·uniform with Π from `cesaro_projector`. A reducible chain keeps, in each closed
+    class, the mass that the uniform start sends there. Raises NumericError when Π is not
+    resolved.
+    """
+    projector = cesaro_projector(P.entries)
+    require(projector is not None, "eigenvalue-1 projector of the chain not resolved to "
+            f"{PROJECTOR_TOL:g}", NumericError)
+    return ProbVector(projector @ np.full(P.size, 1.0 / P.size), tol=1e-9)
 
 
 def _column_entropies(P: TransitionMatrix) -> np.ndarray:
@@ -143,8 +140,8 @@ def entropy_rate(P: TransitionMatrix, mu0: ProbVector, n_max: int, tol: float,
     """
     if len(mu0) != P.size:
         raise ValidationError(f"distribution of length {len(mu0)} for {P.size} states")
-    if n_max < 0:
-        raise ValidationError(f"n_max must be >= 0, got {n_max}")
+    require(is_kind(n_max, numbers.Integral) and n_max >= 0,
+            f"n_max must be an integer >= 0, got {n_max!r}")
     col_h = _column_entropies(P)
     seq = []
     mu = mu0.entries.copy()
@@ -171,8 +168,8 @@ def ks_estimate(f: FiniteMap, mu: ProbVector, c: Partition, n: int) -> float:
         raise ValidationError(
             f"map ({f.size}), measure ({len(mu)}) and partition ({c.size}) "
             "must share one state set")
-    if n < 1:
-        raise ValidationError(f"ks estimate needs n >= 1, got {n}")
+    require(is_kind(n, numbers.Integral) and n >= 1,
+            f"ks estimate needs an integer n >= 1, got {n!r}")
     joined = join([_preimage_partition(f, k, c) for k in range(n)])
     block_masses = [sum(mu[i] for i in block) for block in joined.blocks]
     return float(sum(eta(w) for w in block_masses)) / n
@@ -188,8 +185,11 @@ def process_joint_entropy(P: TransitionMatrix, mu0: ProbVector, n: int,
     """
     if len(mu0) != P.size:
         raise ValidationError(f"distribution of length {len(mu0)} for {P.size} states")
-    if n < 0:
-        raise ValidationError(f"process entropy needs n >= 0, got {n}")
+    # A non-integer n would never equal a path's depth: the enumeration would not end.
+    require(is_kind(n, numbers.Integral) and n >= 0,
+            f"process entropy needs an integer n >= 0, got {n!r}")
+    require(is_kind(path_budget, numbers.Integral),
+            f"path budget must be an integer, got {path_budget!r}")
     successors = [[(x, P.entries[x, y]) for x in range(P.size) if P.entries[x, y] > 0.0]
                   for y in range(P.size)]
     total = 0.0

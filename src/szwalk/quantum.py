@@ -228,9 +228,9 @@ def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> O
 
 
 def outcome_pmf(t: Instrument, rho: DensityState) -> ProbVector:
-    """Outcome distribution tr(B_i rho B_i†) = <B_i, B_i rho>_F of measuring rho once."""
+    """Outcome distribution tr(B_i rho B_i†) = <B_S, B_S rho[S,S]>_F, S the support of B_i."""
     if rho.dim != t.dim:
         raise ValidationError(
             f"state dimension {rho.dim} does not match instrument dimension {t.dim}")
-    probs = [float(np.real(np.vdot(b, b @ rho.matrix))) for b in t.kraus]
+    probs = [float(np.real(np.vdot(b, b @ rho.matrix[idx]))) for idx, b, _ in t.supports]
     return ProbVector(np.clip(probs, 0.0, None), tol=1e-10)

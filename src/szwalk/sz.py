@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import TransitionMatrix
+from .classical import TransitionMatrix, cesaro_projector
 from .entropy import ConvergenceReport, Partition, ProbVector, eta, limit_estimate
 from .errors import (AccuracyError, NumericError, ResourceLimitError,
                      UnsupportedConfigurationError, ValidationError, is_kind, require)
@@ -44,9 +44,6 @@ NORMALIZATION_TOL = 1e-8
 PRUNED_MASS_LIMIT = 1e-6
 RANK1_TOL = 1e-8
 LIFT_MAX_STATES = 1000  # closure is tracked only while at most this many branches are live
-# Singular values of M - 1 up to this span M's eigenvalue-1 space, and the projector Π built
-# on it must satisfy MΠ = ΠM = Π to this; otherwise the tree grows on.
-LIFT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -218,14 +215,6 @@ def cylinder_probability(walk_unitary: Operator | None, t: Instrument, rho: Dens
     return float(np.real(np.trace(op)))
 
 
-def cs_transition_matrix(u: Operator, basis: Sequence) -> TransitionMatrix:
-    """Markov transition matrix |<a_i|U|a_j>|^2 of a coherent-state measurement."""
-    u = as_operator(u)
-    A = orthonormal_columns(basis, u.shape[0])
-    amps = A.conj().T @ u @ A
-    return TransitionMatrix(np.abs(amps) ** 2)
-
-
 def _fingerprint(op: np.ndarray, weight: float, merge_tol: float) -> bytes:
     # Interleaved (re, im) pairs: two ops share a key iff their real and imaginary parts do.
     return np.round((op / weight).view(np.float64) / merge_tol).astype(np.int64).tobytes()
@@ -238,14 +227,8 @@ def _belief_lift(moves: list[tuple[int, int, float]], entropies: list[float],
     m = np.zeros((n, n))
     for s, t, p in moves:
         m[s, t] = p
-    # Π = R (L R)⁻¹ L, with R and L the right and left null spaces of M - 1.
-    u, sv, vh = np.linalg.svd(m - np.eye(n))
-    null = sv <= LIFT_TOL
-    right, left = vh[null].T, u[:, null].T
-    projector = right @ np.linalg.pinv(left @ right) @ left
-    residual = max(np.abs(m @ projector - projector).max(initial=0.0),
-                   np.abs(projector @ m - projector).max(initial=0.0))
-    if not residual <= LIFT_TOL:
+    projector = cesaro_projector(m)
+    if projector is None:
         return None
     h = np.array(entropies)
     # π Π h as the next a_n plus the part of π that Π removes: exact already at the limit.
@@ -347,11 +330,11 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
         require(abs(total - 1.0) <= NORMALIZATION_TOL,
                 f"branch mass {total!r} at depth {depth} drifted from 1 by {abs(total - 1.0):.3e}",
                 NumericError)
+        report = limit_estimate(a_seq, tol=opts.tol, window=opts.window)
         records.append(DepthRecord(
-            depth=depth, a_n=a_seq[depth], cesaro=float(np.mean(a_seq)),
+            depth=depth, a_n=a_seq[depth], cesaro=report.cesaro_sequence[depth],
             branch_count=len(branches), merged_count=merged, pruned_mass=pruned_mass,
             classes=_classes_of(branches) if opts.classify else None))
-        report = limit_estimate(a_seq, tol=opts.tol, window=opts.window)
         if depth >= opts.min_steps:
             if index is not None:
                 weights = np.zeros(len(index))
@@ -400,11 +383,12 @@ def dynamical_entropy(walk_unitary: Operator, t: Instrument, rho: DensityState,
 
 
 def markov_reduction(walk_unitary: Operator, t: Instrument, rho: DensityState) -> MarkovReduction:
-    """Classical reduction of a coherent-state run: transition matrix plus initial pmf.
+    """Classical reduction of a coherent-state run: |<a_i|U|a_j>|² plus the initial pmf.
 
     Only instruments made of rank-1 projections |a_i><a_i| admit this fast
     path; the entropy-rate computation itself is the classical module's job.
     """
+    u = _check_unitary(walk_unitary, t.dim)
     basis = []
     for i, b in enumerate(t.kraus):
         vec = b[:, int(np.argmax(np.abs(np.diagonal(b))))]
@@ -414,6 +398,6 @@ def markov_reduction(walk_unitary: Operator, t: Instrument, rho: DensityState) -
                 lambda: f"Markov reduction needs rank-1 projections: outcome {i} has "
                 f"max |B - vv†| = {res:.3e} (tol {RANK1_TOL:g})", UnsupportedConfigurationError)
         basis.append(vec)
-    P = cs_transition_matrix(walk_unitary, basis)
-    mu0 = outcome_pmf(t, rho)
-    return MarkovReduction(transition_matrix=P, initial_distribution=mu0)
+    A = orthonormal_columns(basis, t.dim)
+    P = TransitionMatrix(np.abs(A.conj().T @ u @ A) ** 2)
+    return MarkovReduction(transition_matrix=P, initial_distribution=outcome_pmf(t, rho))

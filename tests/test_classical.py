@@ -5,12 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from szwalk import (FiniteMap, Partition, ProbVector, ResourceLimitError, TransitionMatrix,
-                    ValidationError, cycle_walk, entropy, entropy_rate, ks_estimate,
-                    markov_entropy, matrix_power, process_joint_entropy,
-                    stationary_distribution)
+from szwalk import (FiniteMap, NumericError, Partition, ProbVector, ResourceLimitError,
+                    TransitionMatrix, ValidationError, classical, cycle_walk, entropy,
+                    entropy_rate, ks_estimate, markov_entropy, matrix_power,
+                    process_joint_entropy, stationary_distribution)
 
 LN2 = math.log(2.0)
+# Column-stochastic: 0 -> 1 (0.3) or 2 (0.7), 1 -> 3, 2 -> 3, 3 -> 0.
+PERIOD_THREE = [[0.0, 0.0, 0.0, 1.0],
+                [0.3, 0.0, 0.0, 0.0],
+                [0.7, 0.0, 0.0, 0.0],
+                [0.0, 1.0, 1.0, 0.0]]
 
 
 class TestCycleWalk:
@@ -69,12 +74,33 @@ class TestStationaryDistribution:
         mu = stationary_distribution(TransitionMatrix([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(mu.entries, 0.5, atol=1e-12)
 
-    def test_periodic_path_chain_uses_iterate_averaging(self):
-        # Walk on the path 0-1-2: period 2, uniform start oscillates, but the
-        # average of consecutive iterates hits the fixed point (1/4,1/2,1/4).
+    def test_periodic_path_chain_is_its_cesaro_limit(self):
+        # Walk on the path 0-1-2: period 2, so the uniform start oscillates; the
+        # average of its iterates tends to the fixed point (1/4,1/2,1/4).
         P = TransitionMatrix([[0.0, 0.5, 0.0], [1.0, 0.0, 1.0], [0.0, 0.5, 0.0]])
         mu = stationary_distribution(P)
         assert np.allclose(mu.entries, [0.25, 0.5, 0.25], atol=1e-10)
+
+    def test_period_three_chain(self):
+        # 0 -> 1|2 (0.3/0.7), 1 -> 3, 2 -> 3, 3 -> 0: period 3 and not doubly stochastic.
+        mu = stationary_distribution(TransitionMatrix(PERIOD_THREE))
+        assert np.allclose(mu.entries, [1 / 3, 1 / 10, 7 / 30, 1 / 3], rtol=0, atol=1e-12)
+
+    def test_reducible_chain_keeps_the_mass_of_each_class(self):
+        # The period-3 chain beside a closed 2-state class: the Cesàro limit from uniform
+        # keeps 4/6 of the mass in the first class and 2/6 in the second.
+        P = np.zeros((6, 6))
+        P[:4, :4] = PERIOD_THREE
+        P[4:, 4:] = [[0.2, 0.6], [0.8, 0.4]]
+        mu = stationary_distribution(TransitionMatrix(P))
+        expected = np.concatenate([4 / 6 * np.array([1 / 3, 1 / 10, 7 / 30, 1 / 3]),
+                                   2 / 6 * np.array([3 / 7, 4 / 7])])
+        assert np.allclose(mu.entries, expected, rtol=0, atol=1e-12)
+
+    def test_unresolved_projector_raises(self, monkeypatch):
+        monkeypatch.setattr(classical, "PROJECTOR_TOL", -1.0)
+        with pytest.raises(NumericError, match="not resolved"):
+            stationary_distribution(cycle_walk(5))
 
     def test_stationarity_residual_on_random_chains(self):
         rng = np.random.default_rng(23)
@@ -209,3 +235,38 @@ class TestCesaroConsistency:
                 gaps.append(abs(avg - rep.direct_sequence[n]))
             assert gaps[-1] < 0.05
             assert gaps[-1] < gaps[0] + 1e-12
+
+
+
+P5, MU5, F5 = cycle_walk(5), ProbVector.uniform(5), FiniteMap((0, 1, 2, 3, 4))
+# Counts follow the number rule: an integer (numpy's too), never a bool, a float or NaN.
+NON_INTEGER_COUNTS = {
+    "entropy_rate n_max=2.5": lambda: entropy_rate(P5, MU5, n_max=2.5, tol=1e-9),
+    "entropy_rate n_max=3.0": lambda: entropy_rate(P5, MU5, n_max=3.0, tol=1e-9),
+    "entropy_rate n_max=nan": lambda: entropy_rate(P5, MU5, n_max=math.nan, tol=1e-9),
+    # Without the rule these two never end: no path's depth equals n.
+    "process_joint_entropy n=2.5": lambda: process_joint_entropy(P5, MU5, 2.5),
+    "process_joint_entropy n=nan": lambda: process_joint_entropy(P5, MU5, math.nan),
+    "process_joint_entropy budget=nan": lambda: process_joint_entropy(P5, MU5, 2, math.nan),
+    "process_joint_entropy budget=100.0": lambda: process_joint_entropy(P5, MU5, 2, 100.0),
+    "ks_estimate n=2.5": lambda: ks_estimate(F5, MU5, Partition.atomic(5), 2.5),
+    "ks_estimate n=True": lambda: ks_estimate(F5, MU5, Partition.atomic(5), True),
+    "iterate k=2.5": lambda: F5.iterate(2.5),
+    "iterate k=nan": lambda: F5.iterate(math.nan),
+    "matrix_power m=True": lambda: matrix_power(P5, True),
+    "matrix_power m=2.0": lambda: matrix_power(P5, 2.0),
+    "cycle_walk N=5.0": lambda: cycle_walk(5.0),
+    "cycle_walk N=nan": lambda: cycle_walk(math.nan),
+}
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("case", NON_INTEGER_COUNTS)
+    def test_non_integer_count_rejected(self, case):
+        with pytest.raises(ValidationError, match="integer"):
+            NON_INTEGER_COUNTS[case]()
+
+    def test_numpy_integers_accepted(self):
+        assert matrix_power(P5, np.int64(2)).size == 5
+        assert process_joint_entropy(P5, MU5, np.int64(1)) == pytest.approx(
+            math.log(5) + LN2, abs=1e-13)

@@ -9,7 +9,7 @@ import pytest
 
 from szwalk import (AccuracyError, DensityState, Partition, ResourceLimitError, RunOptions,
                     UnsupportedConfigurationError, ValidationError, apply_instrument,
-                    coherent_instrument, cs_transition_matrix, cylinder_probability,
+                    classical, coherent_instrument, cylinder_probability,
                     dynamical_entropy, entropy_rate, general_instrument, hadamard_walk,
                     lvn_instrument, markov_reduction, maximally_mixed, measurement_entropy, sz,
                     sz_entropy_run, unitary_power)
@@ -73,12 +73,16 @@ class TestCylinderProbability:
             cylinder_probability(None, t, maximally_mixed(6), [])
 
 
+def _cs_transition_matrix(u, N):
+    """|<a_i|U|a_j>|^2 over the coin-vertex basis, through `markov_reduction`."""
+    return markov_reduction(u, coin_vertex_instrument(N), maximally_mixed(2 * N)).transition_matrix
+
+
 class TestCSTransitionMatrix:
     def test_hadamard_walk_pattern(self):
         # |<e|U|f>|^2 = (1/2) delta_{u, v-(-1)^{delta_cL}}
         N = 5
-        U = hadamard_walk(N).unitary
-        P = cs_transition_matrix(U, list(np.eye(2 * N, dtype=complex)))
+        P = _cs_transition_matrix(hadamard_walk(N).unitary, N)
         for c in (0, 1):
             for v in range(N):
                 col = P.entries[:, basis_index(c, v, N)]
@@ -87,19 +91,14 @@ class TestCSTransitionMatrix:
                 assert col.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_identity_gives_identity(self):
-        P = cs_transition_matrix(np.eye(4), list(np.eye(4, dtype=complex)))
+        P = _cs_transition_matrix(np.eye(4), 2)
         assert np.allclose(P.entries, np.eye(4), atol=1e-14)
 
     def test_squared_walk_quarters(self):
         N = 5
-        U2 = unitary_power(hadamard_walk(N), 2)
-        P = cs_transition_matrix(U2, list(np.eye(2 * N, dtype=complex)))
+        P = _cs_transition_matrix(unitary_power(hadamard_walk(N), 2), N)
         col = P.entries[:, basis_index(0, 0, N)]
         assert sorted(x for x in col if x > 1e-12) == pytest.approx([0.25] * 4, abs=1e-13)
-
-    def test_non_orthonormal_basis_rejected(self):
-        with pytest.raises(ValidationError, match="orthonormal"):
-            cs_transition_matrix(np.eye(2), [[1.0, 0.0], [1.0, 0.0]])
 
 
 class TestRunOptions:
@@ -186,6 +185,15 @@ class TestSZEntropyRun:
         assert run.stop_reason == "n_max"  # an empty tree does not count as closed
         with pytest.raises(AccuracyError, match="pruned mass"):
             sz_entropy_run(*args, RunOptions(n_max=3, prune_eps=0.5, strict=True))
+
+    def test_record_cesaro_is_the_report_cesaro(self):
+        # One running mean per depth: the `_depth.csv` column and the summary's sequence.
+        t = random_general(np.random.default_rng(13), 6, 2)
+        run = sz_entropy_run(hadamard_walk(3).unitary, t, maximally_mixed(6), _atomic_for(t),
+                             RunOptions(n_max=12, min_steps=12, merge=False))
+        assert len(run.records) == 13
+        for record in run.records:
+            assert record.cesaro == run.report.cesaro_sequence[record.depth]
 
     def test_partition_must_match_outcome_count(self):
         N = 3
@@ -422,7 +430,7 @@ class TestClosure:
         assert not run.report.converged
 
     def test_unresolved_projector_keeps_the_tree_growing(self, monkeypatch):
-        monkeypatch.setattr(sz, "LIFT_TOL", -1.0)  # no projector passes the residual check
+        monkeypatch.setattr(classical, "PROJECTOR_TOL", -1.0)  # no projector passes the check
         args = _hadamard_setup(5, 2, "rank2")
         run = sz_entropy_run(*args, RunOptions(n_max=25))
         assert run.stop_reason == "converged" and run.lift is None
@@ -576,6 +584,14 @@ class TestMarkovReduction:
         with pytest.raises(UnsupportedConfigurationError, match="rank-1 projections"):
             markov_reduction(random_unitary(np.random.default_rng(8), t.dim), t,
                              maximally_mixed(t.dim))
+
+    @pytest.mark.parametrize("u, message", [
+        (np.eye(4), "dynamics dimension 4 does not match instrument dimension 6"),
+        (2 * np.eye(6), "not unitary"),
+    ])
+    def test_dynamics_checked_like_the_engine(self, u, message):
+        with pytest.raises(ValidationError, match=message):
+            markov_reduction(u, coin_vertex_instrument(3), maximally_mixed(6))
 
     def test_requires_coherent_instrument(self):
         N = 3

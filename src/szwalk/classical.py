@@ -121,7 +121,8 @@ def stationary_distribution(P: TransitionMatrix) -> ProbVector:
 
 
 def _column_entropies(P: TransitionMatrix) -> np.ndarray:
-    return np.array([sum(eta(x) for x in P.entries[:, y]) for y in range(P.size)])
+    # Only the nonzero entries: eta(0) adds an exact +0.0, so the sums are unchanged.
+    return np.array([sum(eta(x) for x in col[col > 0].tolist()) for col in P.entries.T])
 
 
 def markov_entropy(P: TransitionMatrix, mu: ProbVector) -> float:

@@ -24,12 +24,13 @@ import numpy as np
 
 from . import classical, sz, walks
 from .entropy import Partition, ProbVector
-from .errors import (AccuracyError, NumericError, ResourceLimitError, SZWalkError,
+from .errors import (NumericError, ResourceLimitError, SZWalkError,
                      UnsupportedConfigurationError, ValidationError, is_kind, require)
 from .quantum import DensityState, Instrument, general_instrument, maximally_mixed
 
 LN2 = math.log(2.0)
 JSON_NUMBER = (int, float)  # what `json` parses numbers to; checked with `is_kind`, so no bools
+_MISSING = object()
 
 CSV_COLUMNS = ("depth", "a_n", "cesaro", "branch_count", "merged_count", "pruned_mass",
                "c_n", "e_n", "o_n")
@@ -47,17 +48,16 @@ def _round15(x: float) -> float:
     return float(_fmt(x))
 
 
-def _require(mapping: dict, field: str, context: str):
-    if field not in mapping:
-        raise ConfigError(f"missing field '{context}.{field}'")
-    return mapping[field]
-
-
-def _checked(value, field: str, kind: type, minimum: int = 0):
-    """`value`, never converted, if it is a `kind` (not a bool) and an int is >= `minimum`."""
-    if not is_kind(value, kind) or (kind is int and value < minimum):
+def _field(spec, path: str, kind: type | None = None, minimum: int = 0, default=_MISSING):
+    """The field at dotted `path` ('walk.N'; 'walk' at the top) of its object `spec`, or the list
+    entry `spec` itself at 'walk.sigma[0]'. Never converted: raises when missing with no `default`,
+    not a `kind` (a bool is not an int) or an int below `minimum`."""
+    value = spec if path.endswith("]") else spec.get(path.rpartition(".")[2], default)
+    if value is _MISSING:
+        raise ConfigError(f"missing field '{path if '.' in path else 'config.' + path}'")
+    if kind is not None and (not is_kind(value, kind) or (kind is int and value < minimum)):
         wanted = {int: f"an integer >= {minimum}", list: "a list", dict: "an object"}[kind]
-        raise ConfigError(f"field '{field}' must be {wanted}")
+        raise ConfigError(f"field '{path}' must be {wanted}")
     return value
 
 
@@ -99,100 +99,87 @@ class ExperimentConfig:
         return walks.unitary_power(self.walk, self.power)
 
 
+def _explicit_walk(spec: dict, *_) -> walks.CoinedWalk:
+    sigma = _field(spec, "walk.sigma", list)
+    coins = _field(spec, "walk.coins", list)
+    shift = walks.ShiftPermutation(
+        tuple(_field(s, f"walk.sigma[{i}]", int) for i, s in enumerate(sigma)),
+        coin_count=_field(spec, "walk.coin_count", int, 1, default=2),
+        vertex_count=_field(spec, "walk.vertices", int, 1))
+    return walks.coined_walk(shift, [_parse_matrix(c, f"walk.coins[{i}]")
+                                     for i, c in enumerate(coins)])
+
+
+def _vertex_blocks(spec: dict, walk: walks.CoinedWalk, t: Instrument) -> Partition:
+    N = walk.vertex_count
+    require(t.n_outcomes == 2 * N, "'partition.kind' vertex_blocks needs a coin-vertex "
+            f"instrument with {2 * N} outcomes, got {t.n_outcomes}", ConfigError)
+    return walks.vertex_partition(N)
+
+
+def _explicit_partition(spec: dict, walk: walks.CoinedWalk, t: Instrument) -> Partition:
+    blocks = [[_field(x, f"partition.blocks[{i}]", int)
+               for x in _field(b, f"partition.blocks[{i}]", list)]
+              for i, b in enumerate(_field(spec, "partition.blocks", list))]
+    labels = _field(spec, "partition.labels", list, default=[]) or None
+    return Partition(blocks, labels=labels, size=t.n_outcomes)
+
+
+# Each section's kinds, in the order its error message names them: kind -> builder(spec, walk,
+# instrument), given the sections built before it.
+SECTION_KINDS = {
+    "walk": {"hadamard": lambda spec, *_: walks.hadamard_walk(_field(spec, "walk.N", int, 2)),
+             "explicit": _explicit_walk},
+    "instrument": {
+        "coherent": lambda spec, walk, _: walks.coin_vertex_instrument(walk.vertex_count),
+        "rank2_position": lambda spec, walk, _: walks.position_instrument(walk.vertex_count),
+        "explicit_kraus": lambda spec, *_: general_instrument(
+            [_parse_matrix(k, f"instrument.kraus[{i}]")
+             for i, k in enumerate(_field(spec, "instrument.kraus", list))],
+            labels=_field(spec, "instrument.labels", list, default=[]))},
+    "state": {
+        "maximally_mixed": lambda spec, walk, _: maximally_mixed(walk.dim),
+        "eigenstate": lambda spec, walk, _: walks.hadamard_eigenstate(walk.vertex_count),
+        "explicit": lambda spec, *_: DensityState(_parse_matrix(_field(spec, "state.matrix"),
+                                                                "state.matrix"))},
+    "partition": {
+        "atomic": lambda spec, walk, t: Partition.atomic(t.n_outcomes, labels=t.outcome_labels),
+        "vertex_blocks": _vertex_blocks,
+        "explicit": _explicit_partition},
+}
+
+
+def _section(raw: dict, name: str, walk: walks.CoinedWalk | None = None,
+             instrument: Instrument | None = None):
+    """Build section `name` by its kind; an instrument or a state must act on the walk's space."""
+    spec = _field(raw, name, dict)
+    kind = _field(spec, f"{name}.kind")
+    builders = SECTION_KINDS[name]
+    *rest, last = (f"'{k}'" for k in builders)
+    require(isinstance(kind, str) and kind in builders,
+            f"field '{name}.kind' must be {', '.join(rest)} or {last}, got {kind!r}", ConfigError)
+    built = builders[kind](spec, walk, instrument)
+    require(name not in ("instrument", "state") or built.dim == walk.dim,
+            lambda: f"{name} dimension {built.dim} does not match walk dimension {walk.dim}",
+            ConfigError)
+    return built
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
-
-    walk_spec = _checked(_require(raw, "walk", "config"), "walk", dict)
-    kind = _require(walk_spec, "kind", "walk")
-    if kind == "hadamard":
-        walk = walks.hadamard_walk(_checked(_require(walk_spec, "N", "walk"), "walk.N", int, 2))
-    elif kind == "explicit":
-        sigma = _checked(_require(walk_spec, "sigma", "walk"), "walk.sigma", list)
-        coins = _checked(_require(walk_spec, "coins", "walk"), "walk.coins", list)
-        shift = walks.ShiftPermutation(
-            tuple(_checked(s, f"walk.sigma[{i}]", int) for i, s in enumerate(sigma)),
-            coin_count=_checked(walk_spec.get("coin_count", 2), "walk.coin_count", int, 1),
-            vertex_count=_checked(_require(walk_spec, "vertices", "walk"), "walk.vertices", int, 1))
-        coin_ops = [_parse_matrix(c, f"walk.coins[{i}]") for i, c in enumerate(coins)]
-        walk = walks.coined_walk(shift, coin_ops)
-    else:
-        raise ConfigError(f"field 'walk.kind' must be 'hadamard' or 'explicit', got {kind!r}")
-    N = walk.vertex_count
-
-    power = _checked(raw.get("power", 1), "power", int, 1)
-
-    inst_spec = _checked(_require(raw, "instrument", "config"), "instrument", dict)
-    inst_kind = _require(inst_spec, "kind", "instrument")
-    if inst_kind == "coherent":
-        instrument = walks.coin_vertex_instrument(N)
-    elif inst_kind == "rank2_position":
-        instrument = walks.position_instrument(N)
-    elif inst_kind == "explicit_kraus":
-        kraus = _checked(_require(inst_spec, "kraus", "instrument"), "instrument.kraus", list)
-        ops = [_parse_matrix(k, f"instrument.kraus[{i}]") for i, k in enumerate(kraus)]
-        labels = _checked(inst_spec.get("labels", []), "instrument.labels", list)
-        instrument = general_instrument(ops, labels=labels)
-    else:
-        raise ConfigError(
-            "field 'instrument.kind' must be 'coherent', 'rank2_position' or "
-            f"'explicit_kraus', got {inst_kind!r}")
-    if instrument.dim != walk.dim:
-        raise ConfigError(
-            f"instrument dimension {instrument.dim} does not match walk dimension {walk.dim}")
-
-    state_spec = _checked(_require(raw, "state", "config"), "state", dict)
-    state_kind = _require(state_spec, "kind", "state")
-    if state_kind == "maximally_mixed":
-        state = maximally_mixed(walk.dim)
-    elif state_kind == "eigenstate":
-        state = walks.hadamard_eigenstate(N)
-    elif state_kind == "explicit":
-        state = DensityState(_parse_matrix(_require(state_spec, "matrix", "state"),
-                                           "state.matrix"))
-    else:
-        raise ConfigError(
-            "field 'state.kind' must be 'maximally_mixed', 'eigenstate' or 'explicit', "
-            f"got {state_kind!r}")
-    if state.dim != walk.dim:
-        raise ConfigError(
-            f"state dimension {state.dim} does not match walk dimension {walk.dim}")
-
-    part_spec = _checked(_require(raw, "partition", "config"), "partition", dict)
-    part_kind = _require(part_spec, "kind", "partition")
-    if part_kind == "atomic":
-        partition = Partition.atomic(instrument.n_outcomes, labels=instrument.outcome_labels)
-    elif part_kind == "vertex_blocks":
-        if instrument.n_outcomes != 2 * N:
-            raise ConfigError(
-                "'partition.kind' vertex_blocks needs a coin-vertex instrument "
-                f"with {2 * N} outcomes, got {instrument.n_outcomes}")
-        partition = walks.vertex_partition(N)
-    elif part_kind == "explicit":
-        blocks = _checked(_require(part_spec, "blocks", "partition"), "partition.blocks", list)
-        blocks = [[_checked(x, f"partition.blocks[{i}]", int) for x in
-                   _checked(b, f"partition.blocks[{i}]", list)] for i, b in enumerate(blocks)]
-        labels = _checked(part_spec.get("labels", []), "partition.labels", list) or None
-        partition = Partition(blocks, labels=labels, size=instrument.n_outcomes)
-    else:
-        raise ConfigError(
-            "field 'partition.kind' must be 'atomic', 'vertex_blocks' or 'explicit', "
-            f"got {part_kind!r}")
-    if partition.size != instrument.n_outcomes:
-        raise ConfigError(
-            f"partition covers {partition.size} outcomes, instrument has "
-            f"{instrument.n_outcomes}")
-
-    run_spec = _checked(raw.get("run", {}), "run", dict)
-    known = {f.name for f in fields(sz.RunOptions)}
-    for key in run_spec:
-        if key not in known:
-            raise ConfigError(f"unknown field 'run.{key}'")
+    walk = _section(raw, "walk")
+    power = _field(raw, "power", int, 1, default=1)
+    instrument = _section(raw, "instrument", walk)
+    state = _section(raw, "state", walk)
+    partition = _section(raw, "partition", walk, instrument)
+    run_spec = _field(raw, "run", dict, default={})
+    unknown = [key for key in run_spec if key not in {f.name for f in fields(sz.RunOptions)}]
+    require(not unknown, lambda: f"unknown field 'run.{unknown[0]}'", ConfigError)
     try:
         options = sz.RunOptions(**run_spec)
     except ValidationError as exc:
         raise ConfigError(f"field 'run': {exc}") from exc
-
     return ExperimentConfig(walk=walk, power=power, instrument=instrument, state=state,
                             partition=partition, options=options, raw=raw)
 
@@ -261,6 +248,11 @@ def write_outputs(record: RunRecord, stem: str, out_dir: Path) -> None:
     record.summary_path = summary_path
 
 
+def _solve(config: ExperimentConfig) -> sz.EntropyReport:
+    return sz.dynamical_entropy(config.step_unitary, config.instrument, config.state,
+                                config.partition, config.options)
+
+
 def run_config(path: str | Path, out_dir: str | Path | None = None,
                strict: bool | None = None) -> RunRecord:
     """Execute a config file and write its per-depth CSV and summary JSON."""
@@ -269,15 +261,26 @@ def run_config(path: str | Path, out_dir: str | Path | None = None,
     if strict is not None:
         config.options = replace(config.options, strict=strict)
     started = time.perf_counter()
-    report = sz.dynamical_entropy(config.step_unitary, config.instrument, config.state,
-                                  config.partition, config.options)
+    report = _solve(config)
     duration = time.perf_counter() - started
     record = RunRecord(config=config.raw, report=report, duration_s=duration)
     write_outputs(record, path.stem, Path(out_dir) if out_dir is not None else path.parent)
     return record
 
 
-# Closed-form reference rows: (name, builder, expected, tolerance).
+def _units(bits: bool) -> tuple[float, str]:
+    """The display scale and unit of an entropy computed in nats."""
+    return (1.0 / LN2, "bits") if bits else (1.0, "nats")
+
+
+# Closed-form reference rows: (name, builder, expected, tolerance). The quantum rows are
+# Hadamard N=5 experiments built from these configs, the way `szwalk run` builds them.
+RANK2 = {"walk": {"kind": "hadamard", "N": 5}, "instrument": {"kind": "rank2_position"},
+         "state": {"kind": "maximally_mixed"}, "partition": {"kind": "atomic"},
+         "run": {"n_max": 25}}
+COHERENT = {**RANK2, "instrument": {"kind": "coherent"}, "partition": {"kind": "vertex_blocks"},
+            "run": {"n_max": 12}}
+
 
 def _row_cycle_entropy(power: int) -> float:
     P = classical.matrix_power(classical.cycle_walk(5), power)
@@ -285,42 +288,30 @@ def _row_cycle_entropy(power: int) -> float:
 
 
 def _row_cs_eigenstate() -> float:
-    walk = walks.hadamard_walk(5)
-    reduction = sz.markov_reduction(walk.unitary, walks.coin_vertex_instrument(5),
-                                    walks.hadamard_eigenstate(5))
+    config = parse_config({**COHERENT, "state": {"kind": "eigenstate"}})
+    reduction = sz.markov_reduction(config.step_unitary, config.instrument, config.state)
     rep = classical.entropy_rate(reduction.transition_matrix, reduction.initial_distribution,
                                  n_max=5, tol=1e-9)
-    if not rep.converged:
-        raise NumericError("coherent-state entropy rate did not converge by depth 5")
+    require(rep.converged, "coherent-state entropy rate did not converge by depth 5",
+            NumericError)
     return rep.converged_value
 
 
-def _row_sz(power: int, instrument_kind: str) -> float:
-    walk = walks.hadamard_walk(5)
-    u = walks.unitary_power(walk, power)
-    if instrument_kind == "coherent":
-        instrument = walks.coin_vertex_instrument(5)
-        partition = walks.vertex_partition(5)
-        opts = sz.RunOptions(n_max=12)
-    else:
-        instrument = walks.position_instrument(5)
-        partition = Partition.atomic(5, labels=instrument.outcome_labels)
-        opts = sz.RunOptions(n_max=25)
-    report = sz.dynamical_entropy(u, instrument, maximally_mixed(10), partition, opts)
-    if report.dynamical_entropy is None:
-        raise NumericError("SZ run did not converge")
-    return report.dynamical_entropy
+def _row_sz(raw: dict, power: int) -> float:
+    value = _solve(parse_config({**raw, "power": power})).dynamical_entropy
+    require(value is not None, "SZ run did not converge", NumericError)
+    return value
 
 
 REFERENCE_ROWS = (
     ("H(P) cycle N=5", lambda: _row_cycle_entropy(1), LN2, 1e-12),
     ("H(P^2) cycle N=5", lambda: _row_cycle_entropy(2), 1.5 * LN2, 1e-12),
     ("CS eigenstate rate N=5", _row_cs_eigenstate, LN2, 1e-9),
-    ("SZ dyn U^2 coherent C_V", lambda: _row_sz(2, "coherent"), 1.5 * LN2, 1e-9),
-    ("SZ dyn U rank-2 atomic", lambda: _row_sz(1, "rank2"), LN2, 1e-12),
-    ("SZ dyn U^2 rank-2 atomic", lambda: _row_sz(2, "rank2"), 4.0 / 3.0 * LN2, 1e-12),
+    ("SZ dyn U^2 coherent C_V", lambda: _row_sz(COHERENT, 2), 1.5 * LN2, 1e-9),
+    ("SZ dyn U rank-2 atomic", lambda: _row_sz(RANK2, 1), LN2, 1e-12),
+    ("SZ dyn U^2 rank-2 atomic", lambda: _row_sz(RANK2, 2), 4.0 / 3.0 * LN2, 1e-12),
     # The paper's claim: measured every m steps, the entropy is not m times h(U).
-    ("h(U^2) - 2 h(U) rank-2", lambda: _row_sz(2, "rank2") - 2.0 * _row_sz(1, "rank2"),
+    ("h(U^2) - 2 h(U) rank-2", lambda: _row_sz(RANK2, 2) - 2.0 * _row_sz(RANK2, 1),
      -2.0 / 3.0 * LN2, 1e-12),
 )
 
@@ -328,8 +319,7 @@ REFERENCE_ROWS = (
 def paper_check(bits: bool = False, stream=None) -> int:
     """Check the built-in closed-form reference values; exit status 0 iff all pass."""
     stream = stream or sys.stdout
-    scale = 1.0 / LN2 if bits else 1.0
-    unit = "bits" if bits else "nats"
+    scale, unit = _units(bits)
     failures = 0
     print(f"{'row':<28} {'expected':>20} {'computed':>20} {'|error|':>12}  status",
           file=stream)
@@ -345,15 +335,12 @@ def paper_check(bits: bool = False, stream=None) -> int:
     return 0 if failures == 0 else 1
 
 
-def markov_cmd(N: int, power: int, start: str = "uniform", n_max: int = 30,
-               tol: float = 1e-9, bits: bool = False, stream=None) -> int:
+def markov_cmd(N: int, power: int, start: str = "uniform", bits: bool = False,
+               stream=None) -> int:
     """Print the cycle-walk entropy, stationary law, and rate convergence rows."""
     stream = stream or sys.stdout
-    if N < 3:
-        raise ValidationError(f"markov command needs N >= 3, got {N}")
     P = classical.matrix_power(classical.cycle_walk(N), power)
-    scale = 1.0 / LN2 if bits else 1.0
-    unit = "bits" if bits else "nats"
+    scale, unit = _units(bits)
     stationary = classical.stationary_distribution(P)
     kind, _, k = start.partition(":")
     require(start == "uniform" or (kind == "point" and k.isdecimal()),
@@ -363,7 +350,7 @@ def markov_cmd(N: int, power: int, start: str = "uniform", n_max: int = 30,
           file=stream)
     print("stationary distribution:", " ".join(_fmt(x) for x in stationary.entries),
           file=stream)
-    rep = classical.entropy_rate(P, mu0, n_max=n_max, tol=tol)
+    rep = classical.entropy_rate(P, mu0, n_max=30, tol=1e-9)
     print("n  a_n  cesaro", file=stream)
     for n, (a, c) in enumerate(zip(rep.direct_sequence, rep.cesaro_sequence)):
         print(f"{n} {_fmt(a * scale)} {_fmt(c * scale)}", file=stream)
@@ -374,8 +361,7 @@ def markov_cmd(N: int, power: int, start: str = "uniform", n_max: int = 30,
 
 
 def _display_summary(record: RunRecord, bits: bool, stream) -> None:
-    scale = 1.0 / LN2 if bits else 1.0
-    unit = "bits" if bits else "nats"
+    scale, unit = _units(bits)
     rep = record.report
     sz_val = rep.sz_entropy.converged_value
     meas_val = rep.measurement_entropy.converged_value
@@ -425,18 +411,12 @@ def main(argv=None) -> int:
             return 0
         if args.command == "paper-check":
             return paper_check(bits=args.bits)
-        if args.command == "markov":
-            return markov_cmd(args.n, args.power, args.start, bits=args.bits)
-        raise ValidationError(f"unknown command {args.command!r}")
-    except (ValidationError, UnsupportedConfigurationError) as exc:
+        return markov_cmd(args.n, args.power, args.start, bits=args.bits)
+    except SZWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (AccuracyError, NumericError, SZWalkError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, (ValidationError, UnsupportedConfigurationError)):
+            return 2
+        return 3 if isinstance(exc, ResourceLimitError) else 1
 
 
 if __name__ == "__main__":

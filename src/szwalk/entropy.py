@@ -56,14 +56,14 @@ class ProbVector:
 
     @classmethod
     def uniform(cls, n: int) -> "ProbVector":
-        if n < 1:
-            raise ValidationError(f"uniform distribution needs n >= 1, got {n}")
+        require(is_kind(n, numbers.Integral) and n >= 1,
+                f"uniform distribution needs an integer n >= 1, got {n!r}")
         return cls(np.full(n, 1.0 / n))
 
     @classmethod
     def point_mass(cls, index: int, n: int) -> "ProbVector":
-        if not 0 <= index < n:
-            raise ValidationError(f"point mass index {index} outside range({n})")
+        require(is_kind(index, numbers.Integral) and is_kind(n, numbers.Integral)
+                and 0 <= index < n, f"point mass index {index!r} outside range({n!r})")
         arr = np.zeros(n)
         arr[index] = 1.0
         return cls(arr)
@@ -126,8 +126,8 @@ class Partition:
 
     @classmethod
     def atomic(cls, n: int, labels: Sequence[str] | None = None) -> "Partition":
-        if n < 1:
-            raise ValidationError(f"atomic partition needs n >= 1, got {n}")
+        require(is_kind(n, numbers.Integral) and n >= 1,
+                f"atomic partition needs an integer n >= 1, got {n!r}")
         return cls([[i] for i in range(n)], labels=labels, size=n)
 
     def block_index_of(self, outcome: int) -> int:

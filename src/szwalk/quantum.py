@@ -9,6 +9,7 @@ instrument is built.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -17,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .entropy import ProbVector
-from .errors import ValidationError, require
+from .errors import ValidationError, is_kind, require
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -83,8 +84,8 @@ class DensityState:
 
 def maximally_mixed(dim: int) -> DensityState:
     """identity/dim: the maximally mixed state."""
-    if dim < 1:
-        raise ValidationError(f"dimension must be >= 1, got {dim}")
+    require(is_kind(dim, numbers.Integral) and dim >= 1,
+            f"dimension must be an integer >= 1, got {dim!r}")
     return DensityState(np.eye(dim, dtype=complex) / dim)
 
 

@@ -206,6 +206,11 @@ def cylinder_probability(walk_unitary: Operator | None, t: Instrument, rho: Dens
     if rho.dim != t.dim:
         raise ValidationError(
             f"state dimension {rho.dim} does not match instrument dimension {t.dim}")
+    for block in blocks:
+        require(len(block) > 0 and all(is_kind(i, numbers.Integral) and 0 <= i < t.n_outcomes
+                                       for i in block) and len(set(block)) == len(block),
+                lambda: f"outcome set {block!r} is not a non-empty set of distinct integer "
+                f"outcomes in range({t.n_outcomes})")
     u = None if walk_unitary is None else _check_unitary(walk_unitary, t.dim)
     op = apply_instrument(t, blocks[0], rho.matrix)
     for block in blocks[1:]:

@@ -8,12 +8,13 @@ mod N with nonnegative remainder.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import Partition
-from .errors import NumericError, ValidationError, require
+from .errors import NumericError, ValidationError, is_kind, require
 from .quantum import (DensityState, Instrument, Operator, as_operator, coherent_instrument,
                       identity_residual, lvn_instrument, pure_state)
 
@@ -78,8 +79,8 @@ def hadamard_coin() -> Operator:
 
 def integer_shift(N: int) -> ShiftPermutation:
     """Coin-preserving shift: (R,n) -> (R,n+1) and (L,n) -> (L,n-1), mod N."""
-    if N < 2:
-        raise ValidationError(f"integer shift needs N >= 2, got {N}")
+    require(is_kind(N, numbers.Integral) and N >= 2,
+            f"integer shift needs an integer N >= 2, got {N!r}")
     sigma = [0] * (2 * N)
     for v in range(N):
         sigma[basis_index(COIN_R, v, N)] = basis_index(COIN_R, (v + 1) % N, N)
@@ -135,15 +136,15 @@ def coined_walk(shift: ShiftPermutation, coins) -> CoinedWalk:
 
 def hadamard_walk(N: int) -> CoinedWalk:
     """The Hadamard walk on the N-cycle: integer shift with Hadamard coins."""
-    if N < 2:
-        raise ValidationError(f"Hadamard walk needs N >= 2, got {N}")
+    require(is_kind(N, numbers.Integral) and N >= 2,
+            f"Hadamard walk needs an integer N >= 2, got {N!r}")
     return coined_walk(integer_shift(N), (hadamard_coin(),) * N)
 
 
 def unitary_power(w: CoinedWalk, m: int) -> Operator:
     """U^m by repeated multiplication, with unitarity revalidated."""
-    if m < 1:
-        raise ValidationError(f"unitary power needs m >= 1, got {m}")
+    require(is_kind(m, numbers.Integral) and m >= 1,
+            f"unitary power needs an integer m >= 1, got {m!r}")
     U = w.unitary
     out = U.copy()
     for _ in range(m - 1):
@@ -176,22 +177,24 @@ def eigencheck(u: Operator, v) -> complex:
 
 # Measurement setups for a cycle walk, in the coin-major basis convention.
 
+def _check_vertex_count(N) -> None:
+    require(is_kind(N, numbers.Integral) and N >= 1, f"need an integer N >= 1, got {N!r}")
+
+
 def coin_vertex_labels(N: int) -> tuple[str, ...]:
     return tuple(basis_label(e, N) for e in range(2 * N))
 
 
 def coin_vertex_instrument(N: int) -> Instrument:
     """Coherent-states instrument over the computational basis |c,v>."""
-    if N < 1:
-        raise ValidationError(f"need N >= 1, got {N}")
+    _check_vertex_count(N)
     return coherent_instrument(list(np.eye(2 * N, dtype=complex)),
                                labels=coin_vertex_labels(N))
 
 
 def position_instrument(N: int) -> Instrument:
     """Rank-2 position instrument P_v = 1_C ⊗ |v><v| with one outcome per vertex."""
-    if N < 1:
-        raise ValidationError(f"need N >= 1, got {N}")
+    _check_vertex_count(N)
     projections = []
     for v in range(N):
         p = np.zeros((2 * N, 2 * N), dtype=complex)
@@ -203,16 +206,14 @@ def position_instrument(N: int) -> Instrument:
 
 def vertex_partition(N: int) -> Partition:
     """Partition of the coin-vertex outcomes grouping both coins per vertex."""
-    if N < 1:
-        raise ValidationError(f"need N >= 1, got {N}")
+    _check_vertex_count(N)
     blocks = [[basis_index(COIN_R, v, N), basis_index(COIN_L, v, N)] for v in range(N)]
     return Partition(blocks, labels=[f"v{v}" for v in range(N)], size=2 * N)
 
 
 def hadamard_eigenstate(N: int) -> DensityState:
     """Pure state from the walk eigenvector ((1+sqrt2)|R> + |L>) ⊗ sum_v |v>."""
-    if N < 1:
-        raise ValidationError(f"need N >= 1, got {N}")
+    _check_vertex_count(N)
     vec = np.zeros(2 * N, dtype=complex)
     for v in range(N):
         vec[basis_index(COIN_R, v, N)] = 1.0 + math.sqrt(2.0)

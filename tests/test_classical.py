@@ -7,7 +7,7 @@ import pytest
 
 from szwalk import (FiniteMap, NumericError, Partition, ProbVector, ResourceLimitError,
                     TransitionMatrix, ValidationError, classical, cycle_walk, entropy,
-                    entropy_rate, ks_estimate, markov_entropy, matrix_power,
+                    entropy_rate, eta, ks_estimate, markov_entropy, matrix_power,
                     process_joint_entropy, stationary_distribution)
 
 LN2 = math.log(2.0)
@@ -16,6 +16,21 @@ PERIOD_THREE = [[0.0, 0.0, 0.0, 1.0],
                 [0.3, 0.0, 0.0, 0.0],
                 [0.7, 0.0, 0.0, 0.0],
                 [0.0, 1.0, 1.0, 0.0]]
+
+
+def test_column_entropies_skip_zero_entries(monkeypatch):
+    """eta runs once per nonzero transition probability; a zero would add an exact +0.0."""
+    calls = []
+
+    def counting_eta(x):
+        calls.append(x)
+        return eta(x)
+
+    monkeypatch.setattr(classical, "eta", counting_eta)
+    P = matrix_power(cycle_walk(5), 2)  # three nonzero entries per column
+    assert markov_entropy(P, ProbVector.uniform(5)) == pytest.approx(1.5 * LN2, abs=1e-15)
+    assert len(calls) == np.count_nonzero(P.entries) == 15
+    assert min(calls) > 0
 
 
 class TestCycleWalk:

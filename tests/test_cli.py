@@ -28,7 +28,38 @@ def write_config(path, **overrides):
     return path
 
 
+KINDS = {"walk": "'hadamard' or 'explicit'",
+         "instrument": "'coherent', 'rank2_position' or 'explicit_kraus'",
+         "state": "'maximally_mixed', 'eigenstate' or 'explicit'",
+         "partition": "'atomic', 'vertex_blocks' or 'explicit'"}
+EYE6 = [[int(r == c) for c in range(6)] for r in range(6)]
+SECTION_ERRORS = [
+    *[case for section, kinds in KINDS.items() for case in [
+        ({section: {"kind": "bogus"}}, f"field '{section}.kind' must be {kinds}, got 'bogus'"),
+        ({section: {"kind": ["a"]}}, f"field '{section}.kind' must be {kinds}, got ['a']"),
+        ({section: None}, f"missing field 'config.{section}'"),
+        ({section: [1]}, f"field '{section}' must be an object"),
+        ({section: {"N": 5}}, f"missing field '{section}.kind'"),
+    ]],
+    ({"instrument": {"kind": "explicit_kraus", "kraus": [EYE6]}},
+     "instrument dimension 6 does not match walk dimension 10"),
+    ({"state": {"kind": "explicit", "matrix": [[1, 0], [0, 0]]}},
+     "state dimension 2 does not match walk dimension 10"),
+]
+
+
 class TestConfigParsing:
+    @pytest.mark.parametrize("override, message", SECTION_ERRORS)
+    def test_section_error_message(self, tmp_path, capsys, override, message):
+        """Every section reports a bad kind, a missing or non-object section and a missing kind
+        in the same words; None removes the section."""
+        config = json.loads(write_config(tmp_path / "base.json").read_text())
+        config.update(override)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_walk_n(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"walk": {"kind": "hadamard"},
@@ -259,8 +290,9 @@ class TestMarkovCommand:
         assert main(["markov", "--n", "4", "--start", start]) == 2
         assert "--start" in capsys.readouterr().err
 
-    def test_too_small_cycle(self):
+    def test_too_small_cycle(self, capsys):
         assert main(["markov", "--n", "2"]) == 2
+        assert capsys.readouterr().err == "error: cycle walk needs an integer N >= 3, got 2\n"
 
     def test_power_zero_rejected(self):
         assert main(["markov", "--n", "5", "--power", "0"]) == 2
@@ -272,6 +304,15 @@ class TestPaperCheck:
         out = capsys.readouterr().out
         assert out.count(" ok") >= 7
         assert "7/7 rows ok" in out
+
+    @pytest.mark.parametrize("raw, power", [(cli.RANK2, 1), (cli.RANK2, 2), (cli.COHERENT, 2)])
+    def test_engine_rows_match_run_config(self, tmp_path, raw, power):
+        """A paper-check engine row is `szwalk run` on its config, to the last bit."""
+        cfg = tmp_path / "row.json"
+        cfg.write_text(json.dumps({**raw, "power": power}))
+        record = run_config(cfg, out_dir=tmp_path)
+        assert record.config == {**raw, "power": power}
+        assert record.report.dynamical_entropy == cli._row_sz(raw, power)
 
     def test_reference_rows_cover_both_instruments(self):
         names = [name for name, *_ in cli.REFERENCE_ROWS]

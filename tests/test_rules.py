@@ -35,6 +35,22 @@ def _fail_open_checks(tree: ast.AST) -> list[int]:
     return lines
 
 
+def _untyped_count_checks(tree: ast.AST) -> list[int]:
+    """Lines of `if <name> <ordering> <int literal>: raise`: a count check without the number
+    rule, which lets a bool pass as 0 or 1 and a float or NaN through to a later TypeError."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.If) or not any(isinstance(s, ast.Raise) for s in node.body):
+            continue
+        tests = node.test.values if isinstance(node.test, ast.BoolOp) else [node.test]
+        if any(isinstance(t, ast.Compare) and isinstance(t.left, ast.Name)
+               and any(isinstance(op, ORDERINGS) for op in t.ops)
+               and any(isinstance(c, ast.Constant) and type(c.value) is int
+                       for c in t.comparators) for t in tests):
+            lines.append(node.lineno)
+    return lines
+
+
 def _iteration_caps(tree: ast.AST) -> list[int]:
     """Lines of `for ... in range(...)` bounded by a `max_iter`-style name: an iteration cap."""
     lines = []
@@ -66,6 +82,28 @@ def test_guard_flags_the_fail_open_forms():
            "if res > TOL:\n    x = 1\n"
            "if n < 1:\n    raise E()\n")
     assert _fail_open_checks(ast.parse(src)) == [1, 3, 5, 7]
+
+
+def test_count_checks_follow_the_number_rule():
+    """A count is checked as `require(is_kind(n, numbers.Integral) and n >= 1, ...)`."""
+    found = {path.name: _untyped_count_checks(ast.parse(path.read_text()))
+             for path in sorted(SOURCE.glob("*.py"))}
+    assert "walks.py" in found
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_guard_flags_the_untyped_count_checks():
+    src = ("if N < 2:\n    raise E()\n"
+           "if not x >= 0:\n    raise E()\n"  # eta's NaN-safe check
+           "if m <= 0 or flag:\n    raise E()\n"
+           "if n < 1:\n    x = 1\n"
+           "if res > 1.5:\n    raise E()\n"
+           "if dim >= 1:\n    pass\nelse:\n    raise E()\n"
+           "if len(x) < 2:\n    raise E()\n"
+           "if 3 > k:\n    raise E()\n"
+           "if a.size < 1:\n    raise E()\n"
+           "if n > True:\n    raise E()\n")
+    assert _untyped_count_checks(ast.parse(src)) == [1, 5]
 
 
 def test_no_iteration_caps():

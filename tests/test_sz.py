@@ -72,6 +72,21 @@ class TestCylinderProbability:
         with pytest.raises(ValidationError):
             cylinder_probability(None, t, maximally_mixed(6), [])
 
+    @pytest.mark.parametrize("blocks", [[[0.7]], [[0, 0]], [[0], []], [[True]], [[3]],
+                                        [[-1]], [[0], [np.float64(1.0)]]])
+    def test_malformed_outcome_sets_rejected(self, blocks):
+        # Each block is a non-empty set of distinct integer outcomes in range(3): [[0.7]] was
+        # read as outcome 0, and [[0, 0]] counted outcome 0 twice (2/3 instead of 1/3).
+        t = position_instrument(3)
+        with pytest.raises(ValidationError, match="outcome set"):
+            cylinder_probability(hadamard_walk(3).unitary, t, maximally_mixed(6), blocks)
+
+    def test_numpy_integer_outcomes_accepted(self):
+        t = position_instrument(3)
+        got = cylinder_probability(None, t, maximally_mixed(6), [np.array([0]), (np.int64(1),)])
+        assert got == 0.0
+        assert cylinder_probability(None, t, maximally_mixed(6), [[0]]) == pytest.approx(1 / 3)
+
 
 def _cs_transition_matrix(u, N):
     """|<a_i|U|a_j>|^2 over the coin-vertex basis, through `markov_reduction`."""

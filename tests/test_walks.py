@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from szwalk import (NumericError, ShiftPermutation, ValidationError, coined_walk, eigencheck,
-                    hadamard_coin, hadamard_walk, integer_shift, unitary_power)
-from szwalk.walks import basis_index, coin_vertex_labels, hadamard_eigenstate, vertex_partition
+from szwalk import (NumericError, Partition, ProbVector, ShiftPermutation, ValidationError,
+                    coined_walk, eigencheck, hadamard_coin, hadamard_walk, integer_shift,
+                    maximally_mixed, unitary_power)
+from szwalk.walks import (basis_index, coin_vertex_instrument, coin_vertex_labels,
+                          hadamard_eigenstate, position_instrument, vertex_partition)
 
 from helpers import random_unitary
 
@@ -206,3 +208,28 @@ class TestWalkProperties:
         for m in (1, 2, 3, 4):
             probs = np.abs(unitary_power(walk, m)) ** 2
             assert np.allclose(probs.sum(axis=0), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("build, count", [
+    (integer_shift, True), (integer_shift, 3.0), (integer_shift, float("nan")),
+    (hadamard_walk, 2.5), (hadamard_walk, True), (hadamard_walk, "5"),
+    (lambda m: unitary_power(hadamard_walk(3), m), True),
+    (lambda m: unitary_power(hadamard_walk(3), m), 2.0),
+    (coin_vertex_instrument, True), (coin_vertex_instrument, 2.5),
+    (position_instrument, float("nan")), (position_instrument, 0),
+    (vertex_partition, 3.0), (hadamard_eigenstate, True), (maximally_mixed, 4.0),
+    (ProbVector.uniform, True), (ProbVector.uniform, float("nan")),
+    (lambda i: ProbVector.point_mass(i, 2), True), (lambda n: ProbVector.point_mass(0, n), 2.0),
+    (Partition.atomic, True), (Partition.atomic, 1.5),
+])
+def test_counts_follow_the_number_rule(build, count):
+    """A count is an integer (numpy integers too) in range: a bool, float, NaN or str raises
+    ValidationError instead of passing as 1, ending in a TypeError, or being truncated."""
+    with pytest.raises(ValidationError, match="integer|outside range"):
+        build(count)
+
+
+def test_numpy_integer_counts_accepted():
+    assert hadamard_walk(np.int64(3)).dim == 6
+    assert unitary_power(hadamard_walk(3), np.int32(2)).shape == (6, 6)
+    assert ProbVector.point_mass(np.int64(1), np.int64(2)).entries.tolist() == [0.0, 1.0]

@@ -29,6 +29,9 @@ from .errors import (NumericError, ResourceLimitError, SZWalkError,
 from .quantum import DensityState, Instrument, general_instrument, maximally_mixed
 
 LN2 = math.log(2.0)
+# Dimension budget, checked before a walk is built: the built-in instruments hold N or 2N
+# dense dim×dim operators, so at this size one instrument already takes 256 MiB.
+MAX_DIM = 256
 JSON_NUMBER = (int, float)  # what `json` parses numbers to; checked with `is_kind`, so no bools
 _MISSING = object()
 
@@ -99,13 +102,26 @@ class ExperimentConfig:
         return walks.unitary_power(self.walk, self.power)
 
 
+def _within_budget(dim: int, path: str) -> None:
+    require(dim <= MAX_DIM, lambda: f"field '{path}' gives a walk of dimension {dim}, over "
+            f"the dimension budget of {MAX_DIM}", ConfigError)
+
+
+def _hadamard_walk(spec: dict, *_) -> walks.CoinedWalk:
+    N = _field(spec, "walk.N", int, 2)
+    _within_budget(2 * N, "walk.N")
+    return walks.hadamard_walk(N)
+
+
 def _explicit_walk(spec: dict, *_) -> walks.CoinedWalk:
+    coin_count = _field(spec, "walk.coin_count", int, 1, default=2)
+    vertices = _field(spec, "walk.vertices", int, 1)
+    _within_budget(coin_count * vertices, "walk.vertices")
     sigma = _field(spec, "walk.sigma", list)
     coins = _field(spec, "walk.coins", list)
     shift = walks.ShiftPermutation(
         tuple(_field(s, f"walk.sigma[{i}]", int) for i, s in enumerate(sigma)),
-        coin_count=_field(spec, "walk.coin_count", int, 1, default=2),
-        vertex_count=_field(spec, "walk.vertices", int, 1))
+        coin_count=coin_count, vertex_count=vertices)
     return walks.coined_walk(shift, [_parse_matrix(c, f"walk.coins[{i}]")
                                      for i, c in enumerate(coins)])
 
@@ -128,8 +144,7 @@ def _explicit_partition(spec: dict, walk: walks.CoinedWalk, t: Instrument) -> Pa
 # Each section's kinds, in the order its error message names them: kind -> builder(spec, walk,
 # instrument), given the sections built before it.
 SECTION_KINDS = {
-    "walk": {"hadamard": lambda spec, *_: walks.hadamard_walk(_field(spec, "walk.N", int, 2)),
-             "explicit": _explicit_walk},
+    "walk": {"hadamard": _hadamard_walk, "explicit": _explicit_walk},
     "instrument": {
         "coherent": lambda spec, walk, _: walks.coin_vertex_instrument(walk.vertex_count),
         "rank2_position": lambda spec, walk, _: walks.position_instrument(walk.vertex_count),
@@ -273,7 +288,8 @@ def _units(bits: bool) -> tuple[float, str]:
     return (1.0 / LN2, "bits") if bits else (1.0, "nats")
 
 
-# Closed-form reference rows: (name, builder, expected, tolerance). The quantum rows are
+# Closed-form reference rows: (name, compute, expected, tolerance). `compute` gets the values
+# of the rows above it, so each (config, power) is solved once. The quantum rows are
 # Hadamard N=5 experiments built from these configs, the way `szwalk run` builds them.
 RANK2 = {"walk": {"kind": "hadamard", "N": 5}, "instrument": {"kind": "rank2_position"},
          "state": {"kind": "maximally_mixed"}, "partition": {"kind": "atomic"},
@@ -304,14 +320,15 @@ def _row_sz(raw: dict, power: int) -> float:
 
 
 REFERENCE_ROWS = (
-    ("H(P) cycle N=5", lambda: _row_cycle_entropy(1), LN2, 1e-12),
-    ("H(P^2) cycle N=5", lambda: _row_cycle_entropy(2), 1.5 * LN2, 1e-12),
-    ("CS eigenstate rate N=5", _row_cs_eigenstate, LN2, 1e-9),
-    ("SZ dyn U^2 coherent C_V", lambda: _row_sz(COHERENT, 2), 1.5 * LN2, 1e-9),
-    ("SZ dyn U rank-2 atomic", lambda: _row_sz(RANK2, 1), LN2, 1e-12),
-    ("SZ dyn U^2 rank-2 atomic", lambda: _row_sz(RANK2, 2), 4.0 / 3.0 * LN2, 1e-12),
+    ("H(P) cycle N=5", lambda rows: _row_cycle_entropy(1), LN2, 1e-12),
+    ("H(P^2) cycle N=5", lambda rows: _row_cycle_entropy(2), 1.5 * LN2, 1e-12),
+    ("CS eigenstate rate N=5", lambda rows: _row_cs_eigenstate(), LN2, 1e-9),
+    ("SZ dyn U^2 coherent C_V", lambda rows: _row_sz(COHERENT, 2), 1.5 * LN2, 1e-9),
+    ("SZ dyn U rank-2 atomic", lambda rows: _row_sz(RANK2, 1), LN2, 1e-12),
+    ("SZ dyn U^2 rank-2 atomic", lambda rows: _row_sz(RANK2, 2), 4.0 / 3.0 * LN2, 1e-12),
     # The paper's claim: measured every m steps, the entropy is not m times h(U).
-    ("h(U^2) - 2 h(U) rank-2", lambda: _row_sz(RANK2, 2) - 2.0 * _row_sz(RANK2, 1),
+    ("h(U^2) - 2 h(U) rank-2",
+     lambda rows: rows["SZ dyn U^2 rank-2 atomic"] - 2.0 * rows["SZ dyn U rank-2 atomic"],
      -2.0 / 3.0 * LN2, 1e-12),
 )
 
@@ -323,8 +340,9 @@ def paper_check(bits: bool = False, stream=None) -> int:
     failures = 0
     print(f"{'row':<28} {'expected':>20} {'computed':>20} {'|error|':>12}  status",
           file=stream)
+    rows = {}
     for name, compute, expected, tol in REFERENCE_ROWS:
-        computed = compute()
+        computed = rows[name] = compute(rows)
         err = abs(computed - expected)
         ok = err < tol
         failures += 0 if ok else 1

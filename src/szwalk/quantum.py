@@ -211,20 +211,29 @@ def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> O
     """Unnormalized post-measurement operator sum_{i in E} B_i rho B_i†.
 
     Each B_i acts on its support S_i only: out[S,S] += B_S rho[S,S] B_S†. The terms left
-    out are products with exact zeros. rho is checked for shape only, not re-scanned for
-    non-finite entries: it comes from a validated state or the engine's own products.
+    out are products with exact zeros. A single outcome whose support is the whole space
+    returns its product B rho B† itself. The products are `ndarray.dot`: the same BLAS
+    calls as `@`, without its per-call ufunc dispatch. rho is checked for shape only, not
+    re-scanned for non-finite entries: it comes from a validated state or the engine's own
+    products.
     """
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape != (t.dim, t.dim):
+    if rho.shape != (t.dim, t.dim):
         raise ValidationError(
             f"state of shape {rho.shape} does not match instrument dimension {t.dim}")
-    out = np.zeros(rho.shape, dtype=complex)
+    supports = t.supports
+    terms = []
     for i in outcomes:
         i = int(i)
-        if not 0 <= i < t.n_outcomes:
-            raise ValidationError(f"outcome index {i} outside range({t.n_outcomes})")
-        idx, b, bh = t.supports[i]
-        out[idx] += b @ rho[idx] @ bh
+        if not 0 <= i < len(supports):
+            raise ValidationError(f"outcome index {i} outside range({len(supports)})")
+        terms.append(supports[i])
+    if len(terms) == 1 and isinstance(terms[0][0][0], slice):  # one outcome, whole space
+        _, b, bh = terms[0]
+        return b.dot(rho).dot(bh)
+    out = np.zeros(rho.shape, dtype=complex)
+    for idx, b, bh in terms:
+        out[idx] += b.dot(rho[idx]).dot(bh)
     return out
 
 

@@ -22,6 +22,16 @@ Three exact reductions keep the tree small or end it:
   and the limit of a_n (in the Cesàro sense, which covers periodic
   chains) is π Π h with Π the eigenvalue-1 projector of M. The run stops
   there with that limit.
+
+A depth takes its live parents in chunks whose operators in flight stay near
+`CHUNK_BYTES`. A chunk is stacked and evolved by one U·stack·U† (bitwise the
+product of each matrix alone). The kernel `apply_instrument` still runs once per
+(parent, block): that call is the unit a test swaps for its dense oracle and a
+profile counts, so batching it would change what they check. The children's
+weights come from their stacked diagonals and their merge keys from one vector
+pass per support size. The bookkeeping then runs child by child in (parent,
+block) order, so every sum (a_n, h, pruned mass, merged operators and weights)
+adds in the same order as when each child is made and booked alone.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ NORMALIZATION_TOL = 1e-8
 PRUNED_MASS_LIMIT = 1e-6
 RANK1_TOL = 1e-8
 LIFT_MAX_STATES = 1000  # closure is tracked only while at most this many branches are live
+CHUNK_BYTES = 256 * 1024  # bound on the operators in flight per chunk of parents
 
 
 @dataclass(frozen=True)
@@ -103,7 +114,7 @@ class RunStats:
         return RunStats(False, 0, previous_block)
 
 
-@dataclass
+@dataclass(slots=True)
 class TrajectoryBranch:
     """One live node of the trajectory tree (the root has no block yet)."""
 
@@ -220,9 +231,55 @@ def cylinder_probability(walk_unitary: Operator | None, t: Instrument, rho: Dens
     return float(np.real(np.trace(op)))
 
 
-def _fingerprint(op: np.ndarray, weight: float, merge_tol: float) -> bytes:
-    # Interleaved (re, im) pairs: two ops share a key iff their real and imaginary parts do.
-    return np.round((op / weight).view(np.float64) / merge_tol).astype(np.int64).tobytes()
+def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[tuple],
+             evolved: Sequence[np.ndarray], group: int, opts: RunOptions) -> list[tuple]:
+    """(child, weight, merge key) of every (parent, block) of a chunk, in that order.
+
+    Each child is one `apply_instrument` call on its evolved parent. Its weight is its trace
+    clipped at 0, summed from the stacked diagonals of `group` children at a time as `trace`
+    sums each one. A child at or below `prune_eps` is dropped there (child and key None), so
+    at most `group` children are in flight; the kept ones get their keys from `_merge_keys`.
+    """
+    calls = [(op, bi) for op in evolved for bi in range(len(blocks))]
+    measured = []
+    for first in range(0, len(calls), group):
+        children = [apply_instrument(t, blocks[bi], op) for op, bi in calls[first:first + group]]
+        weights = np.maximum(np.array([c.diagonal() for c in children]).sum(axis=1).real, 0.0)
+        measured += [(c if w > opts.prune_eps else None, w)
+                     for c, w in zip(children, weights.tolist())]
+    keys = (_merge_keys(measured, [supports[bi] for _, bi in calls], opts.merge_tol)
+            if opts.merge else [None] * len(calls))
+    return [(c, w, key) for (c, w), key in zip(measured, keys)]
+
+
+def _merge_keys(measured: list[tuple], supports: list[tuple], merge_tol: float) -> list:
+    """The merge key of each kept child of `measured`, None for a pruned one.
+
+    The key holds the entries on the child's block support (`supports`, one per child) over
+    its weight, in units of `merge_tol` and rounded, as interleaved (re, im) pairs: two
+    children share a key iff their real and imaginary parts do. One pass per support size
+    over the stacked entries does the same float operations as on each child alone.
+    """
+    keys = [None] * len(measured)
+    buckets: dict[tuple, list[tuple[int, np.ndarray, float]]] = {}  # by support shape
+    for i, ((child, w), support) in enumerate(zip(measured, supports)):
+        if child is not None:
+            entries = child[support]
+            bucket = buckets.get(entries.shape)
+            if bucket is None:
+                bucket = buckets[entries.shape] = []
+            bucket.append((i, entries, w))
+    for bucket in buckets.values():
+        index, stacked, weights = zip(*bucket)
+        scaled = (np.array(stacked) / np.array(weights)[:, None, None]).view(np.float64)
+        scaled /= merge_tol
+        np.rint(scaled, out=scaled)
+        row = scaled[0].size
+        # Each child's entries viewed as one opaque item: `tolist` gives its bytes.
+        rows = scaled.astype(np.int64).reshape(-1, row).view(np.dtype((np.void, 8 * row)))
+        for i, key in zip(index, rows.ravel().tolist()):
+            keys[i] = key
+    return keys
 
 
 def _belief_lift(moves: list[tuple[int, int, float]], entropies: list[float],
@@ -279,6 +336,11 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
     # Depth 0 measures rho itself: the root is the one parent that is not evolved.
     branches = [TrajectoryBranch(last_block=None, weight=1.0, conditional_op=rho.matrix,
                                  stats=RunStats(True, 0, None) if opts.classify else None)]
+    blocks = partition.blocks
+    # Children are weighed `group` at a time, and a chunk's parents with their evolved
+    # copies take about as much room: both stay near CHUNK_BYTES.
+    group = max(1, CHUNK_BYTES // (np.dtype(complex).itemsize * t.dim * t.dim))
+    chunk_size = max(1, group // (2 + len(blocks)))
     pruned_mass = 0.0
     a_seq: list[float] = []
     records: list[DepthRecord] = []
@@ -293,42 +355,49 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
         merged = 0
         a_n = 0.0
         moves, entropies = ([], []) if index is not None else (None, None)
-        for s, parent in enumerate(branches):
-            evolved = (parent.conditional_op if u is None or depth == 0
-                       else u @ parent.conditional_op @ udag)
-            h = 0.0
-            for bi, block in enumerate(partition.blocks):
-                op = apply_instrument(t, block, evolved)
-                w = max(float(op.trace().real), 0.0)
-                ratio = min(w / parent.weight, 1.0)
-                e = eta(ratio)
-                a_n += parent.weight * e
-                h += e
-                if not w > opts.prune_eps:
-                    pruned_mass += w
-                    continue
-                stats = (parent.stats.extend(bi == parent.last_block, parent.last_block)
-                         if opts.classify else None)
-                key = ((bi, _fingerprint(op[supports[bi]], w, opts.merge_tol), stats)
-                       if opts.merge else len(live))
-                if index is not None:
-                    target = index.get(key)
-                    if target is None:  # not closed: release the keys and the moves
-                        index = moves = entropies = None
+        start = 0
+        while start < len(branches):
+            # A parent adds at most one new key per block, so a chunk passes the budget by
+            # at most one parent's children.
+            size = min(chunk_size, (opts.branch_budget - len(live)) // len(blocks) + 1)
+            chunk = branches[start:start + size]
+            branches[start:start + size] = [None] * len(chunk)  # a spent parent is freed
+            ops = [parent.conditional_op for parent in chunk]
+            evolved = ops if u is None or depth == 0 else u @ np.stack(ops) @ udag
+            measured = iter(_measure(t, blocks, supports, evolved, group, opts))
+            for s, parent in enumerate(chunk, start):
+                h = 0.0
+                # zip stops at the end of range: each parent takes its own len(blocks) children.
+                for bi, (op, w, fingerprint) in zip(range(len(blocks)), measured):
+                    ratio = min(w / parent.weight, 1.0)
+                    e = eta(ratio)
+                    a_n += parent.weight * e
+                    h += e
+                    if op is None:  # pruned
+                        pruned_mass += w
+                        continue
+                    stats = (parent.stats.extend(bi == parent.last_block, parent.last_block)
+                             if opts.classify else None)
+                    key = (bi, fingerprint, stats) if opts.merge else len(live)
+                    if index is not None:
+                        target = index.get(key)
+                        if target is None:  # not closed: release the keys and the moves
+                            index = moves = entropies = None
+                        else:
+                            moves.append((s, target, ratio))
+                    kept = live.get(key)
+                    if kept is None:
+                        live[key] = TrajectoryBranch(bi, w, op, stats)
+                        if len(live) > opts.branch_budget:
+                            raise ResourceLimitError(f"live branch count {len(live)} exceeds "
+                                                     f"the budget of {opts.branch_budget}")
                     else:
-                        moves.append((s, target, ratio))
-                kept = live.get(key)
-                if kept is None:
-                    live[key] = TrajectoryBranch(bi, w, op, stats)
-                    if len(live) > opts.branch_budget:
-                        raise ResourceLimitError(f"live branch count {len(live)} exceeds "
-                                                 f"the budget of {opts.branch_budget}")
-                else:
-                    kept.weight += w
-                    kept.conditional_op = kept.conditional_op + op
-                    merged += 1
-            if entropies is not None:
-                entropies.append(h)
+                        kept.weight += w
+                        kept.conditional_op = kept.conditional_op + op
+                        merged += 1
+                if entropies is not None:
+                    entropies.append(h)
+            start += size
         branches = list(live.values())
         a_seq.append(max(a_n, 0.0))
         total = sum(b.weight for b in branches) + pruned_mass

@@ -69,6 +69,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="walk.N"):
             load_config(cfg)
 
+    @pytest.mark.parametrize("walk, field", [
+        ({"kind": "hadamard", "N": 10 ** 30}, "walk.N"),
+        ({"kind": "hadamard", "N": cli.MAX_DIM // 2 + 1}, "walk.N"),
+        ({"kind": "explicit", "vertices": 10 ** 30, "sigma": [], "coins": []}, "walk.vertices"),
+        ({"kind": "explicit", "vertices": cli.MAX_DIM, "coin_count": 2, "sigma": [],
+          "coins": []}, "walk.vertices"),
+    ])
+    def test_walk_over_the_dimension_budget_exits_2(self, tmp_path, capsys, walk, field):
+        cfg = write_config(tmp_path / "huge.json", walk=walk)
+        assert main(["run", str(cfg)]) == 2
+        assert f"field '{field}' gives a walk of dimension" in capsys.readouterr().err
+
+    def test_walk_at_the_dimension_budget_is_accepted(self):
+        walk = cli._section({"walk": {"kind": "hadamard", "N": cli.MAX_DIM // 2}}, "walk")
+        assert walk.dim == cli.MAX_DIM
+
     def test_invalid_json_names_line(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{\n  \"walk\": ,\n}")
@@ -215,7 +231,7 @@ class TestRunCommand:
         assert sa == sb
 
     @pytest.mark.parametrize("stem", ["rank2_u2_classify", "rank2_u2_unmerged",
-                                      "coherent_depth0", "explicit_kraus"])
+                                      "coherent_depth0", "explicit_kraus", "kraus_chunks"])
     def test_outputs_match_golden_files(self, tmp_path, stem):
         run_config(GOLDEN / f"{stem}.json", out_dir=tmp_path)
         assert ((tmp_path / f"{stem}_depth.csv").read_bytes()
@@ -313,6 +329,14 @@ class TestPaperCheck:
         record = run_config(cfg, out_dir=tmp_path)
         assert record.config == {**raw, "power": power}
         assert record.report.dynamical_entropy == cli._row_sz(raw, power)
+
+    def test_each_engine_row_is_solved_once(self, monkeypatch):
+        solved = []
+        solve = cli._solve
+        monkeypatch.setattr(cli, "_solve", lambda config: solved.append(config.power)
+                            or solve(config))
+        assert main(["paper-check"]) == 0
+        assert sorted(solved) == [1, 2, 2]  # coherent U^2, rank-2 U and rank-2 U^2
 
     def test_reference_rows_cover_both_instruments(self):
         names = [name for name, *_ in cli.REFERENCE_ROWS]

@@ -457,6 +457,74 @@ class TestClosure:
         assert run.stop_reason == "converged" and run.depth == 24
 
 
+def _kernel_case(case):
+    """(engine inputs, options) of a classified run that never closes, or of a closing
+    run: rank-2 atomic or coherent vertex blocks."""
+    if case == "random-kraus":
+        t = random_general(np.random.default_rng(11), 10, 2)
+        return ((hadamard_walk(5).unitary, t, maximally_mixed(10), _atomic_for(t)),
+                RunOptions(n_max=8, classify=True))
+    power, kind, _ = CLOSING[case]
+    return _hadamard_setup(5, power, kind), RunOptions(n_max=25)
+
+
+KERNEL_CASES = ["random-kraus", "rank2-U2", "coin-vertex-U2"]
+
+
+class TestChunkedDepths:
+    """Each depth evolves its parents in chunks, around one kernel call per (parent, block)."""
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_one_kernel_call_per_parent_and_block(self, monkeypatch, case):
+        args, opts = _kernel_case(case)
+        calls = []
+        monkeypatch.setattr(sz, "apply_instrument",
+                            lambda *a: calls.append(1) or apply_instrument(*a))
+        run = sz_entropy_run(*args, opts)
+        assert run.stop_reason == ("n_max" if case == "random-kraus" else "closed")
+        parents = 1 + sum(r.branch_count for r in run.records[:run.depth])
+        assert len(calls) == len(args[3].blocks) * parents
+
+    @pytest.mark.parametrize("make", [lambda rng: random_general(rng, 10, 2),
+                                      lambda rng: position_instrument(5)])
+    @pytest.mark.parametrize("group", [1, 3, 1000])
+    def test_batched_weights_and_keys_match_one_child_at_a_time(self, make, group):
+        rng = np.random.default_rng(8)
+        t = make(rng)
+        part = _atomic_for(t)
+        supports = [t.support_index(block) for block in part.blocks]
+        evolved = np.stack([random_density(rng, 10).matrix for _ in range(4)])
+        evolved[1] = 0.0  # every child of this parent is pruned
+        opts = RunOptions(merge_tol=1e-6)
+        measured = sz._measure(t, part.blocks, supports, evolved, group, opts)
+        expected = [(op, bi) for op in evolved for bi in range(len(part.blocks))]
+        assert len(measured) == len(expected)
+        for (child, w, key), (op, bi) in zip(measured, expected):
+            ref = apply_instrument(t, part.blocks[bi], op)
+            ref_w = max(float(ref.trace().real), 0.0)
+            assert w == ref_w
+            if not ref_w > opts.prune_eps:
+                assert child is None and key is None
+                continue
+            assert np.array_equal(child, ref)
+            scaled = (ref[supports[bi]] / ref_w).view(np.float64) / opts.merge_tol
+            assert key == np.round(scaled).astype(np.int64).tobytes()
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    @pytest.mark.parametrize("chunk_bytes", [1, 40_000])
+    def test_chunk_size_leaves_the_run_unchanged(self, monkeypatch, case, chunk_bytes):
+        args, opts = _kernel_case(case)
+        whole = sz_entropy_run(*args, opts)
+        monkeypatch.setattr(sz, "CHUNK_BYTES", chunk_bytes)  # one parent, or a few, per chunk
+        chunked = sz_entropy_run(*args, opts)
+        assert chunked.records == whole.records
+        assert chunked.report == whole.report
+        assert len(chunked.branches) == len(whole.branches)
+        for a, b in zip(chunked.branches, whole.branches):
+            assert (a.last_block, a.weight, a.stats) == (b.last_block, b.weight, b.stats)
+            assert np.array_equal(a.conditional_op, b.conditional_op)
+
+
 class TestMeasurementEntropy:
     def test_coherent_instrument_zero(self):
         N = 5

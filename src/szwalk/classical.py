@@ -1,4 +1,4 @@
-"""Classical baselines: Markov chains, entropy rate, KS entropy of finite maps.
+"""Classical baselines: Markov chains, their entropy and entropy rate.
 
 Transition matrices here are **column-stochastic**: `entries[x, y]` is the
 probability of moving from source `y` to target `x`, so each column sums
@@ -9,18 +9,16 @@ p_{x,y} indexing direct.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import ConvergenceReport, Partition, ProbVector, eta, join, limit_estimate
-from .errors import NumericError, ResourceLimitError, ValidationError, is_kind, require
+from .entropy import ConvergenceReport, ProbVector, eta, limit_estimate
+from .errors import NumericError, ValidationError, is_kind, require
 
 COLUMN_SUM_TOL = 1e-12
 # Singular values of m - 1 up to this span m's eigenvalue-1 space, and the projector built on
 # it must satisfy mΠ = Πm = Π to this.
 PROJECTOR_TOL = 1e-9
-DEFAULT_PATH_BUDGET = 10_000_000
 
 
 class TransitionMatrix:
@@ -47,31 +45,6 @@ class TransitionMatrix:
 
     def __repr__(self) -> str:
         return f"TransitionMatrix(size={self.size})"
-
-
-@dataclass(frozen=True)
-class FiniteMap:
-    """A map f on states 0..n-1, stored as image[i] = f(i)."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.image)
-        if n == 0 or any(not 0 <= v < n for v in self.image):
-            raise ValidationError("finite map image values must be valid state indices")
-
-    @property
-    def size(self) -> int:
-        return len(self.image)
-
-    def iterate(self, k: int) -> "FiniteMap":
-        """k-fold composition f^k (k >= 0)."""
-        require(is_kind(k, numbers.Integral) and k >= 0,
-                f"iterate needs an integer k >= 0, got {k!r}")
-        current = tuple(range(self.size))
-        for _ in range(k):
-            current = tuple(self.image[i] for i in current)
-        return FiniteMap(current)
 
 
 def cycle_walk(N: int) -> TransitionMatrix:
@@ -150,61 +123,3 @@ def entropy_rate(P: TransitionMatrix, mu0: ProbVector, n_max: int, tol: float,
         seq.append(float(col_h @ mu))
         mu = P.entries @ mu
     return limit_estimate(seq, tol=tol, window=window)
-
-
-def _preimage_partition(f: FiniteMap, k: int, c: Partition) -> Partition:
-    """f^{-k}(C): outcomes grouped by which block f^k lands them in."""
-    fk = f.iterate(k).image
-    blocks: dict[int, list[int]] = {}
-    for i, target in enumerate(fk):
-        blocks.setdefault(c.block_index_of(target), []).append(i)
-    keys = sorted(blocks)
-    return Partition([blocks[b] for b in keys],
-                     labels=[c.labels[b] for b in keys], size=f.size)
-
-
-def ks_estimate(f: FiniteMap, mu: ProbVector, c: Partition, n: int) -> float:
-    """(1/n) H(join of f^{-k}(C), k=0..n-1): the depth-n KS entropy estimate."""
-    if not (f.size == len(mu) == c.size):
-        raise ValidationError(
-            f"map ({f.size}), measure ({len(mu)}) and partition ({c.size}) "
-            "must share one state set")
-    require(is_kind(n, numbers.Integral) and n >= 1,
-            f"ks estimate needs an integer n >= 1, got {n!r}")
-    joined = join([_preimage_partition(f, k, c) for k in range(n)])
-    block_masses = [sum(mu[i] for i in block) for block in joined.blocks]
-    return float(sum(eta(w) for w in block_masses)) / n
-
-
-def process_joint_entropy(P: TransitionMatrix, mu0: ProbVector, n: int,
-                          path_budget: int = DEFAULT_PATH_BUDGET) -> float:
-    """H(X_0,...,X_n) by exact enumeration of nonzero-probability paths.
-
-    Zero-probability transitions are never expanded, so the enumeration is
-    exact. Raises ResourceLimitError when more than `path_budget` weighted
-    paths would be visited.
-    """
-    if len(mu0) != P.size:
-        raise ValidationError(f"distribution of length {len(mu0)} for {P.size} states")
-    # A non-integer n would never equal a path's depth: the enumeration would not end.
-    require(is_kind(n, numbers.Integral) and n >= 0,
-            f"process entropy needs an integer n >= 0, got {n!r}")
-    require(is_kind(path_budget, numbers.Integral),
-            f"path budget must be an integer, got {path_budget!r}")
-    successors = [[(x, P.entries[x, y]) for x in range(P.size) if P.entries[x, y] > 0.0]
-                  for y in range(P.size)]
-    total = 0.0
-    visited = 0
-    stack = [(y, float(mu0[y]), 0) for y in range(P.size) if mu0[y] > 0.0]
-    while stack:
-        state, weight, depth = stack.pop()
-        if depth == n:
-            visited += 1
-            if visited > path_budget:
-                raise ResourceLimitError(
-                    f"path enumeration exceeded the budget of {path_budget} paths")
-            total += eta(weight)
-            continue
-        for x, p in successors[state]:
-            stack.append((x, weight * p, depth + 1))
-    return total

@@ -29,9 +29,6 @@ from .errors import (NumericError, ResourceLimitError, SZWalkError,
 from .quantum import DensityState, Instrument, general_instrument, maximally_mixed
 
 LN2 = math.log(2.0)
-# Dimension budget, checked before a walk is built: the built-in instruments hold N or 2N
-# dense dim×dim operators, so at this size one instrument already takes 256 MiB.
-MAX_DIM = 256
 JSON_NUMBER = (int, float)  # what `json` parses numbers to; checked with `is_kind`, so no bools
 _MISSING = object()
 
@@ -103,8 +100,9 @@ class ExperimentConfig:
 
 
 def _within_budget(dim: int, path: str) -> None:
-    require(dim <= MAX_DIM, lambda: f"field '{path}' gives a walk of dimension {dim}, over "
-            f"the dimension budget of {MAX_DIM}", ConfigError)
+    """`walks.MAX_DIM`, checked before the walk is built so that the error names the field."""
+    require(dim <= walks.MAX_DIM, lambda: f"field '{path}' gives a walk of dimension {dim}, "
+            f"over the dimension budget of {walks.MAX_DIM}", ConfigError)
 
 
 def _hadamard_walk(spec: dict, *_) -> walks.CoinedWalk:

@@ -1,8 +1,7 @@
-"""Scalar entropy functions, partition algebra and convergence estimation.
+"""Scalar entropy, probability vectors, partitions and convergence estimation.
 
 All entropies are in nats (natural logarithm). Probability vectors are
-validated at construction; derived joint distributions get a looser sum
-tolerance because their weights accumulate rounding over long products.
+validated at construction.
 """
 
 from __future__ import annotations
@@ -10,14 +9,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError, is_kind, require
 
-PROB_SUM_TOL = 1e-12  # freshly constructed probability vectors
-JOINT_SUM_TOL = 1e-10  # derived joints (accumulated rounding)
+PROB_SUM_TOL = 1e-12
 
 
 def eta(x: float) -> float:
@@ -78,13 +76,6 @@ class ProbVector:
         return f"ProbVector({self.entries.tolist()!r})"
 
 
-def entropy(p: ProbVector | Iterable[float]) -> float:
-    """Shannon entropy sum(eta(p_i)) of a probability vector, in nats."""
-    if not isinstance(p, ProbVector):
-        p = ProbVector(p)
-    return float(sum(eta(x) for x in p.entries))
-
-
 class Partition:
     """A partition of the outcome indices 0..size-1 into labeled blocks.
 
@@ -130,12 +121,6 @@ class Partition:
                 f"atomic partition needs an integer n >= 1, got {n!r}")
         return cls([[i] for i in range(n)], labels=labels, size=n)
 
-    def block_index_of(self, outcome: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if outcome in b:
-                return i
-        raise ValidationError(f"outcome {outcome} outside partition range")
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Partition)
                 and self.size == other.size and self.blocks == other.blocks)
@@ -146,102 +131,6 @@ class Partition:
     def __repr__(self) -> str:
         body = ", ".join(f"{l}:{list(b)}" for l, b in zip(self.labels, self.blocks))
         return f"Partition({body})"
-
-
-def join(parts: Sequence[Partition]) -> Partition:
-    """Join (common refinement) of partitions over the same outcome range.
-
-    The resulting blocks are the non-empty intersections of one block from
-    each input; labels are the `&`-joined constituent labels.
-    """
-    if not parts:
-        raise ValidationError("join of an empty partition list")
-    size = parts[0].size
-    if any(p.size != size for p in parts):
-        raise ValidationError("join over mismatched outcome ranges")
-    owner = [tuple(p.block_index_of(i) for p in parts) for i in range(size)]
-    cells: dict[tuple[int, ...], list[int]] = {}
-    for outcome, key in enumerate(owner):
-        cells.setdefault(key, []).append(outcome)
-    keys = sorted(cells)
-    blocks = [cells[k] for k in keys]
-    labels = ["&".join(p.labels[k[j]] for j, p in enumerate(parts)) for k in keys]
-    return Partition(blocks, labels=labels, size=size)
-
-
-def is_coarser(d: Partition, c: Partition) -> bool:
-    """True iff every block of `d` is a union of blocks of `c`."""
-    if d.size != c.size:
-        raise ValidationError("partitions cover different outcome ranges")
-    owner = {}
-    for i, block in enumerate(d.blocks):
-        for outcome in block:
-            owner[outcome] = i
-    return all(len({owner[o] for o in block}) == 1 for block in c.blocks)
-
-
-class JointDistribution:
-    """Joint pmf over fixed-length outcome-index sequences, as a sparse map."""
-
-    __slots__ = ("support", "length")
-
-    def __init__(self, support: Mapping[Sequence[int], float], length: int | None = None,
-                 tol: float = JOINT_SUM_TOL):
-        items = {tuple(int(i) for i in k): float(w) for k, w in support.items()}
-        if not items:
-            raise ValidationError("joint distribution has empty support")
-        lengths = {len(k) for k in items}
-        if len(lengths) != 1:
-            raise ValidationError(f"mixed key lengths {sorted(lengths)}")
-        n = lengths.pop()
-        if length is not None and length != n:
-            raise ValidationError(f"declared length {length} but keys have length {n}")
-        require(all(w >= -tol for w in items.values()),
-                "joint distribution has negative weights")
-        total = sum(items.values())
-        require(abs(total - 1.0) <= tol,
-                f"joint weights sum to {total!r}, off by {abs(total - 1.0):.3e}")
-        self.support = {k: max(w, 0.0) for k, w in items.items()}
-        self.length = n
-
-    def marginal(self, axis: int) -> ProbVector:
-        """Marginal distribution of one coordinate, dense over 0..max index."""
-        if not 0 <= axis < self.length:
-            raise ValidationError(f"axis {axis} outside joint of length {self.length}")
-        masses: dict[int, float] = {}
-        for k, w in self.support.items():
-            masses[k[axis]] = masses.get(k[axis], 0.0) + w
-        arr = np.zeros(max(masses) + 1)
-        for i, w in masses.items():
-            arr[i] = w
-        return ProbVector(arr, tol=JOINT_SUM_TOL)
-
-    def __repr__(self) -> str:
-        return f"JointDistribution(length={self.length}, support={len(self.support)} keys)"
-
-
-def joint_entropy(joint: JointDistribution) -> float:
-    """Entropy of the whole joint distribution: sum(eta(w)) over its support."""
-    return float(sum(eta(w) for w in joint.support.values()))
-
-
-def conditional_entropy(joint: JointDistribution) -> float:
-    """Conditional entropy H(C|D) of a length-2 joint over (C-index, D-index).
-
-    Computed as sum_D mu(D) sum_C eta(mu(C|D)); conditioning events with
-    mu(D) = 0 contribute exactly 0.
-    """
-    if joint.length != 2:
-        raise ValidationError(
-            f"conditional entropy needs a length-2 joint, got length {joint.length}")
-    pd: dict[int, float] = {}
-    for (_, d), w in joint.support.items():
-        pd[d] = pd.get(d, 0.0) + w
-    h = 0.0
-    for (_, d), w in joint.support.items():
-        if pd[d] > 0.0 and w > 0.0:
-            h += pd[d] * eta(w / pd[d])
-    return h
 
 
 @dataclass(frozen=True)

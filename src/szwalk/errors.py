@@ -20,7 +20,7 @@ class AccuracyError(SZWalkError):
 
 
 class ResourceLimitError(SZWalkError):
-    """A configured budget (path count, live branches) was exceeded."""
+    """A budget (live branches, walk dimension) was exceeded."""
 
 
 class UnsupportedConfigurationError(SZWalkError):

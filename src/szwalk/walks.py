@@ -14,13 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import Partition
-from .errors import NumericError, ValidationError, is_kind, require
+from .errors import NumericError, ResourceLimitError, ValidationError, is_kind, require
 from .quantum import (DensityState, Instrument, Operator, as_operator, coherent_instrument,
                       identity_residual, lvn_instrument, pure_state)
 
 UNITARY_TOL = 1e-10
 POWER_UNITARY_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-12
+# Dimension budget, checked before anything is allocated: the cycle-walk instruments hold N or
+# 2N dense dim×dim operators, so at this size one instrument already takes 256 MiB.
+MAX_DIM = 256
 
 COIN_R = 0
 COIN_L = 1
@@ -77,10 +80,16 @@ def hadamard_coin() -> Operator:
     return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
+def _check_dimension(N: int) -> None:
+    require(2 * N <= MAX_DIM, f"a cycle walk on N={N} vertices has dimension {2 * N}, over the "
+            f"dimension budget of {MAX_DIM}", ResourceLimitError)
+
+
 def integer_shift(N: int) -> ShiftPermutation:
     """Coin-preserving shift: (R,n) -> (R,n+1) and (L,n) -> (L,n-1), mod N."""
     require(is_kind(N, numbers.Integral) and N >= 2,
             f"integer shift needs an integer N >= 2, got {N!r}")
+    _check_dimension(N)
     sigma = [0] * (2 * N)
     for v in range(N):
         sigma[basis_index(COIN_R, v, N)] = basis_index(COIN_R, (v + 1) % N, N)
@@ -155,30 +164,11 @@ def unitary_power(w: CoinedWalk, m: int) -> Operator:
     return out
 
 
-def eigencheck(u: Operator, v) -> complex:
-    """Return lambda with u v = lambda v, reading lambda off the largest component.
-
-    Raises NumericError with the residual when v is not an eigenvector.
-    """
-    u = as_operator(u)
-    vec = np.asarray(v, dtype=complex).reshape(-1)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ValidationError("eigencheck on the zero vector")
-    vec = vec / norm
-    image = u @ vec
-    pivot = int(np.argmax(np.abs(vec)))
-    lam = complex(image[pivot] / vec[pivot])
-    residual = float(np.abs(image - lam * vec).max())
-    require(residual <= 1e-8, f"not an eigenvector: residual {residual:.3e} (tol 1e-08)",
-            NumericError)
-    return lam
-
-
 # Measurement setups for a cycle walk, in the coin-major basis convention.
 
 def _check_vertex_count(N) -> None:
     require(is_kind(N, numbers.Integral) and N >= 1, f"need an integer N >= 1, got {N!r}")
+    _check_dimension(N)
 
 
 def coin_vertex_labels(N: int) -> tuple[str, ...]:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from szwalk import (DensityState, Instrument, JointDistribution, Partition, ProbVector,
-                    coherent_instrument, cylinder_probability, eta, general_instrument,
-                    lvn_instrument)
+from szwalk import (DensityState, Instrument, NumericError, Partition, ProbVector,
+                    TransitionMatrix, coherent_instrument, cylinder_probability, eta,
+                    general_instrument, lvn_instrument)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -36,16 +36,6 @@ def random_blocks(rng: np.random.Generator, n: int, n_blocks: int) -> list[list[
 
 def random_partition(rng: np.random.Generator, n: int, n_blocks: int) -> Partition:
     return Partition(random_blocks(rng, n, n_blocks), size=n)
-
-
-def coarsen(rng: np.random.Generator, p: Partition) -> Partition:
-    """A random partition strictly coarser than or equal to p."""
-    k = len(p.blocks)
-    if k == 1:
-        return p
-    groups = random_blocks(rng, k, int(rng.integers(1, k)))
-    merged = [[o for bi in group for o in p.blocks[bi]] for group in groups]
-    return Partition(merged, size=p.size)
 
 
 def random_coherent(rng: np.random.Generator, dim: int) -> Instrument:
@@ -83,14 +73,36 @@ def dense_apply(t: Instrument, outcomes, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def random_joint(rng: np.random.Generator, nc: int, nd: int) -> JointDistribution:
-    w = rng.random((nc, nd)) ** 3
-    w[rng.random((nc, nd)) < 0.25] = 0.0
-    if w.sum() == 0.0:
-        w[0, 0] = 1.0
-    w /= w.sum()
-    return JointDistribution({(c, d): w[c, d] for c in range(nc) for d in range(nd)
-                              if w[c, d] > 0.0})
+def eigencheck(u: np.ndarray, v) -> complex:
+    """Return lambda with u v = lambda v, reading lambda off the largest component.
+
+    Raises NumericError with the residual when v is not an eigenvector.
+    """
+    vec = np.asarray(v, dtype=complex).reshape(-1)
+    vec = vec / np.linalg.norm(vec)
+    image = u @ vec
+    pivot = int(np.argmax(np.abs(vec)))
+    lam = complex(image[pivot] / vec[pivot])
+    residual = float(np.abs(image - lam * vec).max())
+    if not residual <= 1e-8:
+        raise NumericError(f"not an eigenvector: residual {residual:.3e} (tol 1e-08)")
+    return lam
+
+
+def process_joint_entropy(P: TransitionMatrix, mu0: ProbVector, n: int) -> float:
+    """H(X_0,...,X_n) of the chain started at mu0, by exact enumeration of its nonzero paths:
+    the oracle for `entropy_rate`, whose first n entries sum to it after H(X_0).
+
+    One layer per step: each path is extended by the nonzero entries of its end state's column.
+    """
+    states = np.flatnonzero(mu0.entries)
+    weights = mu0.entries[states]
+    for _ in range(n):
+        columns = P.entries[:, states]
+        paths, states = np.nonzero(columns.T)
+        weights = weights[paths] * columns[states, paths]
+    weights = weights[weights > 0.0]
+    return float(-(weights * np.log(weights)).sum())
 
 
 def cylinder_level_joints(walk_unitary, t, rho, partition, n_max, eps=1e-15):

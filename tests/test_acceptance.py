@@ -11,9 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from szwalk import (JointDistribution, Partition, ProbVector, RunOptions, conditional_entropy,
-                    cycle_walk, cylinder_probability, dynamical_entropy,
-                    entropy, entropy_rate, eta, joint_entropy, markov_entropy, markov_reduction,
+from szwalk import (Partition, ProbVector, RunOptions, cycle_walk, cylinder_probability,
+                    dynamical_entropy, entropy_rate, eta, markov_entropy, markov_reduction,
                     matrix_power, maximally_mixed, measurement_entropy, outcome_pmf,
                     sz_entropy_run, unitary_power)
 from szwalk.cli import paper_check
@@ -22,8 +21,8 @@ from szwalk.walks import (coin_vertex_instrument, coined_walk, hadamard_eigensta
                           hadamard_walk, position_instrument, vertex_partition,
                           ShiftPermutation)
 
-from helpers import (coarsen, random_coherent, random_density, random_general, random_joint,
-                     random_lvn, random_partition, random_prob_vector, random_unitary)
+from helpers import (random_coherent, random_density, random_general, random_lvn,
+                     random_partition, random_unitary)
 
 LN2 = math.log(2.0)
 SQRT2 = math.sqrt(2.0)
@@ -208,36 +207,6 @@ def test_criterion_08_oracle_equivalence_exhaustive():
 
 class TestCriterion09PropertySuites:
     INSTANCES = 200
-
-    def test_chain_rule(self):
-        rng = np.random.default_rng(101)
-        for _ in range(self.INSTANCES):
-            j = random_joint(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
-            lhs = joint_entropy(j)
-            rhs = entropy(j.marginal(1)) + conditional_entropy(j)
-            assert abs(lhs - rhs) < 1e-10
-        _announce(9, f"chain rule on {self.INSTANCES} random joints")
-
-    def test_conditional_entropy_monotone_in_conditioning(self):
-        rng = np.random.default_rng(103)
-        for _ in range(self.INSTANCES):
-            n = int(rng.integers(4, 11))
-            mu = random_prob_vector(rng, n)
-            c = random_partition(rng, n, int(rng.integers(2, n)))
-            d = random_partition(rng, n, int(rng.integers(2, n)))
-            b = coarsen(rng, d)
-
-            def cond(cc, dd):
-                support = {}
-                for ci, cb in enumerate(cc.blocks):
-                    for di, db in enumerate(dd.blocks):
-                        w = sum(mu[o] for o in set(cb) & set(db))
-                        if w > 0:
-                            support[(ci, di)] = w
-                return conditional_entropy(JointDistribution(support))
-
-            assert cond(c, d) <= cond(c, b) + 1e-12
-        _announce(9, f"conditioning monotonicity on {self.INSTANCES} random triples")
 
     def test_eta_subadditivity(self):
         rng = np.random.default_rng(107)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from szwalk import cli
+from szwalk import cli, walks
 from szwalk.cli import ConfigError, load_config, main, run_config
 from szwalk.walks import integer_shift
 
@@ -71,9 +71,9 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("walk, field", [
         ({"kind": "hadamard", "N": 10 ** 30}, "walk.N"),
-        ({"kind": "hadamard", "N": cli.MAX_DIM // 2 + 1}, "walk.N"),
+        ({"kind": "hadamard", "N": walks.MAX_DIM // 2 + 1}, "walk.N"),
         ({"kind": "explicit", "vertices": 10 ** 30, "sigma": [], "coins": []}, "walk.vertices"),
-        ({"kind": "explicit", "vertices": cli.MAX_DIM, "coin_count": 2, "sigma": [],
+        ({"kind": "explicit", "vertices": walks.MAX_DIM, "coin_count": 2, "sigma": [],
           "coins": []}, "walk.vertices"),
     ])
     def test_walk_over_the_dimension_budget_exits_2(self, tmp_path, capsys, walk, field):
@@ -82,8 +82,8 @@ class TestConfigParsing:
         assert f"field '{field}' gives a walk of dimension" in capsys.readouterr().err
 
     def test_walk_at_the_dimension_budget_is_accepted(self):
-        walk = cli._section({"walk": {"kind": "hadamard", "N": cli.MAX_DIM // 2}}, "walk")
-        assert walk.dim == cli.MAX_DIM
+        walk = cli._section({"walk": {"kind": "hadamard", "N": walks.MAX_DIM // 2}}, "walk")
+        assert walk.dim == walks.MAX_DIM
 
     def test_invalid_json_names_line(self, tmp_path):
         cfg = tmp_path / "bad.json"

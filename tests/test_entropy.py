@@ -1,15 +1,14 @@
-"""Unit tests for the scalar entropy layer and partition algebra."""
+"""Unit tests for the scalar entropy layer, partitions and limit estimation."""
 
 import math
 
 import numpy as np
 import pytest
 
-from szwalk import (JointDistribution, Partition, ProbVector, ValidationError,
-                    conditional_entropy, cycle_walk, entropy, entropy_rate, eta, is_coarser,
-                    join, joint_entropy, limit_estimate)
+from szwalk import (Partition, ProbVector, ValidationError, cycle_walk, entropy_rate, eta,
+                    limit_estimate)
 
-from helpers import random_joint, random_partition, random_prob_vector, coarsen
+from helpers import random_prob_vector
 
 LN2 = math.log(2.0)
 
@@ -55,65 +54,6 @@ class TestProbVector:
             ProbVector([1.5, -0.5])
 
 
-class TestEntropy:
-    def test_point_mass(self):
-        assert entropy([1.0, 0.0, 0.0]) == 0.0
-
-    def test_uniform_four(self):
-        assert entropy([0.25] * 4) == pytest.approx(math.log(4), abs=1e-14)
-
-    def test_half_quarter_quarter(self):
-        assert entropy([0.5, 0.25, 0.25]) == pytest.approx(1.5 * LN2, abs=1e-14)
-
-    def test_invalid_vector(self):
-        with pytest.raises(ValidationError):
-            entropy([0.7, 0.7])
-
-
-class TestConditionalEntropy:
-    def test_diagonal_joint_is_zero(self):
-        j = JointDistribution({(i, i): 0.25 for i in range(4)})
-        assert conditional_entropy(j) == 0.0
-
-    def test_product_joint_gives_marginal_entropy(self):
-        p = [0.2, 0.3, 0.5]
-        q = [0.6, 0.4]
-        j = JointDistribution({(c, d): p[c] * q[d] for c in range(3) for d in range(2)})
-        assert conditional_entropy(j) == pytest.approx(entropy(p), abs=1e-12)
-
-    def test_hand_oracle_joint(self):
-        # Direct evaluation of sum_D mu(D) sum_C eta(mu(C|D)):
-        # mu(D=0)=3/4 with conditional [2/3,1/3], mu(D=1)=1/4 deterministic.
-        j = JointDistribution({(0, 0): 0.5, (1, 0): 0.25, (1, 1): 0.25})
-        assert conditional_entropy(j) == pytest.approx(0.4773856262211096, abs=1e-13)
-
-    def test_needs_length_two(self):
-        with pytest.raises(ValidationError):
-            conditional_entropy(JointDistribution({(0, 0, 0): 1.0}))
-
-    def test_invalid_joint_rejected(self):
-        with pytest.raises(ValidationError):
-            JointDistribution({(0, 0): 0.5, (1, 1): 0.2})
-
-
-class TestJointDistribution:
-    def test_mixed_key_lengths_rejected(self):
-        with pytest.raises(ValidationError):
-            JointDistribution({(0,): 0.5, (0, 1): 0.5})
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValidationError):
-            JointDistribution({(0, 0): 1.2, (1, 1): -0.2})
-
-    def test_nan_weight_rejected(self):
-        with pytest.raises(ValidationError):
-            JointDistribution({(0, 0): math.nan, (1, 0): 1.0})
-
-    def test_marginal(self):
-        j = JointDistribution({(0, 0): 0.5, (1, 0): 0.25, (1, 1): 0.25})
-        assert np.allclose(j.marginal(1).entries, [0.75, 0.25])
-
-
 class TestPartition:
     @pytest.mark.parametrize("blocks", [[[0.2], [1], [2]], [["0"], [1], [2]],
                                         [[False], [True], [2]], [[0.0], [1], [2]]])
@@ -134,39 +74,6 @@ class TestPartition:
     def test_numpy_integer_size_accepted(self):
         assert Partition([[0], [1], [2]], size=np.int64(3)).size == 3
 
-    def test_join_idempotent(self):
-        c = Partition([[0, 1], [2, 3]])
-        assert join([c, c]) == c
-
-    def test_join_complementary_splits_is_atomic(self):
-        c = Partition([[0, 1], [2, 3]])
-        d = Partition([[0, 2], [1, 3]])
-        assert join([c, d]) == Partition.atomic(4)
-
-    def test_join_with_coarser_returns_finer(self):
-        c = Partition([[0], [1], [2, 3]])
-        d = Partition([[0, 1], [2, 3]])
-        assert is_coarser(d, c)
-        assert join([d, c]) == c
-
-    def test_join_mismatched_ranges(self):
-        with pytest.raises(ValidationError):
-            join([Partition.atomic(3), Partition.atomic(4)])
-
-    def test_is_coarser_two_block_vs_atomic(self):
-        assert is_coarser(Partition([[0, 1], [2, 3]]), Partition.atomic(4))
-
-    def test_atomic_not_coarser_than_two_block(self):
-        assert not is_coarser(Partition.atomic(4), Partition([[0, 1], [2, 3]]))
-
-    def test_is_coarser_reflexive(self):
-        c = Partition([[0, 2], [1, 3]])
-        assert is_coarser(c, c)
-
-    def test_is_coarser_mismatched_ranges(self):
-        with pytest.raises(ValidationError):
-            is_coarser(Partition.atomic(3), Partition.atomic(4))
-
     def test_overlapping_blocks_rejected(self):
         with pytest.raises(ValidationError):
             Partition([[0, 1], [1, 2]])
@@ -179,11 +86,6 @@ class TestPartition:
         p = Partition([[3, 2], [1, 0]], labels=["hi", "lo"])
         assert p.blocks == ((0, 1), (2, 3))
         assert p.labels == ("lo", "hi")
-
-    def test_join_labels_concatenated(self):
-        c = Partition([[0, 1], [2, 3]], labels=["a", "b"])
-        d = Partition([[0, 2], [1, 3]], labels=["x", "y"])
-        assert set(join([c, d]).labels) == {"a&x", "a&y", "b&x", "b&y"}
 
 
 class TestLimitEstimate:
@@ -238,39 +140,11 @@ class TestLimitEstimate:
 
 
 class TestProperties:
-    def test_chain_rule_random_joints(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            j = random_joint(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
-            lhs = joint_entropy(j)
-            rhs = entropy(j.marginal(1)) + conditional_entropy(j)
-            assert abs(lhs - rhs) < 1e-10
-
-    def test_conditioning_on_finer_partition_cannot_increase_entropy(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(4, 10))
-            mu = random_prob_vector(rng, n)
-            c = random_partition(rng, n, int(rng.integers(2, n)))
-            d = random_partition(rng, n, int(rng.integers(2, n)))
-            b = coarsen(rng, d)
-
-            def cond(cc, dd):
-                support = {}
-                for ci, cb in enumerate(cc.blocks):
-                    for di, db in enumerate(dd.blocks):
-                        w = sum(mu[o] for o in set(cb) & set(db))
-                        if w > 0:
-                            support[(ci, di)] = w
-                return conditional_entropy(JointDistribution(support))
-
-            assert cond(c, d) <= cond(c, b) + 1e-12
-
     def test_entropy_bounded_by_log_length(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             p = random_prob_vector(rng, int(rng.integers(2, 12)))
-            assert entropy(p) <= math.log(len(p)) + 1e-12
+            assert sum(eta(x) for x in p.entries) <= math.log(len(p)) + 1e-12
 
     def test_eta_subadditive(self):
         rng = np.random.default_rng(17)

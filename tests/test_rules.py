@@ -123,3 +123,39 @@ def test_guard_flags_the_iteration_caps():
            "for depth in range(opts.n_max):\n    pass\n"
            "for x in max_iter:\n    pass\n")
     assert _iteration_caps(ast.parse(src)) == [1, 3, 5, 7]
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names read as an `ast.Name` or `ast.Attribute`, each outside the body of the `def` or
+    `class` that defines it: a recursive call or a class's own methods do not count."""
+    found = set()
+
+    def visit(node: ast.AST, owners: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(name, str) and name not in owners:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_public_name_is_used_by_the_program():
+    """A name in `__all__` is referenced by the package outside `__init__.py` or by the
+    benchmark: what only the tests call is not exported (their oracles live in
+    `tests/helpers.py`). Text in strings and docstrings does not count."""
+    files = [p for p in SOURCE.glob("*.py") if p.name != "__init__.py"]
+    files += (SOURCE.parents[1] / "perfbench").glob("*.py")
+    used = set().union(*(_references(ast.parse(p.read_text())) for p in files))
+    assert "sz_entropy_run" in used
+    assert sorted(set(szwalk.__all__) - used) == []
+
+
+def test_guard_flags_the_unreferenced_names():
+    src = ("def f(n):\n    return f(n - 1)\n"
+           "class C:\n    def m(self):\n        return C()\n"
+           "def g():\n    '''h and k'''\n    return mod.h + 'k'\n")
+    assert _references(ast.parse(src)) == {"n", "mod", "h"}

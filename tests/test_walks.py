@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from szwalk import (NumericError, Partition, ProbVector, ShiftPermutation, ValidationError,
-                    coined_walk, eigencheck, hadamard_coin, hadamard_walk, integer_shift,
+from szwalk import (NumericError, Partition, ProbVector, ResourceLimitError, ShiftPermutation,
+                    ValidationError, coined_walk, hadamard_coin, hadamard_walk, integer_shift,
                     maximally_mixed, unitary_power)
-from szwalk.walks import (basis_index, coin_vertex_instrument, coin_vertex_labels,
+from szwalk.walks import (MAX_DIM, basis_index, coin_vertex_instrument, coin_vertex_labels,
                           hadamard_eigenstate, position_instrument, vertex_partition)
 
-from helpers import random_unitary
+from helpers import eigencheck, random_unitary
 
 SQRT2 = math.sqrt(2.0)
 
@@ -159,12 +159,12 @@ class TestUnitaryPower:
 
 class TestEigencheck:
     def test_walk_eigenvector_has_unit_eigenvalue(self):
-        N = 5
-        vec = np.zeros(2 * N, dtype=complex)
-        vec[:N] = 1 + SQRT2
-        vec[N:] = 1.0
-        lam = eigencheck(hadamard_walk(N).unitary, vec)
-        assert lam == pytest.approx(1.0, abs=1e-12)
+        for N in (3, 5, 9):
+            rho = hadamard_eigenstate(N).matrix
+            # A pure state's columns are multiples of its vector: take the largest one.
+            vec = rho[:, int(np.argmax(np.real(np.diagonal(rho))))]
+            lam = eigencheck(hadamard_walk(N).unitary, vec)
+            assert lam == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_always_returns_one(self):
         assert eigencheck(np.eye(4), [0.3, 0.1, -0.5, 1.0]) == pytest.approx(1.0)
@@ -233,3 +233,12 @@ def test_numpy_integer_counts_accepted():
     assert hadamard_walk(np.int64(3)).dim == 6
     assert unitary_power(hadamard_walk(3), np.int32(2)).shape == (6, 6)
     assert ProbVector.point_mass(np.int64(1), np.int64(2)).entries.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("N", [pytest.param(10**30, id="N=1e30"), MAX_DIM // 2 + 1])
+@pytest.mark.parametrize("build", [hadamard_walk, position_instrument, coin_vertex_instrument,
+                                   vertex_partition, hadamard_eigenstate])
+def test_cycle_walk_over_the_dimension_budget_raises(build, N):
+    """2N over MAX_DIM raises before anything is allocated: no OverflowError or numpy error."""
+    with pytest.raises(ResourceLimitError, match="over the dimension budget of 256"):
+        build(N)

@@ -124,6 +124,14 @@ def _explicit_walk(spec: dict, *_) -> walks.CoinedWalk:
                                      for i, c in enumerate(coins)])
 
 
+def _cycle_vertices(walk: walks.CoinedWalk, kind: str) -> int:
+    """The vertex count for a kind that assumes two coins per vertex, checked before anything
+    is built."""
+    require(walk.shift.coin_count == 2, lambda: f"{kind} needs a walk with 2 coins per vertex, "
+            f"got field 'walk.coin_count' {walk.shift.coin_count}", ConfigError)
+    return walk.vertex_count
+
+
 def _vertex_blocks(spec: dict, walk: walks.CoinedWalk, t: Instrument) -> Partition:
     N = walk.vertex_count
     require(t.n_outcomes == 2 * N, "'partition.kind' vertex_blocks needs a coin-vertex "
@@ -144,15 +152,18 @@ def _explicit_partition(spec: dict, walk: walks.CoinedWalk, t: Instrument) -> Pa
 SECTION_KINDS = {
     "walk": {"hadamard": _hadamard_walk, "explicit": _explicit_walk},
     "instrument": {
-        "coherent": lambda spec, walk, _: walks.coin_vertex_instrument(walk.vertex_count),
-        "rank2_position": lambda spec, walk, _: walks.position_instrument(walk.vertex_count),
+        "coherent": lambda spec, walk, _: walks.coin_vertex_instrument(
+            _cycle_vertices(walk, "'instrument.kind' coherent")),
+        "rank2_position": lambda spec, walk, _: walks.position_instrument(
+            _cycle_vertices(walk, "'instrument.kind' rank2_position")),
         "explicit_kraus": lambda spec, *_: general_instrument(
             [_parse_matrix(k, f"instrument.kraus[{i}]")
              for i, k in enumerate(_field(spec, "instrument.kraus", list))],
             labels=_field(spec, "instrument.labels", list, default=[]))},
     "state": {
         "maximally_mixed": lambda spec, walk, _: maximally_mixed(walk.dim),
-        "eigenstate": lambda spec, walk, _: walks.hadamard_eigenstate(walk.vertex_count),
+        "eigenstate": lambda spec, walk, _: walks.hadamard_eigenstate(
+            _cycle_vertices(walk, "'state.kind' eigenstate")),
         "explicit": lambda spec, *_: DensityState(_parse_matrix(_field(spec, "state.matrix"),
                                                                 "state.matrix"))},
     "partition": {

@@ -5,10 +5,16 @@ dozen), so no sparse machinery. An instrument is a finite Kraus family
 {B_i} with sum B_i† B_i = 1; the constructors for projective and
 coherent-states instruments check their extra structure once, when the
 instrument is built.
+
+Each B_i acts on its support S_i only, the indices of its nonzero rows and
+columns. A support is held as one flat index: the row-major positions of
+S×S in a dim×dim operator, or None when S is the whole space. The kernel
+gathers a block with `take` and scatters its product back by that index.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -99,6 +105,12 @@ def pure_state(v) -> DensityState:
     return DensityState(np.outer(vec, vec.conj()))
 
 
+def _gather(m: np.ndarray, flat: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
+    """m[S,S] gathered by the flat index of S×S, as a `shape` matrix; m itself when the index
+    is None (S the whole space)."""
+    return m if flat is None else m.take(flat).reshape(shape)
+
+
 @dataclass(frozen=True)
 class Instrument:
     """A complete Kraus family {B_i} (sum B_i† B_i = 1) indexed by labeled outcomes.
@@ -134,30 +146,30 @@ class Instrument:
     def n_outcomes(self) -> int:
         return len(self.kraus)
 
-    def support_index(self, outcomes: Iterable[int]) -> tuple:
-        """Index of S×S, S the union of the outcomes' nonzero Kraus rows and columns.
+    def support_index(self, outcomes: Iterable[int]) -> np.ndarray | None:
+        """Row-major positions of S×S in a dim×dim operator, S the union of the outcomes'
+        nonzero Kraus rows and columns; None when S is the whole space.
 
-        Every B_i ρ B_i† with i among `outcomes` is exactly zero outside S×S. A full S gives
-        plain `[:, :]` slices.
+        Every B_i ρ B_i† with i among `outcomes` is exactly zero outside S×S.
         """
         nonzero = np.zeros(self.dim, dtype=bool)
         for i in outcomes:
             b = self.kraus[i] != 0
             nonzero |= b.any(axis=0) | b.any(axis=1)
         s = np.flatnonzero(nonzero)
-        return (slice(None), slice(None)) if s.size == self.dim else np.ix_(s, s)
+        return None if s.size == self.dim else (s[:, None] * self.dim + s).ravel()
 
     @cached_property
-    def supports(self) -> tuple[tuple[tuple, Operator, Operator], ...]:
-        """Per outcome i, (index of S×S, B[S,S], B[S,S]†) with S from `support_index([i])`.
-
-        A dense B keeps plain slices, so it enters the same products as B itself.
+    def supports(self) -> tuple[tuple[np.ndarray | None, Operator, Operator], ...]:
+        """Per outcome i, (flat index of S×S, B[S,S], B[S,S]†) with the index from
+        `support_index([i])`. A dense B has index None and enters the products as itself.
         """
         out = []
         for i, b in enumerate(self.kraus):
-            idx = self.support_index([i])
-            bs = np.ascontiguousarray(b[idx])
-            out.append((idx, bs, np.ascontiguousarray(bs.conj().T)))
+            flat = self.support_index([i])
+            k = self.dim if flat is None else math.isqrt(flat.size)
+            bs = np.ascontiguousarray(_gather(b, flat, (k, k)))
+            out.append((flat, bs, np.ascontiguousarray(bs.conj().T)))
         return tuple(out)
 
 
@@ -174,10 +186,14 @@ def lvn_instrument(projections: Sequence, labels: Sequence[str] | None = None) -
         idem = float(np.abs(b @ b - b).max())
         require(herm <= PROJECTION_TOL and idem <= PROJECTION_TOL,
                 lambda: f"outcome {i}: not a projection (|B-B†|={herm:.3e}, |B²-B|={idem:.3e})")
+    on = np.zeros((t.n_outcomes, t.dim), dtype=bool)  # on[i] marks S_i, outcome i's support
+    for i, (flat, _, _) in enumerate(t.supports):
+        on[i, slice(None) if flat is None else flat // t.dim] = True
     for i, j in combinations(range(t.n_outcomes), 2):
-        res = float(np.abs(t.kraus[i] @ t.kraus[j]).max())
-        require(res <= PROJECTION_TOL,
-                lambda: f"projections {i} and {j} overlap: max |P_iP_j| = {res:.3e}")
+        if on[i] @ on[j]:  # disjoint supports give P_iP_j = 0 exactly
+            res = float(np.abs(t.kraus[i] @ t.kraus[j]).max())
+            require(res <= PROJECTION_TOL,
+                    lambda: f"projections {i} and {j} overlap: max |P_iP_j| = {res:.3e}")
     return t
 
 
@@ -210,12 +226,15 @@ def coherent_instrument(basis: Sequence, labels: Sequence[str] | None = None) ->
 def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> Operator:
     """Unnormalized post-measurement operator sum_{i in E} B_i rho B_i†.
 
-    Each B_i acts on its support S_i only: out[S,S] += B_S rho[S,S] B_S†. The terms left
-    out are products with exact zeros. A single outcome whose support is the whole space
-    returns its product B rho B† itself. The products are `ndarray.dot`: the same BLAS
-    calls as `@`, without its per-call ufunc dispatch. rho is checked for shape only, not
-    re-scanned for non-finite entries: it comes from a validated state or the engine's own
-    products.
+    Each B_i acts on its support S_i only: the block rho[S,S] is gathered by the flat index
+    of S×S (`Instrument.supports`), and B_S rho[S,S] B_S† is added back into a flat +0
+    buffer at the same positions. The terms left out are products with exact zeros. A term
+    whose gathered block is exactly zero is skipped: B·0·B† adds only ±0, which leaves a sum
+    begun at +0 as it is (a NaN or inf entry is nonzero, so it still reaches the result). A
+    single outcome whose support is the whole space returns its product B rho B† itself.
+    The products are `ndarray.dot`: the same BLAS calls as `@`, without its per-call ufunc
+    dispatch. rho is checked for shape only, not re-scanned for non-finite entries: it
+    comes from a validated state or the engine's own products.
     """
     rho = np.asarray(rho)
     if rho.shape != (t.dim, t.dim):
@@ -228,13 +247,15 @@ def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> O
         if not 0 <= i < len(supports):
             raise ValidationError(f"outcome index {i} outside range({len(supports)})")
         terms.append(supports[i])
-    if len(terms) == 1 and isinstance(terms[0][0][0], slice):  # one outcome, whole space
+    if len(terms) == 1 and terms[0][0] is None:  # one outcome, whole space
         _, b, bh = terms[0]
         return b.dot(rho).dot(bh)
-    out = np.zeros(rho.shape, dtype=complex)
-    for idx, b, bh in terms:
-        out[idx] += b.dot(rho[idx]).dot(bh)
-    return out
+    out = np.zeros(rho.size, dtype=complex)
+    for flat, b, bh in terms:
+        sub = _gather(rho, flat, b.shape)
+        if np.count_nonzero(sub):
+            out[slice(None) if flat is None else flat] += b.dot(sub).dot(bh).ravel()
+    return out.reshape(rho.shape)
 
 
 def outcome_pmf(t: Instrument, rho: DensityState) -> ProbVector:
@@ -242,5 +263,6 @@ def outcome_pmf(t: Instrument, rho: DensityState) -> ProbVector:
     if rho.dim != t.dim:
         raise ValidationError(
             f"state dimension {rho.dim} does not match instrument dimension {t.dim}")
-    probs = [float(np.real(np.vdot(b, b @ rho.matrix[idx]))) for idx, b, _ in t.supports]
+    probs = [float(np.real(np.vdot(b, b @ _gather(rho.matrix, flat, b.shape))))
+             for flat, b, _ in t.supports]
     return ProbVector(np.clip(probs, 0.0, None), tol=1e-10)

@@ -231,7 +231,7 @@ def cylinder_probability(walk_unitary: Operator | None, t: Instrument, rho: Dens
     return float(np.real(np.trace(op)))
 
 
-def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[tuple],
+def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[np.ndarray | None],
              evolved: Sequence[np.ndarray], group: int, opts: RunOptions) -> list[tuple]:
     """(child, weight, merge key) of every (parent, block) of a chunk, in that order.
 
@@ -252,31 +252,32 @@ def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[tupl
     return [(c, w, key) for (c, w), key in zip(measured, keys)]
 
 
-def _merge_keys(measured: list[tuple], supports: list[tuple], merge_tol: float) -> list:
+def _merge_keys(measured: list[tuple], supports: list[np.ndarray | None],
+                merge_tol: float) -> list:
     """The merge key of each kept child of `measured`, None for a pruned one.
 
-    The key holds the entries on the child's block support (`supports`, one per child) over
-    its weight, in units of `merge_tol` and rounded, as interleaved (re, im) pairs: two
-    children share a key iff their real and imaginary parts do. One pass per support size
-    over the stacked entries does the same float operations as on each child alone.
+    The key holds the entries on the child's block support (`supports`, one flat index or
+    None per child) over its weight, in row-major order, in units of `merge_tol` and
+    rounded, as interleaved (re, im) pairs: two children share a key iff their real and
+    imaginary parts do. One pass per support size over the stacked entries does the same
+    float operations as on each child alone.
     """
     keys = [None] * len(measured)
-    buckets: dict[tuple, list[tuple[int, np.ndarray, float]]] = {}  # by support shape
-    for i, ((child, w), support) in enumerate(zip(measured, supports)):
+    buckets: dict[int, list[tuple[int, np.ndarray, float]]] = {}  # by support size
+    for i, ((child, w), flat) in enumerate(zip(measured, supports)):
         if child is not None:
-            entries = child[support]
-            bucket = buckets.get(entries.shape)
+            entries = child.ravel() if flat is None else child.take(flat)
+            bucket = buckets.get(entries.size)
             if bucket is None:
-                bucket = buckets[entries.shape] = []
+                bucket = buckets[entries.size] = []
             bucket.append((i, entries, w))
     for bucket in buckets.values():
         index, stacked, weights = zip(*bucket)
-        scaled = (np.array(stacked) / np.array(weights)[:, None, None]).view(np.float64)
+        scaled = (np.array(stacked) / np.array(weights)[:, None]).view(np.float64)
         scaled /= merge_tol
         np.rint(scaled, out=scaled)
-        row = scaled[0].size
         # Each child's entries viewed as one opaque item: `tolist` gives its bytes.
-        rows = scaled.astype(np.int64).reshape(-1, row).view(np.dtype((np.void, 8 * row)))
+        rows = scaled.astype(np.int64).view(np.dtype((np.void, 8 * scaled.shape[1])))
         for i, key in zip(index, rows.ravel().tolist()):
             keys[i] = key
     return keys

@@ -73,6 +73,38 @@ def dense_apply(t: Instrument, outcomes, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def ix_supports(t: Instrument) -> list[tuple]:
+    """Per outcome, (index of S×S, B[S,S], B[S,S]†) with the support index as an `np.ix_`
+    tuple, or plain `[:, :]` slices when S is the whole space."""
+    out = []
+    for b in t.kraus:
+        nonzero = b != 0
+        s = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        idx = (slice(None), slice(None)) if s.size == t.dim else np.ix_(s, s)
+        bs = np.ascontiguousarray(b[idx])
+        out.append((idx, bs, np.ascontiguousarray(bs.conj().T)))
+    return out
+
+
+def ix_apply(t: Instrument, outcomes, rho: np.ndarray) -> np.ndarray:
+    """`apply_instrument` written with `np.ix_` support tuples and a dense dim×dim buffer that
+    every term is added into: the bit-for-bit oracle of the flat-index kernel."""
+    supports = ix_supports(t)
+    terms = [supports[int(i)] for i in outcomes]
+    if len(terms) == 1 and isinstance(terms[0][0][0], slice):  # one outcome, whole space
+        _, b, bh = terms[0]
+        return b.dot(rho).dot(bh)
+    out = np.zeros(rho.shape, dtype=complex)
+    for idx, b, bh in terms:
+        out[idx] += b.dot(rho[idx]).dot(bh)
+    return out
+
+
+def ix_outcome_probs(t: Instrument, rho: DensityState) -> list[float]:
+    """tr(B_i rho B_i†) per outcome, from the `np.ix_` blocks of `ix_supports`."""
+    return [float(np.real(np.vdot(b, b @ rho.matrix[idx]))) for idx, b, _ in ix_supports(t)]
+
+
 def eigencheck(u: np.ndarray, v) -> complex:
     """Return lambda with u v = lambda v, reading lambda off the largest component.
 

@@ -85,6 +85,30 @@ class TestConfigParsing:
         walk = cli._section({"walk": {"kind": "hadamard", "N": walks.MAX_DIM // 2}}, "walk")
         assert walk.dim == walks.MAX_DIM
 
+    @pytest.mark.parametrize("vertices", [60, 200])
+    @pytest.mark.parametrize("section, kind", [("instrument", "coherent"),
+                                               ("instrument", "rank2_position"),
+                                               ("state", "eigenstate")])
+    def test_cycle_walk_kinds_need_two_coins(self, tmp_path, capsys, monkeypatch, vertices,
+                                             section, kind):
+        """These kinds are built from the vertex count of a two-coin walk: a one-coin walk
+        exits 2 naming `walk.coin_count` before any of them is built (at 200 vertices, a
+        position instrument would be over the dimension budget)."""
+        built = []
+        for name in ("coin_vertex_instrument", "position_instrument", "hadamard_eigenstate"):
+            monkeypatch.setattr(walks, name, lambda *a, name=name: built.append(name))
+        eye = [[int(r == c) for c in range(vertices)] for r in range(vertices)]
+        overrides = {"walk": {"kind": "explicit", "vertices": vertices, "coin_count": 1,
+                              "sigma": [(v + 1) % vertices for v in range(vertices)],
+                              "coins": [[[1]]] * vertices},
+                     "instrument": {"kind": "explicit_kraus", "kraus": [eye]},
+                     section: {"kind": kind}}
+        cfg = write_config(tmp_path / "one_coin.json", **overrides)
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == (f"error: '{section}.kind' {kind} needs a walk with 2 "
+                                           "coins per vertex, got field 'walk.coin_count' 1\n")
+        assert built == []
+
     def test_invalid_json_names_line(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{\n  \"walk\": ,\n}")

@@ -11,10 +11,33 @@ from szwalk import (DensityState, Instrument, ValidationError, apply_instrument,
 from szwalk.quantum import min_eigenvalue, orthonormal_columns
 from szwalk.walks import coin_vertex_instrument, hadamard_eigenstate, position_instrument
 
-from helpers import (dense_apply, random_coherent, random_density, random_general, random_lvn,
-                     random_unitary)
+from helpers import (dense_apply, ix_apply, ix_outcome_probs, random_coherent, random_density,
+                     random_general, random_lvn, random_unitary)
 
 SQRT2 = math.sqrt(2.0)
+
+
+def block_lvn(rng) -> Instrument:
+    """Rank-2 and rank-1 projections on coordinates {0,1,2} and on {3,4,5} of C^6, from
+    random bases: orthogonal pairs that share a support, and pairs with disjoint ones."""
+    projections = []
+    for first in (0, 3):
+        basis = np.zeros((6, 3), dtype=complex)
+        basis[first:first + 3] = random_unitary(rng, 3)
+        for cols in ([0, 1], [2]):
+            projections.append(basis[:, cols] @ basis[:, cols].conj().T)
+    return lvn_instrument(projections)
+
+
+def explicit_kraus_family(rng) -> Instrument:
+    """K0 on {0,1,2} and K1 on {1,2,3} of C^5 (partial, overlapping supports), completed by a
+    diagonal K2 on the whole space."""
+    k0 = np.zeros((5, 5), dtype=complex)
+    k1 = np.zeros((5, 5), dtype=complex)
+    k0[:3, :3] = 0.6 * random_unitary(rng, 3)
+    k1[1:4, 1:4] = 0.5 * random_unitary(rng, 3)
+    rest = np.eye(5) - k0.conj().T @ k0 - k1.conj().T @ k1
+    return general_instrument([k0, k1, np.diag(np.sqrt(np.real(np.diagonal(rest))))])
 
 
 class TestMakeDensity:
@@ -86,6 +109,25 @@ class TestInstrumentConstructors:
         plus = np.full((2, 2), 0.5)
         with pytest.raises(ValidationError):
             lvn_instrument([np.diag([1.0, 0.0]), plus])
+
+    def test_near_orthogonal_projections_fail_on_their_overlap(self):
+        """A complete family of projections whose one overlapping pair passes completeness to
+        COMPLETENESS_TOL but not the overlap check; the pairs with disjoint supports before it
+        are skipped, and it is still reported."""
+        d = 1.25e-10  # |<a|b>| = sin d; at π/8 the overlap reads 1.21× the completeness residual
+        a = [math.cos(math.pi / 8 + d / 2), math.sin(math.pi / 8 + d / 2)]
+        b = [-math.sin(math.pi / 8 - d / 2), math.cos(math.pi / 8 - d / 2)]
+        near = [np.zeros((4, 4), dtype=complex) for _ in range(2)]
+        near[0][2:, 2:] = np.outer(a, a)
+        near[1][2:, 2:] = np.outer(b, b)
+        with pytest.raises(ValidationError,
+                           match=r"^projections 1 and 2 overlap: max \|P_iP_j\| = 1\.067e-10$"):
+            lvn_instrument([np.diag([1.0, 1.0, 0.0, 0.0]), *near])
+
+    def test_projections_with_disjoint_or_shared_supports_accepted(self):
+        assert position_instrument(7).n_outcomes == 7  # pairwise disjoint supports
+        t = block_lvn(np.random.default_rng(5))  # orthogonal pairs on one shared support
+        assert [flat.size for flat, _, _ in t.supports] == [9, 9, 9, 9]
 
     def test_non_projection_kraus_rejected_for_lvn(self):
         scaled = np.eye(2) / SQRT2
@@ -193,6 +235,83 @@ class TestApplyInstrument:
             for outcomes in ([0], [1], range(t.n_outcomes)):
                 assert np.allclose(apply_instrument(t, outcomes, rho),
                                    dense_apply(t, outcomes, rho), rtol=0.0, atol=1e-15)
+
+
+def bits(m: np.ndarray) -> bytes:
+    """The bytes of a complex array: tells -0.0 from +0.0 and keeps NaN payloads."""
+    return np.ascontiguousarray(m, dtype=complex).tobytes()
+
+
+KERNEL_INSTRUMENTS = {
+    "position": lambda rng: position_instrument(5),
+    "coin-vertex": lambda rng: coin_vertex_instrument(5),
+    "random-coherent": lambda rng: random_coherent(rng, 6),
+    "block-lvn": block_lvn,
+    "random-lvn": lambda rng: random_lvn(rng, 6, 3),
+    "explicit-kraus": explicit_kraus_family,
+    "whole-space": lambda rng: random_general(rng, 5, 3),
+}
+
+
+def kernel_states(rng, t: Instrument) -> dict:
+    """A random rho, one that is exactly zero on outcome 0's support block, and one whose
+    zeros there are -0.0."""
+    rho = random_density(rng, t.dim).matrix
+    flat = t.supports[0][0]
+    on_block = np.zeros(t.dim * t.dim, dtype=bool)
+    on_block[slice(None) if flat is None else flat] = True
+    on_block = on_block.reshape(t.dim, t.dim)
+    return {"random": rho, "zero-block": np.where(on_block, 0.0, rho),
+            "minus-zero": np.where(on_block, -0.0, rho)}
+
+
+class TestFlatIndexKernel:
+    """`apply_instrument` gathers and scatters by flat index and skips exactly-zero blocks:
+    bit for bit what the `np.ix_` formulation with a dense buffer gives."""
+
+    @pytest.mark.parametrize("name", KERNEL_INSTRUMENTS)
+    def test_matches_the_ix_kernel_bitwise(self, name):
+        rng = np.random.default_rng(17)
+        t = KERNEL_INSTRUMENTS[name](rng)
+        n = t.n_outcomes
+        outcome_sets = [[i] for i in range(n)] + [[0, 1], [1, 0], [n - 1, 0], list(range(n)), []]
+        if name == "coin-vertex":
+            outcome_sets += [[v, v + 5] for v in range(5)]  # vertex blocks
+        for rho in kernel_states(rng, t).values():
+            for outcomes in outcome_sets:
+                assert bits(apply_instrument(t, outcomes, rho)) == bits(ix_apply(t, outcomes, rho))
+
+    def test_minus_zero_never_reaches_the_buffer(self):
+        """B_S rho[S,S] B_S† holds a -0.0 here; added into the +0 buffer it reads +0.0."""
+        t = position_instrument(4)
+        rho = np.full((8, 8), -0.0 - 0.0j)
+        rho[1, 1] = -1.0 - 1.0j
+        flat, b, bh = t.supports[1]
+        product = b.dot(rho.take(flat).reshape(b.shape)).dot(bh).view(np.float64)
+        assert np.signbit(product[product == 0.0]).any()
+        for outcomes in ([1], [0, 1, 2, 3]):
+            out = apply_instrument(t, outcomes, rho)
+            parts = out.view(np.float64)
+            assert not np.signbit(parts[parts == 0.0]).any()
+            assert bits(out) == bits(ix_apply(t, outcomes, rho))
+
+    @pytest.mark.parametrize("name", ["position", "block-lvn", "explicit-kraus"])
+    def test_nan_in_a_support_block_reaches_the_child(self, name):
+        t = KERNEL_INSTRUMENTS[name](np.random.default_rng(19))
+        flat = t.supports[0][0]
+        rho = np.zeros((t.dim, t.dim), dtype=complex)
+        rho.flat[flat[0]] = np.nan  # the block is otherwise exactly zero
+        for outcomes in ([0], list(range(t.n_outcomes))):
+            assert np.isnan(apply_instrument(t, outcomes, rho)).any()
+            assert np.isnan(ix_apply(t, outcomes, rho)).any()
+
+    @pytest.mark.parametrize("name", KERNEL_INSTRUMENTS)
+    def test_outcome_pmf_matches_the_ix_blocks_bitwise(self, name):
+        rng = np.random.default_rng(23)
+        t = KERNEL_INSTRUMENTS[name](rng)
+        for state in (random_density(rng, t.dim), maximally_mixed(t.dim)):
+            expected = np.clip(ix_outcome_probs(t, state), 0.0, None)
+            assert outcome_pmf(t, state).entries.tobytes() == expected.tobytes()
 
 
 class TestOutcomePmf:

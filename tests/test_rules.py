@@ -159,3 +159,35 @@ def test_guard_flags_the_unreferenced_names():
            "class C:\n    def m(self):\n        return C()\n"
            "def g():\n    '''h and k'''\n    return mod.h + 'k'\n")
     assert _references(ast.parse(src)) == {"n", "mod", "h"}
+
+
+def _ix_uses(tree: ast.AST) -> list[int]:
+    """Lines that reach `ix_` (as `np.ix_`, `numpy.ix_` or an imported name): a support held as
+    an open-mesh index tuple beside the flat index of `Instrument.supports`."""
+    lines = []
+    for node in ast.walk(tree):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                 else [node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)])
+        if "ix_" in names:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_one_support_representation():
+    """A support is one flat index of S×S: no `np.ix_` tuples anywhere in the package."""
+    found = {path.name: _ix_uses(ast.parse(path.read_text()))
+             for path in sorted(SOURCE.glob("*.py"))}
+    assert "quantum.py" in found
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_guard_flags_the_ix_uses():
+    src = ("import numpy as np\n"
+           "a = rho[np.ix_(s, s)]\n"
+           "from numpy import ix_, take\n"
+           "b = ix_(s, s)\n"
+           "c = rho.take(flat)\n"
+           "d = 'np.ix_ in a string'\n"
+           "e = numpy.ix_\n"
+           "f = self.ix\n")
+    assert _ix_uses(ast.parse(src)) == [2, 3, 4, 7]

@@ -507,7 +507,9 @@ class TestChunkedDepths:
                 assert child is None and key is None
                 continue
             assert np.array_equal(child, ref)
-            scaled = (ref[supports[bi]] / ref_w).view(np.float64) / opts.merge_tol
+            flat = supports[bi]
+            entries = ref.ravel() if flat is None else ref.take(flat)
+            scaled = (entries / ref_w).view(np.float64) / opts.merge_tol
             assert key == np.round(scaled).astype(np.int64).tobytes()
 
     @pytest.mark.parametrize("case", KERNEL_CASES)

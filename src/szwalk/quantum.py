@@ -1,24 +1,16 @@
 """Finite-dimensional density states and measurement instruments.
 
-Operators are dense complex numpy arrays; dimensions stay small (a few
-dozen), so no sparse machinery. An instrument is a finite Kraus family
-{B_i} with sum B_i† B_i = 1; the constructors for projective and
-coherent-states instruments check their extra structure once, when the
-instrument is built.
-
-Each B_i acts on its support S_i only, the indices of its nonzero rows and
-columns. A support is held as one flat index: the row-major positions of
-S×S in a dim×dim operator, or None when S is the whole space. The kernel
-gathers a block with `take` and scatters its product back by that index.
+States and dynamics are dense complex numpy arrays of a few dozen dimensions. An instrument
+is a finite Kraus family {B_i} with sum B_i† B_i = 1, held as each B_i's block on its support
+S_i: B[S,S], its adjoint and the flat index of S×S (row-major positions in a dim×dim operator).
+Every check runs on the blocks, once, when the instrument is built; the kernel gathers with
+`take` and scatters back by the same index. Dense operators are only an input format
+(`general_instrument`) and a view (`Instrument.kraus`).
 """
 
 from __future__ import annotations
 
-import math
 import numbers
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,10 +39,6 @@ def as_operator(m) -> Operator:
     return arr
 
 
-def hermiticity_residual(m: Operator) -> float:
-    return float(np.abs(m - m.conj().T).max())
-
-
 def identity_residual(gram: np.ndarray) -> float:
     """max |G - 1| of a square G, e.g. a Gram matrix A†A or a completeness sum Σ B†B."""
     return float(np.abs(gram - np.eye(gram.shape[0])).max())
@@ -67,7 +55,7 @@ class DensityState:
 
     def __init__(self, matrix):
         m = as_operator(matrix)
-        res = hermiticity_residual(m)
+        res = float(np.abs(m - m.conj().T).max())
         require(res <= HERMITIAN_TOL,
                 f"density matrix not Hermitian: max |A - A†| = {res:.3e} (tol {HERMITIAN_TOL:g})")
         tr = complex(np.trace(m))
@@ -111,89 +99,100 @@ def _gather(m: np.ndarray, flat: np.ndarray | None, shape: tuple[int, int]) -> n
     return m if flat is None else m.take(flat).reshape(shape)
 
 
-@dataclass(frozen=True)
 class Instrument:
     """A complete Kraus family {B_i} (sum B_i† B_i = 1) indexed by labeled outcomes.
 
-    Absent or empty labels default to "0", "1", ...; constructors that promise more structure
-    (projections, rank-1 projections) check it themselves.
+    Outcome i comes as (S, B[S,S]), S the increasing indices (None: all) outside which B_i is
+    zero, and is held as `supports[i]` = (flat index of S×S, B[S,S], B[S,S]†), the index None
+    when S is the whole space. Absent or empty labels default to "0", "1", ...; constructors
+    that promise more structure (projections, rank-1 projections) check it themselves.
     """
 
-    kraus: tuple[Operator, ...]
-    outcome_labels: tuple[str, ...] | None = None
+    __slots__ = ("dim", "supports", "outcome_labels")
 
-    def __post_init__(self):
-        ops = tuple(as_operator(b) for b in self.kraus)
-        if not ops:
+    def __init__(self, dim: int, blocks: Iterable[tuple], labels: Sequence[str] | None = None):
+        require(is_kind(dim, numbers.Integral) and dim >= 1,
+                f"instrument dimension must be an integer >= 1, got {dim!r}")
+        supports = []
+        total = np.zeros(dim * dim, dtype=complex)  # sum B†B, scattered by flat index
+        for i, (s, b) in enumerate(blocks):
+            s, b = np.arange(dim) if s is None else np.asarray(s), np.array(b, complex, order="C")
+            require(s.ndim == 1 and s.dtype.kind in "iu" and b.shape == (s.size, s.size)
+                    and s.tolist() == sorted(x for x in set(s.tolist()) if 0 <= x < dim)
+                    and np.isfinite(b).all(), lambda: f"outcome {i}: need increasing S in "
+                    f"range({dim}) and a finite |S|×|S| block, got S = {s.tolist()}, {b.shape}")
+            flat = None if s.size == dim else (s[:, None] * dim + s).ravel()
+            bh = np.ascontiguousarray(b.conj().T)
+            total[slice(None) if flat is None else flat] += bh.dot(b).ravel()
+            supports.append((flat, b, bh))
+        if not supports:
             raise ValidationError("instrument needs at least one Kraus operator")
-        dim = ops[0].shape[0]
-        if any(b.shape[0] != dim for b in ops):
-            raise ValidationError("Kraus operators have mismatched dimensions")
-        labels = tuple(str(x) for x in self.outcome_labels or range(len(ops)))
-        if len(labels) != len(ops):
-            raise ValidationError(f"{len(labels)} labels for {len(ops)} outcomes")
-        res = identity_residual(sum(b.conj().T @ b for b in ops))
+        labels = tuple(str(x) for x in labels or range(len(supports)))
+        if len(labels) != len(supports):
+            raise ValidationError(f"{len(labels)} labels for {len(supports)} outcomes")
+        res = identity_residual(total.reshape(dim, dim))
         require(res <= COMPLETENESS_TOL, f"Kraus completeness fails: max |sum B†B - 1| = "
                 f"{res:.3e} (tol {COMPLETENESS_TOL:g})")
-        object.__setattr__(self, "kraus", ops)
-        object.__setattr__(self, "outcome_labels", labels)
-
-    @property
-    def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        self.dim, self.supports, self.outcome_labels = dim, tuple(supports), labels
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.kraus)
+        return len(self.supports)
+
+    @property
+    def kraus(self) -> tuple[Operator, ...]:
+        """The dense operators B_i, scattered from the blocks on each request: a view for tests,
+        oracles and outside callers. The package itself reads `supports`."""
+        ops = tuple(np.zeros((self.dim, self.dim), dtype=complex) for _ in self.supports)
+        for op, (flat, b, _) in zip(ops, self.supports):
+            op.flat[slice(None) if flat is None else flat] = b
+        return ops
+
+    def support(self, i: int) -> np.ndarray:
+        """S_i, the increasing indices that outcome i's block acts on."""
+        flat, b, _ = self.supports[i]
+        return np.arange(self.dim) if flat is None else flat[:b.shape[0]] % self.dim
 
     def support_index(self, outcomes: Iterable[int]) -> np.ndarray | None:
         """Row-major positions of S×S in a dim×dim operator, S the union of the outcomes'
-        nonzero Kraus rows and columns; None when S is the whole space.
-
-        Every B_i ρ B_i† with i among `outcomes` is exactly zero outside S×S.
-        """
-        nonzero = np.zeros(self.dim, dtype=bool)
+        supports (None: the whole space). Each B_i ρ B_i† is exactly zero outside S×S."""
+        on = np.zeros(self.dim, dtype=bool)
         for i in outcomes:
-            b = self.kraus[i] != 0
-            nonzero |= b.any(axis=0) | b.any(axis=1)
-        s = np.flatnonzero(nonzero)
+            on[self.support(i)] = True
+        s = np.flatnonzero(on)
         return None if s.size == self.dim else (s[:, None] * self.dim + s).ravel()
-
-    @cached_property
-    def supports(self) -> tuple[tuple[np.ndarray | None, Operator, Operator], ...]:
-        """Per outcome i, (flat index of S×S, B[S,S], B[S,S]†) with the index from
-        `support_index([i])`. A dense B has index None and enters the products as itself.
-        """
-        out = []
-        for i, b in enumerate(self.kraus):
-            flat = self.support_index([i])
-            k = self.dim if flat is None else math.isqrt(flat.size)
-            bs = np.ascontiguousarray(_gather(b, flat, (k, k)))
-            out.append((flat, bs, np.ascontiguousarray(bs.conj().T)))
-        return tuple(out)
 
 
 def general_instrument(kraus: Sequence, labels: Sequence[str] | None = None) -> Instrument:
-    """Instrument from an arbitrary Kraus family (only completeness checked)."""
-    return Instrument(kraus, labels)
+    """Instrument from dense Kraus operators (only completeness checked): where dense operators
+    become blocks, S being the nonzero rows and columns of B."""
+    ops = [as_operator(b) for b in kraus]
+    if any(b.shape != ops[0].shape for b in ops):
+        raise ValidationError("Kraus operators have mismatched dimensions")
+    supports = [np.flatnonzero(((b != 0) | (b.T != 0)).any(axis=0)) for b in ops]
+    return Instrument(ops[0].shape[0] if ops else 1,  # an empty family fails there
+                      [(s, b[s[:, None], s]) for s, b in zip(supports, ops)], labels)
 
 
-def lvn_instrument(projections: Sequence, labels: Sequence[str] | None = None) -> Instrument:
-    """Instrument from pairwise-orthogonal projections summing to the identity."""
-    t = Instrument(projections, labels)
-    for i, b in enumerate(t.kraus):
-        herm = hermiticity_residual(b)
-        idem = float(np.abs(b @ b - b).max())
+def lvn_instrument(projections: Instrument | Sequence,
+                   labels: Sequence[str] | None = None) -> Instrument:
+    """Instrument from pairwise-orthogonal projections summing to the identity, given as dense
+    matrices (with `labels`) or as an `Instrument`; every check runs on the blocks."""
+    t = (projections if isinstance(projections, Instrument)
+         else general_instrument(projections, labels))
+    on = np.zeros((t.n_outcomes, t.dim), dtype=bool)  # on[i] marks S_i, outcome i's support
+    for i, (_, b, bh) in enumerate(t.supports):
+        herm, idem = (float(np.abs(m).max(initial=0.0)) for m in (b - bh, b @ b - b))
         require(herm <= PROJECTION_TOL and idem <= PROJECTION_TOL,
                 lambda: f"outcome {i}: not a projection (|B-B†|={herm:.3e}, |B²-B|={idem:.3e})")
-    on = np.zeros((t.n_outcomes, t.dim), dtype=bool)  # on[i] marks S_i, outcome i's support
-    for i, (flat, _, _) in enumerate(t.supports):
-        on[i, slice(None) if flat is None else flat // t.dim] = True
-    for i, j in combinations(range(t.n_outcomes), 2):
-        if on[i] @ on[j]:  # disjoint supports give P_iP_j = 0 exactly
-            res = float(np.abs(t.kraus[i] @ t.kraus[j]).max())
-            require(res <= PROJECTION_TOL,
-                    lambda: f"projections {i} and {j} overlap: max |P_iP_j| = {res:.3e}")
+        on[i, t.support(i)] = True
+    # Disjoint supports give P_iP_j = 0 exactly; the others multiply over S_i ∩ S_j only.
+    for i, j in zip(*np.nonzero(np.triu(on @ on.T, 1))):
+        common = on[i] & on[j]
+        res = float(np.abs(t.supports[i][1][:, common[t.support(i)]]
+                           @ t.supports[j][1][common[t.support(j)]]).max())
+        require(res <= PROJECTION_TOL,
+                lambda: f"projections {i} and {j} overlap: max |P_iP_j| = {res:.3e}")
     return t
 
 
@@ -220,7 +219,9 @@ def coherent_instrument(basis: Sequence, labels: Sequence[str] | None = None) ->
     if not basis:
         raise ValidationError("coherent instrument needs at least one basis vector")
     A = orthonormal_columns(basis, np.size(basis[0]))
-    return Instrument(tuple(np.outer(a, a.conj()) for a in A.T), labels)
+    supports = [np.flatnonzero(a) for a in A.T]  # |a><a| acts on the nonzero entries of a
+    return Instrument(A.shape[0], [(s, np.outer(a[s], a[s].conj()))
+                                   for s, a in zip(supports, A.T)], labels)
 
 
 def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> Operator:

@@ -460,19 +460,22 @@ def dynamical_entropy(walk_unitary: Operator, t: Instrument, rho: DensityState,
 def markov_reduction(walk_unitary: Operator, t: Instrument, rho: DensityState) -> MarkovReduction:
     """Classical reduction of a coherent-state run: |<a_i|U|a_j>|² plus the initial pmf.
 
-    Only instruments made of rank-1 projections |a_i><a_i| admit this fast
-    path; the entropy-rate computation itself is the classical module's job.
+    Only instruments made of rank-1 projections |a_i><a_i| admit this fast path. Each is
+    checked and a_i read off on its block B[S,S]: outside S×S both B and vv† are zero. The
+    entropy-rate computation itself is the classical module's job.
     """
     u = _check_unitary(walk_unitary, t.dim)
-    basis = []
-    for i, b in enumerate(t.kraus):
+    A = np.zeros((t.dim, t.n_outcomes), dtype=complex)  # column i: the vector of outcome i
+    for i, (_, b, _) in enumerate(t.supports):
+        require(b.size > 0, lambda: f"Markov reduction needs rank-1 projections: outcome {i} "
+                "is zero", UnsupportedConfigurationError)
         vec = b[:, int(np.argmax(np.abs(np.diagonal(b))))]
         vec = vec / (np.linalg.norm(vec) or 1.0)  # a zero column stays zero and fails below
         res = float(np.abs(b - np.outer(vec, vec.conj())).max())
         require(res <= RANK1_TOL,
                 lambda: f"Markov reduction needs rank-1 projections: outcome {i} has "
                 f"max |B - vv†| = {res:.3e} (tol {RANK1_TOL:g})", UnsupportedConfigurationError)
-        basis.append(vec)
-    A = orthonormal_columns(basis, t.dim)
+        A[t.support(i), i] = vec
+    A = orthonormal_columns(A.T, t.dim)
     P = TransitionMatrix(np.abs(A.conj().T @ u @ A) ** 2)
     return MarkovReduction(transition_matrix=P, initial_distribution=outcome_pmf(t, rho))

@@ -21,8 +21,8 @@ from .quantum import (DensityState, Instrument, Operator, as_operator, coherent_
 UNITARY_TOL = 1e-10
 POWER_UNITARY_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-12
-# Dimension budget, checked before anything is allocated: the cycle-walk instruments hold N or
-# 2N dense dim×dim operators, so at this size one instrument already takes 256 MiB.
+# Dimension budget, checked before anything is allocated. Instruments hold only support blocks;
+# it bounds the dense dim×dim operators: U, its powers, the states and the engine's branches.
 MAX_DIM = 256
 
 COIN_R = 0
@@ -185,13 +185,9 @@ def coin_vertex_instrument(N: int) -> Instrument:
 def position_instrument(N: int) -> Instrument:
     """Rank-2 position instrument P_v = 1_C ⊗ |v><v| with one outcome per vertex."""
     _check_vertex_count(N)
-    projections = []
-    for v in range(N):
-        p = np.zeros((2 * N, 2 * N), dtype=complex)
-        p[basis_index(COIN_R, v, N), basis_index(COIN_R, v, N)] = 1.0
-        p[basis_index(COIN_L, v, N), basis_index(COIN_L, v, N)] = 1.0
-        projections.append(p)
-    return lvn_instrument(projections, labels=[f"v{v}" for v in range(N)])
+    blocks = [(np.array([basis_index(COIN_R, v, N), basis_index(COIN_L, v, N)]),
+               np.eye(2, dtype=complex)) for v in range(N)]  # P_v is the identity on {R v, L v}
+    return lvn_instrument(Instrument(2 * N, blocks, labels=[f"v{v}" for v in range(N)]))
 
 
 def vertex_partition(N: int) -> Partition:

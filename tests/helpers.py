@@ -7,6 +7,7 @@ import numpy as np
 from szwalk import (DensityState, Instrument, NumericError, Partition, ProbVector,
                     TransitionMatrix, coherent_instrument, cylinder_probability, eta,
                     general_instrument, lvn_instrument)
+from szwalk.quantum import orthonormal_columns
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -71,6 +72,42 @@ def dense_apply(t: Instrument, outcomes, rho: np.ndarray) -> np.ndarray:
         b = t.kraus[int(i)]
         out += b @ rho @ b.conj().T
     return out
+
+
+def dense_position(N: int) -> list[np.ndarray]:
+    """The rank-2 position projections P_v = 1_C ⊗ |v><v| as dense 2N×2N matrices."""
+    projections = []
+    for v in range(N):
+        p = np.zeros((2 * N, 2 * N), dtype=complex)
+        p[v, v] = p[N + v, N + v] = 1.0
+        projections.append(p)
+    return projections
+
+
+def dense_coherent(basis) -> list[np.ndarray]:
+    """The rank-1 projections |a><a| of an orthonormal basis as dense matrices."""
+    return [np.outer(a, a.conj()) for a in orthonormal_columns(list(basis), len(basis)).T]
+
+
+def dense_supports(kraus) -> list[tuple]:
+    """Per dense operator B, (flat index of S×S or None, B[S,S], B[S,S]†) with S its nonzero
+    rows and columns, scanned from the dense matrix: the oracle of `Instrument.supports`."""
+    out = []
+    for b in kraus:
+        nonzero = b != 0
+        s = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        flat = None if s.size == b.shape[0] else (s[:, None] * b.shape[0] + s).ravel()
+        bs = np.ascontiguousarray(b if flat is None else b.take(flat).reshape(s.size, s.size))
+        out.append((flat, bs, np.ascontiguousarray(bs.conj().T)))
+    return out
+
+
+def dense_kraus_tree_family(rng: np.random.Generator, dim: int) -> list[np.ndarray]:
+    """Two Kraus operators from a random isometry V (2d×d) split in halves, as the
+    `kraus_tree` benchmark draws them."""
+    q, r = np.linalg.qr(rng.normal(size=(2 * dim, dim)) + 1j * rng.normal(size=(2 * dim, dim)))
+    v = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return [v[:dim], v[dim:]]
 
 
 def ix_supports(t: Instrument) -> list[tuple]:

@@ -11,7 +11,8 @@ from szwalk import (DensityState, Instrument, ValidationError, apply_instrument,
 from szwalk.quantum import min_eigenvalue, orthonormal_columns
 from szwalk.walks import coin_vertex_instrument, hadamard_eigenstate, position_instrument
 
-from helpers import (dense_apply, ix_apply, ix_outcome_probs, random_coherent, random_density,
+from helpers import (dense_apply, dense_coherent, dense_kraus_tree_family, dense_position,
+                     dense_supports, ix_apply, ix_outcome_probs, random_coherent, random_density,
                      random_general, random_lvn, random_unitary)
 
 SQRT2 = math.sqrt(2.0)
@@ -165,7 +166,7 @@ class TestInstrumentConstructors:
         assert np.array_equal(t.kraus[1], u2 / SQRT2)
 
     def test_instrument_defaults_labels(self):
-        t = Instrument([np.eye(2)])
+        t = Instrument(2, [(None, np.eye(2))])
         assert t.outcome_labels == ("0",) and isinstance(t.kraus, tuple)
 
     @pytest.mark.parametrize("kraus, labels, match", [
@@ -176,11 +177,109 @@ class TestInstrumentConstructors:
     ])
     def test_instrument_rejects(self, kraus, labels, match):
         with pytest.raises(ValidationError, match=match):
-            Instrument(kraus, labels)
+            general_instrument(kraus, labels)
 
     def test_coherent_instrument_without_vectors_rejected(self):
         with pytest.raises(ValidationError, match="at least one basis vector"):
             coherent_instrument([])
+
+
+def assert_matches_dense(t: Instrument, dense: list) -> None:
+    """`t.supports` equals, byte for byte, what the old scan of the dense operators gave;
+    `t.kraus` gives those operators back, and `support_index` the scan's union."""
+    expected = dense_supports(dense)
+    assert len(t.supports) == len(expected) == len(t.kraus)
+    for (flat, b, bh), (flat0, b0, bh0) in zip(t.supports, expected):
+        assert (flat is None and flat0 is None) or (flat.dtype == flat0.dtype
+                                                    and flat.tobytes() == flat0.tobytes())
+        assert b.flags.c_contiguous and bh.flags.c_contiguous
+        assert b.shape == b0.shape and bits(b) == bits(b0) and bits(bh) == bits(bh0)
+    assert all(np.array_equal(k, d) for k, d in zip(t.kraus, dense))
+    n = t.n_outcomes
+    for outcomes in ([0], [n - 1, 0], list(range(0, n, 2)), range(n)):
+        union = sum(np.abs(dense[i]) for i in outcomes) != 0
+        s = np.flatnonzero(union.any(axis=0) | union.any(axis=1))
+        index = t.support_index(outcomes)
+        if s.size == t.dim:
+            assert index is None
+        else:
+            assert index.tobytes() == (s[:, None] * t.dim + s).ravel().tobytes()
+
+
+class TestBlocksMatchTheDenseConstruction:
+    """The constructors make their blocks without dense operators, and a dense family becomes
+    blocks in `general_instrument`: either way the blocks are those the dense construction
+    gave, bit for bit."""
+
+    @pytest.mark.parametrize("N", [3, 5, 25])
+    def test_walk_instruments(self, N):
+        assert_matches_dense(position_instrument(N), dense_position(N))
+        assert_matches_dense(coin_vertex_instrument(N), dense_coherent(np.eye(2 * N)))
+
+    def test_coherent_on_a_random_dense_basis(self):
+        basis = list(random_unitary(np.random.default_rng(31), 6).T)
+        assert coherent_instrument(basis).supports[0][0] is None
+        assert_matches_dense(coherent_instrument(basis), dense_coherent(basis))
+
+    def test_coherent_on_a_sparse_basis(self):
+        """Vectors of 2×2 rotations on {0,3} and {1,2}, and one basis vector: partial supports."""
+        rng = np.random.default_rng(37)
+        basis = np.zeros((5, 5), dtype=complex)
+        basis[4, 4] = 1.0
+        for pair in ([0, 3], [1, 2]):
+            basis[np.array(pair)[:, None], pair] = random_unitary(rng, 2)
+        t = coherent_instrument(list(basis))
+        assert [flat.size for flat, _, _ in t.supports] == [4, 4, 4, 4, 1]
+        assert_matches_dense(t, dense_coherent(list(basis)))
+
+    def test_lvn_from_dense_projections(self):
+        rng = np.random.default_rng(41)
+        for dense in (dense_position(4), block_lvn(rng).kraus, random_lvn(rng, 6, 3).kraus):
+            assert_matches_dense(lvn_instrument(dense), dense)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_general_on_a_kraus_tree_family(self, seed):
+        dense = dense_kraus_tree_family(np.random.default_rng(seed), 8)
+        assert_matches_dense(general_instrument(dense), dense)
+        dense = explicit_kraus_family(np.random.default_rng(seed)).kraus
+        assert_matches_dense(general_instrument(dense), dense)
+
+    def test_lvn_checks_an_instrument_of_blocks(self):
+        blocks = [([0, 2], np.eye(2)), ([1], [[1.0]])]
+        assert lvn_instrument(Instrument(3, blocks, ["a", "b"])).outcome_labels == ("a", "b")
+        shared = [([0, 1], np.full((2, 2), 0.5)), ([0, 1], [[0.5, -0.5], [-0.5, 0.5]]),
+                  ([2], [[1.0]])]  # |+><+| and |-><-| multiply on {0, 1}
+        assert lvn_instrument(Instrument(3, shared)).n_outcomes == 3
+        scaled = [([0, 1], np.eye(2) / SQRT2), ([0, 1], np.eye(2) / SQRT2), ([2], [[1.0]])]
+        with pytest.raises(ValidationError, match=r"^outcome 0: not a projection \(\|B-B†\|=0"):
+            lvn_instrument(Instrument(3, scaled))
+
+    def test_zero_operator_has_an_empty_block(self):
+        t = general_instrument([np.eye(2), np.zeros((2, 2))])
+        flat, b, bh = t.supports[1]
+        assert flat.size == 0 and b.shape == bh.shape == (0, 0)
+        assert np.array_equal(t.kraus[1], np.zeros((2, 2)))
+        assert lvn_instrument([np.eye(2), np.zeros((2, 2))]).n_outcomes == 2
+        assert np.array_equal(apply_instrument(t, [1], np.eye(2) / 2), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("support, block", [
+        ([1, 0], np.eye(2)),  # not increasing
+        ([0, 0], np.eye(2)),  # repeated
+        ([0, 3], np.eye(2)),  # outside range(3)
+        ([-1, 0], np.eye(2)),
+        ([0.0, 1.0], np.eye(2)),  # not integers
+        ([0, 1], np.eye(3)),  # block of the wrong shape
+        ([[0, 1]], np.eye(2)),
+        ([0, 1], [[1.0, math.nan], [0.0, 1.0]]),
+    ])
+    def test_instrument_rejects_a_bad_block(self, support, block):
+        with pytest.raises(ValidationError, match="^outcome 0: need increasing S in range"):
+            Instrument(3, [(support, block), ([2], [[1.0]])])
+
+    def test_instrument_rejects_a_bad_dimension(self):
+        for dim in (0, 2.0, True):
+            with pytest.raises(ValidationError, match="instrument dimension"):
+                Instrument(dim, [(None, np.eye(2))])
 
 
 class TestApplyInstrument:

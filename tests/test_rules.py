@@ -2,9 +2,13 @@
 
 import ast
 import re
+import tracemalloc
 from pathlib import Path
 
+import pytest
+
 import szwalk
+from szwalk.walks import coin_vertex_instrument, position_instrument
 
 SOURCE = Path(szwalk.__file__).parent
 ORDERINGS = (ast.Lt, ast.Gt, ast.LtE, ast.GtE)
@@ -191,3 +195,44 @@ def test_guard_flags_the_ix_uses():
            "e = numpy.ix_\n"
            "f = self.ix\n")
     assert _ix_uses(ast.parse(src)) == [2, 3, 4, 7]
+
+
+def _kraus_reads(tree: ast.AST) -> list[int]:
+    """Lines that reach an attribute `.kraus`: the dense operators, scattered from the blocks on
+    each request, which only tests, oracles and outside callers should want."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "kraus")
+
+
+def test_only_quantum_reads_the_dense_kraus_view():
+    """An instrument is its support blocks: the package works on `Instrument.supports`, and
+    the dense `kraus` view is defined, not read, in `quantum.py`."""
+    found = {path.name: _kraus_reads(ast.parse(path.read_text()))
+             for path in sorted(SOURCE.glob("*.py")) if path.name != "quantum.py"}
+    assert "sz.py" in found
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_guard_flags_the_kraus_reads():
+    src = ("a = t.kraus\n"
+           "b = 'instrument.kraus'\n"
+           "for k in config.instrument.kraus:\n    pass\n"
+           "c = kraus\n"
+           "d = t.kraus_count\n"
+           "e = getattr(t, 'supports')\n"
+           "f = [b for b in t.kraus]\n")
+    assert _kraus_reads(ast.parse(src)) == [1, 3, 8]
+
+
+@pytest.mark.parametrize("build", [coin_vertex_instrument, position_instrument])
+def test_walk_instruments_allocate_no_dense_operators(build):
+    """At N=49 (dimension 98) one dense operator takes 150 KiB, so the 98 coin-vertex or 49
+    position operators alone would take 14.4 or 7.2 MiB; the blocks and checks stay under 1 MiB."""
+    build(3)  # imports and first-call caches do not count
+    tracemalloc.start()
+    try:
+        build(49)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

@@ -663,6 +663,8 @@ class TestMarkovReduction:
         lambda: random_general(np.random.default_rng(7), 4, 4),
         # complete, but the second operator has a zero diagonal, so no vector is read off it
         lambda: general_instrument([np.diag([1.0, 0.0]), [[0.0, 1.0], [0.0, 0.0]]]),
+        # a zero operator: its block is empty, so there is no vector to read off
+        lambda: general_instrument([np.eye(2), np.zeros((2, 2))]),
     ])
     def test_non_projective_family_unsupported(self, make):
         t = make()

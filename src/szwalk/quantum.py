@@ -4,8 +4,9 @@ States and dynamics are dense complex numpy arrays of a few dozen dimensions. An
 is a finite Kraus family {B_i} with sum B_i† B_i = 1, held as each B_i's block on its support
 S_i: B[S,S], its adjoint and the flat index of S×S (row-major positions in a dim×dim operator).
 Every check runs on the blocks, once, when the instrument is built; the kernel gathers with
-`take` and scatters back by the same index. Dense operators are only an input format
-(`general_instrument`) and a view (`Instrument.kraus`).
+`take` and scatters back by the same index, and returns one shared read-only zero
+(`shared_zero`) for a child whose terms are all exactly zero. Dense operators are only an
+input format (`general_instrument`) and a view (`Instrument.kraus`).
 """
 
 from __future__ import annotations
@@ -97,6 +98,19 @@ def _gather(m: np.ndarray, flat: np.ndarray | None, shape: tuple[int, int]) -> n
     """m[S,S] gathered by the flat index of S×S, as a `shape` matrix; m itself when the index
     is None (S the whole space)."""
     return m if flat is None else m.take(flat).reshape(shape)
+
+
+_ZEROS: dict[int, Operator] = {}
+
+
+def shared_zero(dim: int) -> Operator:
+    """The read-only +0 dim×dim operator that `apply_instrument` returns when it skips every
+    term: one per dimension, made on first use and kept for the life of the process."""
+    zero = _ZEROS.get(dim)
+    if zero is None:
+        zero = _ZEROS[dim] = np.zeros((dim, dim), dtype=complex)
+        zero.flags.writeable = False
+    return zero
 
 
 class Instrument:
@@ -231,8 +245,11 @@ def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> O
     of S×S (`Instrument.supports`), and B_S rho[S,S] B_S† is added back into a flat +0
     buffer at the same positions. The terms left out are products with exact zeros. A term
     whose gathered block is exactly zero is skipped: B·0·B† adds only ±0, which leaves a sum
-    begun at +0 as it is (a NaN or inf entry is nonzero, so it still reaches the result). A
-    single outcome whose support is the whole space returns its product B rho B† itself.
+    begun at +0 as it is (a NaN or inf entry is nonzero, so it still reaches the result).
+    When every term is skipped, the empty outcome set included, the result is
+    `shared_zero(dim)`, the same read-only object on every such call: callers must not
+    write into a result. A single outcome whose support is the whole space returns its
+    product B rho B† itself.
     The products are `ndarray.dot`: the same BLAS calls as `@`, without its per-call ufunc
     dispatch. rho is checked for shape only, not re-scanned for non-finite entries: it
     comes from a validated state or the engine's own products.
@@ -251,12 +268,15 @@ def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> O
     if len(terms) == 1 and terms[0][0] is None:  # one outcome, whole space
         _, b, bh = terms[0]
         return b.dot(rho).dot(bh)
-    out = np.zeros(rho.size, dtype=complex)
+    out = None
     for flat, b, bh in terms:
-        sub = _gather(rho, flat, b.shape)
+        sub = rho if flat is None else rho.take(flat)
         if np.count_nonzero(sub):
-            out[slice(None) if flat is None else flat] += b.dot(sub).dot(bh).ravel()
-    return out.reshape(rho.shape)
+            if out is None:
+                out = np.zeros(rho.size, dtype=complex)
+            product = b.dot(sub.reshape(b.shape)).dot(bh)
+            out[slice(None) if flat is None else flat] += product.ravel()
+    return shared_zero(t.dim) if out is None else out.reshape(rho.shape)
 
 
 def outcome_pmf(t: Instrument, rho: DensityState) -> ProbVector:

@@ -25,13 +25,17 @@ Three exact reductions keep the tree small or end it:
 
 A depth takes its live parents in chunks whose operators in flight stay near
 `CHUNK_BYTES`. A chunk is stacked and evolved by one U·stack·U† (bitwise the
-product of each matrix alone). The kernel `apply_instrument` still runs once per
+product of each matrix alone). The kernel `apply_instrument` runs once per
 (parent, block): that call is the unit a test swaps for its dense oracle and a
-profile counts, so batching it would change what they check. The children's
-weights come from their stacked diagonals and their merge keys from one vector
-pass per support size. The bookkeeping then runs child by child in (parent,
-block) order, so every sum (a_n, h, pruned mass, merged operators and weights)
-adds in the same order as when each child is made and booked alone.
+profile counts. A child whose terms the kernel skips as exactly zero is its
+read-only `shared_zero`, which the engine recognizes by identity and books as
+weight 0.0 without weighing it. The other children's weights come from their
+stacked diagonals and their merge keys from one vector pass per support size.
+The bookkeeping then runs child by child in (parent, block) order, skipping the
+children of weight exactly 0.0 (each would add +0 to every sum and is never
+kept), so every sum (a_n, h, pruned mass, merged operators and weights) adds in
+the same order as when each child is made and booked alone. A fresh zero buffer
+in place of the shared one weighs 0.0 too, so the run does not depend on it.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .entropy import ConvergenceReport, Partition, ProbVector, eta, limit_estima
 from .errors import (AccuracyError, NumericError, ResourceLimitError,
                      UnsupportedConfigurationError, ValidationError, is_kind, require)
 from .quantum import (DensityState, Instrument, Operator, as_operator, apply_instrument,
-                      identity_residual, orthonormal_columns, outcome_pmf)
+                      identity_residual, orthonormal_columns, outcome_pmf, shared_zero)
 
 NORMALIZATION_TOL = 1e-8
 PRUNED_MASS_LIMIT = 1e-6
@@ -235,21 +239,40 @@ def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[np.n
              evolved: Sequence[np.ndarray], group: int, opts: RunOptions) -> list[tuple]:
     """(child, weight, merge key) of every (parent, block) of a chunk, in that order.
 
-    Each child is one `apply_instrument` call on its evolved parent. Its weight is its trace
-    clipped at 0, summed from the stacked diagonals of `group` children at a time as `trace`
-    sums each one. A child at or below `prune_eps` is dropped there (child and key None), so
+    Each child is one `apply_instrument` call on its evolved parent. A child that is the
+    kernel's `shared_zero` weighs 0.0 and is dropped as it comes (child and key None). The
+    others are weighed `group` at a time: the trace clipped at 0, summed from their stacked
+    diagonals as `trace` sums each one. A child at or below `prune_eps` is dropped there, so
     at most `group` children are in flight; the kept ones get their keys from `_merge_keys`.
     """
+    zero = shared_zero(t.dim)
     calls = [(op, bi) for op in evolved for bi in range(len(blocks))]
-    measured = []
-    for first in range(0, len(calls), group):
-        children = [apply_instrument(t, blocks[bi], op) for op, bi in calls[first:first + group]]
-        weights = np.maximum(np.array([c.diagonal() for c in children]).sum(axis=1).real, 0.0)
-        measured += [(c if w > opts.prune_eps else None, w)
-                     for c, w in zip(children, weights.tolist())]
+    measured: list = []
+    pending: list[int] = []  # positions in `measured` of the children not yet weighed
+    for op, bi in calls:
+        child = apply_instrument(t, blocks[bi], op)
+        if child is zero:
+            measured.append((None, 0.0))
+            continue
+        pending.append(len(measured))
+        measured.append(child)
+        if len(pending) == group:
+            _weigh(measured, pending, opts.prune_eps)
+    _weigh(measured, pending, opts.prune_eps)
     keys = (_merge_keys(measured, [supports[bi] for _, bi in calls], opts.merge_tol)
             if opts.merge else [None] * len(calls))
     return [(c, w, key) for (c, w), key in zip(measured, keys)]
+
+
+def _weigh(measured: list, pending: list[int], prune_eps: float) -> None:
+    """Replace each child at the positions `pending` of `measured` by (child, weight), the
+    child None at or below `prune_eps`, and empty `pending`."""
+    if pending:
+        children = [measured[i] for i in pending]
+        weights = np.maximum(np.array([c.diagonal() for c in children]).sum(axis=1).real, 0.0)
+        for i, c, w in zip(pending, children, weights.tolist()):
+            measured[i] = (c if w > prune_eps else None, w)
+        pending.clear()
 
 
 def _merge_keys(measured: list[tuple], supports: list[np.ndarray | None],
@@ -349,6 +372,7 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
     # moves[(s, t, p)] and entropies[s] describe the depth as a chain on the parents.
     index: dict | None = None
     stop_reason, lift = "n_max", None
+    classify, merge, budget = opts.classify, opts.merge, opts.branch_budget  # read per child
     for depth in range(opts.n_max + 1):
         # Children merge as they are made, summed in order of creation into the live branch
         # with their key; without merging every key is new. The budget is checked per new key.
@@ -367,19 +391,21 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
             evolved = ops if u is None or depth == 0 else u @ np.stack(ops) @ udag
             measured = iter(_measure(t, blocks, supports, evolved, group, opts))
             for s, parent in enumerate(chunk, start):
-                h = 0.0
+                h, weight = 0.0, parent.weight
                 # zip stops at the end of range: each parent takes its own len(blocks) children.
                 for bi, (op, w, fingerprint) in zip(range(len(blocks)), measured):
-                    ratio = min(w / parent.weight, 1.0)
+                    if w == 0.0:  # adds +0 to a_n, h and the pruned mass; a NaN goes on to eta
+                        continue
+                    ratio = min(w / weight, 1.0)
                     e = eta(ratio)
-                    a_n += parent.weight * e
+                    a_n += weight * e
                     h += e
                     if op is None:  # pruned
                         pruned_mass += w
                         continue
                     stats = (parent.stats.extend(bi == parent.last_block, parent.last_block)
-                             if opts.classify else None)
-                    key = (bi, fingerprint, stats) if opts.merge else len(live)
+                             if classify else None)
+                    key = (bi, fingerprint, stats) if merge else len(live)
                     if index is not None:
                         target = index.get(key)
                         if target is None:  # not closed: release the keys and the moves
@@ -389,7 +415,7 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
                     kept = live.get(key)
                     if kept is None:
                         live[key] = TrajectoryBranch(bi, w, op, stats)
-                        if len(live) > opts.branch_budget:
+                        if len(live) > budget:
                             raise ResourceLimitError(f"live branch count {len(live)} exceeds "
                                                      f"the budget of {opts.branch_budget}")
                     else:

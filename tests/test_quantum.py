@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from szwalk import (DensityState, Instrument, ValidationError, apply_instrument,
-                    coherent_instrument, general_instrument, lvn_instrument, maximally_mixed,
-                    outcome_pmf, pure_state)
-from szwalk.quantum import min_eigenvalue, orthonormal_columns
+                    coherent_instrument, cylinder_probability, general_instrument,
+                    hadamard_walk, lvn_instrument, maximally_mixed, outcome_pmf, pure_state)
+from szwalk.quantum import min_eigenvalue, orthonormal_columns, shared_zero
 from szwalk.walks import coin_vertex_instrument, hadamard_eigenstate, position_instrument
 
 from helpers import (dense_apply, dense_coherent, dense_kraus_tree_family, dense_position,
@@ -411,6 +411,68 @@ class TestFlatIndexKernel:
         for state in (random_density(rng, t.dim), maximally_mixed(t.dim)):
             expected = np.clip(ix_outcome_probs(t, state), 0.0, None)
             assert outcome_pmf(t, state).entries.tobytes() == expected.tobytes()
+
+
+class TestSharedZero:
+    """A call whose terms are all skipped returns `shared_zero(dim)`: one read-only +0 operator
+    per dimension, the same object whatever the instrument and the outcome set."""
+
+    def test_one_object_per_dimension(self):
+        zero = shared_zero(10)
+        rho = np.zeros((10, 10), dtype=complex)
+        for t in (position_instrument(5), coin_vertex_instrument(5),
+                  lvn_instrument(dense_position(5))):
+            for outcomes in ([0], [1, 0], list(range(t.n_outcomes)), []):
+                assert apply_instrument(t, outcomes, rho) is zero
+        other = apply_instrument(position_instrument(4), [0], np.zeros((8, 8)))
+        assert other is shared_zero(8) and other is not zero and other.shape == (8, 8)
+        assert shared_zero(np.int64(10)) is zero
+
+    def test_read_only_and_all_plus_zero(self):
+        zero = shared_zero(6)
+        assert zero.dtype == complex and zero.shape == (6, 6)
+        assert bits(zero) == bytes(zero.nbytes)
+        with pytest.raises(ValueError):
+            zero[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            np.add(zero, 1.0, out=zero)
+        assert bits(zero) == bytes(zero.nbytes)
+
+    @pytest.mark.parametrize("name", KERNEL_INSTRUMENTS)
+    def test_returned_for_the_empty_set_and_for_zero_blocks(self, name):
+        rng = np.random.default_rng(31)
+        t = KERNEL_INSTRUMENTS[name](rng)
+        zero = shared_zero(t.dim)
+        states = kernel_states(rng, t)
+        assert apply_instrument(t, [], states["random"]) is zero
+        for state in ("zero-block", "minus-zero"):
+            out = apply_instrument(t, [0], states[state])
+            if t.supports[0][0] is None:  # one outcome on the whole space: its own product
+                assert out is not zero and out.flags.writeable
+            else:
+                assert out is zero
+
+    @pytest.mark.parametrize("name", ["position", "block-lvn", "explicit-kraus"])
+    def test_not_returned_for_a_nan_in_a_support_block(self, name):
+        t = KERNEL_INSTRUMENTS[name](np.random.default_rng(19))
+        rho = np.zeros((t.dim, t.dim), dtype=complex)
+        rho.flat[t.supports[0][0][0]] = np.nan  # the block is otherwise exactly zero
+        for outcomes in ([0], list(range(t.n_outcomes))):
+            out = apply_instrument(t, outcomes, rho)
+            assert out is not shared_zero(t.dim) and np.isnan(out).any()
+
+    def test_not_returned_on_the_whole_space_single_outcome_path(self):
+        t = random_general(np.random.default_rng(37), 5, 3)
+        rho = np.zeros((5, 5), dtype=complex)
+        out = apply_instrument(t, [1], rho)
+        assert out is not shared_zero(5) and out.flags.writeable and not out.any()
+        assert apply_instrument(t, [0, 1, 2], rho) is shared_zero(5)  # every term skipped
+
+    @pytest.mark.parametrize("unitary, blocks", [(None, [[0], [1]]),
+                                                 (hadamard_walk(5).unitary, [[0], [2]])])
+    def test_impossible_cylinder_has_probability_plus_zero(self, unitary, blocks):
+        p = cylinder_probability(unitary, position_instrument(5), maximally_mixed(10), blocks)
+        assert p == 0.0 and not math.copysign(1.0, p) < 0
 
 
 class TestOutcomePmf:

@@ -1,6 +1,7 @@
 """Source-level rules that keep validation checks from failing open and loops exact."""
 
 import ast
+import importlib
 import re
 import tracemalloc
 from pathlib import Path
@@ -236,3 +237,32 @@ def test_walk_instruments_allocate_no_dense_operators(build):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def _perfbench_hooks() -> tuple:
+    """`HOOKS` of `perfbench/spans.py`, read from its source as a literal: the
+    (module, attributes, span name) entries whose functions the benchmark wraps."""
+    tree = ast.parse((SOURCE.parents[1] / "perfbench" / "spans.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets))
+
+
+def _missing_hooks(hooks) -> list[str]:
+    """`module.attribute` of every hook that names no attribute of its module."""
+    return [f"{module}.{attr}" for module, attrs, _ in hooks for attr in attrs
+            if not hasattr(importlib.import_module(module), attr)]
+
+
+def test_every_perfbench_hook_exists():
+    """The benchmark traces by replacing module attributes, so a renamed or removed function
+    would only fail a traced run: every hooked name must exist in the package."""
+    hooks = _perfbench_hooks()
+    assert ("szwalk.sz", ("apply_instrument",), "quantum.apply_instrument") in hooks
+    assert _missing_hooks(hooks) == []
+
+
+def test_guard_flags_a_missing_hook():
+    hooks = (("szwalk.sz", ("apply_instrument", "no_such_kernel"), "quantum.apply_instrument"),
+             ("szwalk.walks", ("coherent_instrument",), "quantum.instrument_build"))
+    assert _missing_hooks(hooks) == ["szwalk.sz.no_such_kernel"]

@@ -13,7 +13,8 @@ from szwalk import (AccuracyError, DensityState, Partition, ResourceLimitError, 
                     dynamical_entropy, entropy_rate, general_instrument, hadamard_walk,
                     lvn_instrument, markov_reduction, maximally_mixed, measurement_entropy, sz,
                     sz_entropy_run, unitary_power)
-from szwalk.quantum import min_eigenvalue
+from szwalk.entropy import eta
+from szwalk.quantum import min_eigenvalue, shared_zero
 from szwalk.walks import (basis_index, coin_vertex_instrument, hadamard_eigenstate,
                           position_instrument, vertex_partition)
 
@@ -525,6 +526,62 @@ class TestChunkedDepths:
         for a, b in zip(chunked.branches, whole.branches):
             assert (a.last_block, a.weight, a.stats) == (b.last_block, b.weight, b.stats)
             assert np.array_equal(a.conditional_op, b.conditional_op)
+
+
+def _booked_run(monkeypatch, args, opts, fresh_zero: bool):
+    """(run, children of weight exactly 0.0, children that were the kernel's shared zero, eta
+    calls, children) of one engine run; with `fresh_zero` the kernel's shared zero is swapped
+    for a fresh writable zero buffer before the engine sees it."""
+    weights, shared, etas = [], [], []
+
+    def kernel(t, outcomes, rho):
+        child = apply_instrument(t, outcomes, rho)
+        weights.append(max(float(child.trace().real), 0.0))  # as the engine weighs it
+        if child is shared_zero(t.dim):
+            shared.append(1)
+            if fresh_zero:
+                child = np.zeros(child.shape, dtype=complex)
+        return child
+
+    monkeypatch.setattr(sz, "apply_instrument", kernel)
+    monkeypatch.setattr(sz, "eta", lambda x: etas.append(x) or eta(x))
+    run = sz_entropy_run(*args, opts)
+    return run, weights.count(0.0), len(shared), len(etas), len(weights)
+
+
+class TestSharedZero:
+    """The kernel returns one read-only zero for a child whose terms are all skipped; the
+    engine books it by identity, and a fresh zero buffer in its place changes nothing."""
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    @pytest.mark.parametrize("chunk_bytes", [sz.CHUNK_BYTES, 1])
+    def test_the_run_does_not_depend_on_the_shared_zero(self, monkeypatch, case, chunk_bytes):
+        args, opts = _kernel_case(case)
+        monkeypatch.setattr(sz, "CHUNK_BYTES", chunk_bytes)
+        plain, swapped = (_booked_run(monkeypatch, args, opts, fresh_zero)
+                          for fresh_zero in (False, True))
+        run, zero_children, shared_children, eta_calls, children = plain
+        assert swapped[1:] == plain[1:]
+        # Children of exactly zero weight are not booked: one eta call per other child.
+        assert eta_calls == children - zero_children
+        assert zero_children >= shared_children
+        if case != "random-kraus":
+            assert shared_children > 0
+        other = swapped[0]
+        assert other.records == run.records
+        assert other.report == run.report
+        assert (other.depth, other.stop_reason) == (run.depth, run.stop_reason)
+        assert len(other.branches) == len(run.branches)
+        for a, b in zip(other.branches, run.branches):
+            assert (a.last_block, a.weight, a.stats) == (b.last_block, b.weight, b.stats)
+            assert a.conditional_op.tobytes() == b.conditional_op.tobytes()
+
+    def test_a_nan_weight_still_reaches_eta(self, monkeypatch):
+        args, opts = _kernel_case("rank2-U2")
+        monkeypatch.setattr(sz, "apply_instrument",
+                            lambda t, outcomes, rho: np.full((t.dim, t.dim), np.nan + 0j))
+        with pytest.raises(ValidationError, match="eta is undefined"):
+            sz_entropy_run(*args, opts)
 
 
 class TestMeasurementEntropy:

@@ -250,6 +250,7 @@ def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> O
     `shared_zero(dim)`, the same read-only object on every such call: callers must not
     write into a result. A single outcome whose support is the whole space returns its
     product B rho B† itself.
+    `outcomes` must be distinct integers (a bool is not one) in range(n_outcomes).
     The products are `ndarray.dot`: the same BLAS calls as `@`, without its per-call ufunc
     dispatch. rho is checked for shape only, not re-scanned for non-finite entries: it
     comes from a validated state or the engine's own products.
@@ -261,10 +262,16 @@ def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> O
     supports = t.supports
     terms = []
     for i in outcomes:
-        i = int(i)
+        if type(i) is not int:  # the number rule, off the path of plain ints
+            if not is_kind(i, numbers.Integral):
+                raise ValidationError(f"outcome index {i!r} is not an integer")
+            i = int(i)
         if not 0 <= i < len(supports):
             raise ValidationError(f"outcome index {i} outside range({len(supports)})")
         terms.append(supports[i])
+    # Each outcome's term is its own tuple, so a repeated outcome repeats an object.
+    if len(terms) > 1 and len(set(map(id, terms))) < len(terms):
+        raise ValidationError(f"outcome set {outcomes!r} repeats an outcome")
     if len(terms) == 1 and terms[0][0] is None:  # one outcome, whole space
         _, b, bh = terms[0]
         return b.dot(rho).dot(bh)

@@ -28,14 +28,14 @@ A depth takes its live parents in chunks whose operators in flight stay near
 product of each matrix alone). The kernel `apply_instrument` runs once per
 (parent, block): that call is the unit a test swaps for its dense oracle and a
 profile counts. A child whose terms the kernel skips as exactly zero is its
-read-only `shared_zero`, which the engine recognizes by identity and books as
-weight 0.0 without weighing it. The other children's weights come from their
-stacked diagonals and their merge keys from one vector pass per support size.
-The bookkeeping then runs child by child in (parent, block) order, skipping the
-children of weight exactly 0.0 (each would add +0 to every sum and is never
-kept), so every sum (a_n, h, pruned mass, merged operators and weights) adds in
-the same order as when each child is made and booked alone. A fresh zero buffer
-in place of the shared one weighs 0.0 too, so the run does not depend on it.
+read-only `shared_zero`, which the engine recognizes by identity and leaves out
+unweighed. The chunk's other children are weighed from one stack of their
+diagonals and keyed in one vector pass per support size; those of weight exactly
+0.0 are left out too (each would add +0 to every sum and is never kept). The
+bookkeeping then makes one pass over the rest in (parent, block) order, so every
+sum (a_n, h, pruned mass, merged operators and weights) adds in the same order as
+when each child is made and booked alone. A fresh zero buffer in place of the
+shared one weighs 0.0 too, so the run does not depend on it.
 """
 
 from __future__ import annotations
@@ -199,11 +199,16 @@ class MarkovReduction:
     initial_distribution: ProbVector
 
 
-def _check_unitary(u, dim: int) -> Operator:
-    u = as_operator(u)
-    if u.shape[0] != dim:
-        raise ValidationError(
-            f"dynamics dimension {u.shape[0]} does not match instrument dimension {dim}")
+def _checked_unitary(walk_unitary: Operator | None, t: Instrument,
+                     rho: DensityState) -> Operator | None:
+    """`walk_unitary` checked against `t` (None: identity dynamics), after `rho`'s dimension."""
+    require(rho.dim == t.dim,
+            f"state dimension {rho.dim} does not match instrument dimension {t.dim}")
+    if walk_unitary is None:
+        return None
+    u = as_operator(walk_unitary)
+    require(u.shape[0] == t.dim,
+            f"dynamics dimension {u.shape[0]} does not match instrument dimension {t.dim}")
     res = identity_residual(u.conj().T @ u)
     require(res <= 1e-8, f"dynamics not unitary: residual {res:.3e}")
     return u
@@ -218,15 +223,12 @@ def cylinder_probability(walk_unitary: Operator | None, t: Instrument, rho: Dens
     """
     if len(blocks) == 0:
         raise ValidationError("cylinder needs at least one outcome set")
-    if rho.dim != t.dim:
-        raise ValidationError(
-            f"state dimension {rho.dim} does not match instrument dimension {t.dim}")
+    u = _checked_unitary(walk_unitary, t, rho)
     for block in blocks:
         require(len(block) > 0 and all(is_kind(i, numbers.Integral) and 0 <= i < t.n_outcomes
                                        for i in block) and len(set(block)) == len(block),
                 lambda: f"outcome set {block!r} is not a non-empty set of distinct integer "
                 f"outcomes in range({t.n_outcomes})")
-    u = None if walk_unitary is None else _check_unitary(walk_unitary, t.dim)
     op = apply_instrument(t, blocks[0], rho.matrix)
     for block in blocks[1:]:
         if u is not None:
@@ -236,64 +238,43 @@ def cylinder_probability(walk_unitary: Operator | None, t: Instrument, rho: Dens
 
 
 def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[np.ndarray | None],
-             evolved: Sequence[np.ndarray], group: int, opts: RunOptions) -> list[tuple]:
-    """(child, weight, merge key) of every (parent, block) of a chunk, in that order.
+             evolved: Sequence[np.ndarray], opts: RunOptions) -> list[tuple]:
+    """(parent position, block, child, weight, merge key) of each child of a chunk whose
+    weight is not exactly 0.0, in (parent, block) order.
 
-    Each child is one `apply_instrument` call on its evolved parent. A child that is the
-    kernel's `shared_zero` weighs 0.0 and is dropped as it comes (child and key None). The
-    others are weighed `group` at a time: the trace clipped at 0, summed from their stacked
-    diagonals as `trace` sums each one. A child at or below `prune_eps` is dropped there, so
-    at most `group` children are in flight; the kept ones get their keys from `_merge_keys`.
+    Each child is one `apply_instrument` call on its evolved parent. The kernel's `shared_zero`
+    is left out by identity. The others are weighed from one stack of their diagonals (the
+    trace clipped at 0, summed as `trace` sums each one; a NaN stays). A child at or below
+    `prune_eps` gets child and key None; the kept ones get their keys from `_merge_keys`.
     """
     zero = shared_zero(t.dim)
-    calls = [(op, bi) for op in evolved for bi in range(len(blocks))]
-    measured: list = []
-    pending: list[int] = []  # positions in `measured` of the children not yet weighed
-    for op, bi in calls:
-        child = apply_instrument(t, blocks[bi], op)
-        if child is zero:
-            measured.append((None, 0.0))
-            continue
-        pending.append(len(measured))
-        measured.append(child)
-        if len(pending) == group:
-            _weigh(measured, pending, opts.prune_eps)
-    _weigh(measured, pending, opts.prune_eps)
-    keys = (_merge_keys(measured, [supports[bi] for _, bi in calls], opts.merge_tol)
-            if opts.merge else [None] * len(calls))
-    return [(c, w, key) for (c, w), key in zip(measured, keys)]
+    made = [(s, bi, child) for s, op in enumerate(evolved) for bi, block in enumerate(blocks)
+            if (child := apply_instrument(t, block, op)) is not zero]
+    diagonals = np.array([child.diagonal() for _, _, child in made]).reshape(len(made), t.dim)
+    weights = np.maximum(diagonals.sum(axis=1).real, 0.0).tolist()
+    weighed = [(s, bi, child if w > opts.prune_eps else None, w)
+               for (s, bi, child), w in zip(made, weights) if w != 0.0]
+    keys = _merge_keys(weighed, supports, opts.merge_tol) if opts.merge else [None] * len(weighed)
+    return [(s, bi, child, w, key) for (s, bi, child, w), key in zip(weighed, keys)]
 
 
-def _weigh(measured: list, pending: list[int], prune_eps: float) -> None:
-    """Replace each child at the positions `pending` of `measured` by (child, weight), the
-    child None at or below `prune_eps`, and empty `pending`."""
-    if pending:
-        children = [measured[i] for i in pending]
-        weights = np.maximum(np.array([c.diagonal() for c in children]).sum(axis=1).real, 0.0)
-        for i, c, w in zip(pending, children, weights.tolist()):
-            measured[i] = (c if w > prune_eps else None, w)
-        pending.clear()
-
-
-def _merge_keys(measured: list[tuple], supports: list[np.ndarray | None],
+def _merge_keys(weighed: list[tuple], supports: list[np.ndarray | None],
                 merge_tol: float) -> list:
-    """The merge key of each kept child of `measured`, None for a pruned one.
+    """The merge key of each kept child of `weighed` (see `_measure`), None for a pruned one.
 
     The key holds the entries on the child's block support (`supports`, one flat index or
-    None per child) over its weight, in row-major order, in units of `merge_tol` and
+    None per block) over its weight, in row-major order, in units of `merge_tol` and
     rounded, as interleaved (re, im) pairs: two children share a key iff their real and
     imaginary parts do. One pass per support size over the stacked entries does the same
     float operations as on each child alone.
     """
-    keys = [None] * len(measured)
+    keys = [None] * len(weighed)
     buckets: dict[int, list[tuple[int, np.ndarray, float]]] = {}  # by support size
-    for i, ((child, w), flat) in enumerate(zip(measured, supports)):
+    for i, (_, bi, child, w) in enumerate(weighed):
         if child is not None:
+            flat = supports[bi]
             entries = child.ravel() if flat is None else child.take(flat)
-            bucket = buckets.get(entries.size)
-            if bucket is None:
-                bucket = buckets[entries.size] = []
-            bucket.append((i, entries, w))
+            buckets.setdefault(entries.size, []).append((i, entries, w))
     for bucket in buckets.values():
         index, stacked, weights = zip(*bucket)
         scaled = (np.array(stacked) / np.array(weights)[:, None]).view(np.float64)
@@ -348,10 +329,7 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
     if partition.size != t.n_outcomes:
         raise ValidationError(
             f"partition covers {partition.size} outcomes, instrument has {t.n_outcomes}")
-    if rho.dim != t.dim:
-        raise ValidationError(
-            f"state dimension {rho.dim} does not match instrument dimension {t.dim}")
-    u = None if walk_unitary is None else _check_unitary(walk_unitary, t.dim)
+    u = _checked_unitary(walk_unitary, t, rho)
     udag = None if u is None else u.conj().T
 
     # A child is zero outside its block's support, so its merge key covers only that.
@@ -361,10 +339,9 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
     branches = [TrajectoryBranch(last_block=None, weight=1.0, conditional_op=rho.matrix,
                                  stats=RunStats(True, 0, None) if opts.classify else None)]
     blocks = partition.blocks
-    # Children are weighed `group` at a time, and a chunk's parents with their evolved
-    # copies take about as much room: both stay near CHUNK_BYTES.
-    group = max(1, CHUNK_BYTES // (np.dtype(complex).itemsize * t.dim * t.dim))
-    chunk_size = max(1, group // (2 + len(blocks)))
+    # A chunk's parents, evolved copies and children (one per block) stay near CHUNK_BYTES.
+    chunk_size = max(1, CHUNK_BYTES // (np.dtype(complex).itemsize * t.dim * t.dim
+                                        * (2 + len(blocks))))
     pruned_mass = 0.0
     a_seq: list[float] = []
     records: list[DepthRecord] = []
@@ -389,41 +366,37 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
             branches[start:start + size] = [None] * len(chunk)  # a spent parent is freed
             ops = [parent.conditional_op for parent in chunk]
             evolved = ops if u is None or depth == 0 else u @ np.stack(ops) @ udag
-            measured = iter(_measure(t, blocks, supports, evolved, group, opts))
-            for s, parent in enumerate(chunk, start):
-                h, weight = 0.0, parent.weight
-                # zip stops at the end of range: each parent takes its own len(blocks) children.
-                for bi, (op, w, fingerprint) in zip(range(len(blocks)), measured):
-                    if w == 0.0:  # adds +0 to a_n, h and the pruned mass; a NaN goes on to eta
-                        continue
-                    ratio = min(w / weight, 1.0)
-                    e = eta(ratio)
-                    a_n += weight * e
-                    h += e
-                    if op is None:  # pruned
-                        pruned_mass += w
-                        continue
-                    stats = (parent.stats.extend(bi == parent.last_block, parent.last_block)
-                             if classify else None)
-                    key = (bi, fingerprint, stats) if merge else len(live)
-                    if index is not None:
-                        target = index.get(key)
-                        if target is None:  # not closed: release the keys and the moves
-                            index = moves = entropies = None
-                        else:
-                            moves.append((s, target, ratio))
-                    kept = live.get(key)
-                    if kept is None:
-                        live[key] = TrajectoryBranch(bi, w, op, stats)
-                        if len(live) > budget:
-                            raise ResourceLimitError(f"live branch count {len(live)} exceeds "
-                                                     f"the budget of {opts.branch_budget}")
+            hs = [0.0] * len(chunk)  # each parent's next-block entropy, for the lift
+            for s, bi, op, w, fingerprint in _measure(t, blocks, supports, evolved, opts):
+                parent = chunk[s]
+                ratio = min(w / parent.weight, 1.0)
+                e = eta(ratio)
+                a_n += parent.weight * e
+                hs[s] += e
+                if op is None:  # pruned
+                    pruned_mass += w
+                    continue
+                stats = (parent.stats.extend(bi == parent.last_block, parent.last_block)
+                         if classify else None)
+                key = (bi, fingerprint, stats) if merge else len(live)
+                if index is not None:
+                    target = index.get(key)
+                    if target is None:  # not closed: release the keys and the moves
+                        index = moves = entropies = None
                     else:
-                        kept.weight += w
-                        kept.conditional_op = kept.conditional_op + op
-                        merged += 1
-                if entropies is not None:
-                    entropies.append(h)
+                        moves.append((start + s, target, ratio))
+                kept = live.get(key)
+                if kept is None:
+                    live[key] = TrajectoryBranch(bi, w, op, stats)
+                    if len(live) > budget:
+                        raise ResourceLimitError(f"live branch count {len(live)} exceeds "
+                                                 f"the budget of {opts.branch_budget}")
+                else:
+                    kept.weight += w
+                    kept.conditional_op = kept.conditional_op + op
+                    merged += 1
+            if entropies is not None:
+                entropies.extend(hs)
             start += size
         branches = list(live.values())
         a_seq.append(max(a_n, 0.0))
@@ -490,7 +463,7 @@ def markov_reduction(walk_unitary: Operator, t: Instrument, rho: DensityState) -
     checked and a_i read off on its block B[S,S]: outside S×S both B and vv† are zero. The
     entropy-rate computation itself is the classical module's job.
     """
-    u = _check_unitary(walk_unitary, t.dim)
+    u = _checked_unitary(as_operator(walk_unitary), t, rho)  # as_operator rejects None
     A = np.zeros((t.dim, t.n_outcomes), dtype=complex)  # column i: the vector of outcome i
     for i, (_, b, _) in enumerate(t.supports):
         require(b.size > 0, lambda: f"Markov reduction needs rank-1 projections: outcome {i} "

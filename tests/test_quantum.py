@@ -304,8 +304,17 @@ class TestApplyInstrument:
 
     def test_out_of_range_outcome(self):
         t = coin_vertex_instrument(2)
-        with pytest.raises(ValidationError):
-            apply_instrument(t, [4], maximally_mixed(4).matrix)
+        for outcomes in ([4], [-1], [1.7], ["1"], [True], [np.float64(2.0)], [1, 1], [0, 2, 0]):
+            with pytest.raises(ValidationError, match="outcome"):
+                apply_instrument(t, outcomes, maximally_mixed(4).matrix)
+
+    def test_integer_outcome_sets(self):
+        t = position_instrument(3)
+        rho = random_density(np.random.default_rng(2), 6).matrix
+        expected = bits(apply_instrument(t, [0, 2], rho))
+        for outcomes in ([np.int64(0), 2], range(0, 3, 2), np.array([0, 2]), (0, np.int32(2))):
+            assert bits(apply_instrument(t, outcomes, rho)) == expected
+        assert apply_instrument(t, np.array([], dtype=int), rho) is shared_zero(6)
 
     @pytest.mark.parametrize("make", [
         lambda rng: position_instrument(5),

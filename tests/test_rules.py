@@ -132,14 +132,16 @@ def test_guard_flags_the_iteration_caps():
 
 def _references(tree: ast.AST) -> set[str]:
     """Names read as an `ast.Name` or `ast.Attribute`, each outside the body of the `def` or
-    `class` that defines it: a recursive call or a class's own methods do not count."""
+    `class` that defines it: a recursive call, a class's own methods or an assignment to the
+    name do not count."""
     found = set()
 
     def visit(node: ast.AST, owners: frozenset) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             owners = owners | {node.name}
         name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        if isinstance(name, str) and name not in owners:
+        if (isinstance(name, str) and name not in owners
+                and not isinstance(getattr(node, "ctx", None), ast.Store)):
             found.add(name)
         for child in ast.iter_child_nodes(node):
             visit(child, owners)
@@ -162,8 +164,51 @@ def test_every_public_name_is_used_by_the_program():
 def test_guard_flags_the_unreferenced_names():
     src = ("def f(n):\n    return f(n - 1)\n"
            "class C:\n    def m(self):\n        return C()\n"
-           "def g():\n    '''h and k'''\n    return mod.h + 'k'\n")
+           "def g():\n    '''h and k'''\n    return mod.h + 'k'\n"
+           "X = 1\nmod.y = 2\n")
     assert _references(ast.parse(src)) == {"n", "mod", "h"}
+
+
+def _definitions(tree: ast.AST) -> list[str]:
+    """The top-level functions, classes and constants (assigned names) of a module, dunders
+    such as `__all__` aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return [name for name in names if not name.startswith("__")]
+
+
+def _unreferenced(modules: dict[str, ast.AST], others: list[ast.AST]) -> list[str]:
+    """`module.name` of each top-level definition of `modules` that neither they (outside the
+    definition itself) nor `others` reference."""
+    used = set().union(*map(_references, [*modules.values(), *others]))
+    return sorted(f"{module}.{name}" for module, tree in modules.items()
+                  for name in _definitions(tree) if name not in used)
+
+
+def test_every_definition_is_used_by_the_program():
+    """A top-level function, class or constant of the package, private or not, is referenced
+    by some package module or by the benchmark: a leftover helper that only its tests reach,
+    or nothing at all, fails here."""
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SOURCE.glob("*.py"))}
+    bench = [ast.parse(p.read_text()) for p in (SOURCE.parents[1] / "perfbench").glob("*.py")]
+    assert "_merge_keys" in _definitions(modules["sz"]) and bench
+    assert _unreferenced(modules, bench) == []
+
+
+def test_guard_flags_a_leftover_helper():
+    module = ast.parse("LIMIT = 3\n_ZEROS: dict = {}\n__all__ = ['run']\n"
+                       "def _weigh(x):\n    return _weigh(x)\n"
+                       "def _used():\n    return LIMIT\n"
+                       "class Run:\n    def again(self):\n        return Run()\n"
+                       "def run():\n    return _used()\n")
+    other = ast.parse("import m\nm.run()\n_ZEROS = None\n")
+    assert _unreferenced({"m": module}, [other]) == ["m.Run", "m._ZEROS", "m._weigh"]
 
 
 def _ix_uses(tree: ast.AST) -> list[int]:

@@ -488,21 +488,28 @@ class TestChunkedDepths:
 
     @pytest.mark.parametrize("make", [lambda rng: random_general(rng, 10, 2),
                                       lambda rng: position_instrument(5)])
-    @pytest.mark.parametrize("group", [1, 3, 1000])
-    def test_batched_weights_and_keys_match_one_child_at_a_time(self, make, group):
+    def test_batched_weights_and_keys_match_one_child_at_a_time(self, make):
+        """`_measure` gives (parent, block, child, weight, key) for each child of weight not
+        exactly 0.0, in (parent, block) order, bit for bit as each child made alone."""
         rng = np.random.default_rng(8)
         t = make(rng)
         part = _atomic_for(t)
         supports = [t.support_index(block) for block in part.blocks]
         evolved = np.stack([random_density(rng, 10).matrix for _ in range(4)])
-        evolved[1] = 0.0  # every child of this parent is pruned
+        evolved[1] = 0.0  # every child of this parent weighs 0.0
+        evolved[2] *= 1e-15  # every child of this parent is pruned
         opts = RunOptions(merge_tol=1e-6)
-        measured = sz._measure(t, part.blocks, supports, evolved, group, opts)
-        expected = [(op, bi) for op in evolved for bi in range(len(part.blocks))]
-        assert len(measured) == len(expected)
-        for (child, w, key), (op, bi) in zip(measured, expected):
-            ref = apply_instrument(t, part.blocks[bi], op)
-            ref_w = max(float(ref.trace().real), 0.0)
+        measured = sz._measure(t, part.blocks, supports, evolved, opts)
+        expected = []
+        for s, op in enumerate(evolved):
+            for bi, block in enumerate(part.blocks):
+                ref = apply_instrument(t, block, op)
+                ref_w = max(float(ref.trace().real), 0.0)
+                if ref_w != 0.0:
+                    expected.append((s, bi, ref, ref_w))
+        assert {s for s, *_ in expected} == {0, 2, 3}
+        assert [m[:2] for m in measured] == [e[:2] for e in expected]
+        for (_, bi, child, w, key), (_, _, ref, ref_w) in zip(measured, expected):
             assert w == ref_w
             if not ref_w > opts.prune_eps:
                 assert child is None and key is None
@@ -512,6 +519,7 @@ class TestChunkedDepths:
             entries = ref.ravel() if flat is None else ref.take(flat)
             scaled = (entries / ref_w).view(np.float64) / opts.merge_tol
             assert key == np.round(scaled).astype(np.int64).tobytes()
+        assert any(m[2] is None for m in measured) and any(m[2] is not None for m in measured)
 
     @pytest.mark.parametrize("case", KERNEL_CASES)
     @pytest.mark.parametrize("chunk_bytes", [1, 40_000])

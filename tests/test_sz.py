@@ -488,9 +488,11 @@ class TestChunkedDepths:
 
     @pytest.mark.parametrize("make", [lambda rng: random_general(rng, 10, 2),
                                       lambda rng: position_instrument(5)])
-    def test_batched_weights_and_keys_match_one_child_at_a_time(self, make):
+    @pytest.mark.parametrize("group", [1, 3, 1000])
+    def test_batched_weights_and_keys_match_one_child_at_a_time(self, make, group):
         """`_measure` gives (parent, block, child, weight, key) for each child of weight not
-        exactly 0.0, in (parent, block) order, bit for bit as each child made alone."""
+        exactly 0.0, in (parent, block) order, bit for bit as each child made alone, however
+        the parents are split into chunks of `group` (as `sz_entropy_run` splits them)."""
         rng = np.random.default_rng(8)
         t = make(rng)
         part = _atomic_for(t)
@@ -499,7 +501,10 @@ class TestChunkedDepths:
         evolved[1] = 0.0  # every child of this parent weighs 0.0
         evolved[2] *= 1e-15  # every child of this parent is pruned
         opts = RunOptions(merge_tol=1e-6)
-        measured = sz._measure(t, part.blocks, supports, evolved, opts)
+        measured = [(start + s, *rest)
+                    for start in range(0, len(evolved), group)
+                    for s, *rest in sz._measure(t, part.blocks, supports,
+                                                evolved[start:start + group], opts)]
         expected = []
         for s, op in enumerate(evolved):
             for bi, block in enumerate(part.blocks):

@@ -92,7 +92,7 @@ class Partition:
                 lambda: f"partition outcomes must be integers, got blocks {blocks!r}")
         require(size is None or is_kind(size, numbers.Integral),
                 f"partition size must be an integer, got {size!r}")
-        raw = [tuple(sorted(set(int(i) for i in b))) for b in blocks]
+        raw = [tuple(sorted(int(i) for i in b)) for b in blocks]
         if any(len(b) == 0 for b in raw):
             raise ValidationError("partition blocks must be non-empty")
         if labels is None:
@@ -106,7 +106,8 @@ class Partition:
         labels = [labels[i] for i in order]
         flat = [i for b in raw for i in b]
         if len(flat) != len(set(flat)):
-            raise ValidationError("partition blocks are not pairwise disjoint")
+            raise ValidationError("partition repeats an outcome, within a block or across "
+                                  "blocks: blocks must be pairwise disjoint sets")
         n = max(flat) + 1 if size is None else int(size)
         if sorted(flat) != list(range(n)):
             raise ValidationError(

@@ -264,10 +264,11 @@ def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> O
     for i in outcomes:
         if type(i) is not int:  # the number rule, off the path of plain ints
             if not is_kind(i, numbers.Integral):
-                raise ValidationError(f"outcome index {i!r} is not an integer")
+                raise ValidationError(f"outcome set {outcomes!r}: index {i!r} is not an integer")
             i = int(i)
         if not 0 <= i < len(supports):
-            raise ValidationError(f"outcome index {i} outside range({len(supports)})")
+            raise ValidationError(
+                f"outcome set {outcomes!r}: index {i} outside range({len(supports)})")
         terms.append(supports[i])
     # Each outcome's term is its own tuple, so a repeated outcome repeats an object.
     if len(terms) > 1 and len(set(map(id, terms))) < len(terms):

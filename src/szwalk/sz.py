@@ -23,19 +23,23 @@ Three exact reductions keep the tree small or end it:
   chains) is π Π h with Π the eigenvalue-1 projector of M. The run stops
   there with that limit.
 
-A depth takes its live parents in chunks whose operators in flight stay near
-`CHUNK_BYTES`. A chunk is stacked and evolved by one U·stack·U† (bitwise the
-product of each matrix alone). The kernel `apply_instrument` runs once per
-(parent, block): that call is the unit a test swaps for its dense oracle and a
-profile counts. A child whose terms the kernel skips as exactly zero is its
-read-only `shared_zero`, which the engine recognizes by identity and leaves out
-unweighed. The chunk's other children are weighed from one stack of their
-diagonals and keyed in one vector pass per support size; those of weight exactly
-0.0 are left out too (each would add +0 to every sum and is never kept). The
-bookkeeping then makes one pass over the rest in (parent, block) order, so every
-sum (a_n, h, pruned mass, merged operators and weights) adds in the same order as
-when each child is made and booked alone. A fresh zero buffer in place of the
-shared one weighs 0.0 too, so the run does not depend on it.
+A depth takes its live parents in fixed chunks whose operators in flight stay near
+`CHUNK_BYTES`. The budget is checked on each new key, so the children made before it
+raises stay within one chunk's `CHUNK_BYTES`. A chunk is stacked and evolved by one
+U·stack·U† (bitwise the product of each matrix alone). The kernel `apply_instrument`
+runs once per (parent, block): that call is the unit a test swaps for its dense
+oracle and a profile counts. A child whose terms the kernel skips as exactly zero is
+its read-only `shared_zero`, which the engine recognizes by identity and leaves out
+unweighed. The chunk's other children are weighed from one stack of their diagonals
+and keyed in one vector pass per support size; those of weight exactly 0.0 are left
+out too (each would add +0 to every sum and is never kept). The bookkeeping then
+makes one pass over the rest in (parent, block) order, so every sum (a_n, h, pruned
+mass, merged operators and weights) adds in the same order as when each child is
+made and booked alone. A fresh zero buffer in place of the shared one weighs 0.0
+too, so the run does not depend on it. While closure is tracked (merging on, at most
+`LIFT_MAX_STATES` parents), the pass also records each kept child's (parent
+position, key, ratio) and each parent's next-block entropy; after the depth the tree
+is closed iff every live key is a parent's key.
 """
 
 from __future__ import annotations
@@ -87,9 +91,9 @@ class RunOptions:
             kind = {bool: bool, int: numbers.Integral, float: numbers.Real}[wanted]
             require(is_kind(value, kind),
                     f"option '{f.name}' must be of type {wanted.__name__}, got {value!r}")
-        for name, ok, rule in (("tol", self.tol > 0, "> 0"),
-                               ("merge_tol", self.merge_tol > 0, "> 0"),
-                               ("prune_eps", self.prune_eps >= 0, ">= 0"),
+        for name, ok, rule in (("tol", 0 < self.tol < np.inf, "finite and > 0"),
+                               ("merge_tol", 0 < self.merge_tol < np.inf, "finite and > 0"),
+                               ("prune_eps", 0 <= self.prune_eps < np.inf, "finite and >= 0"),
                                ("n_max", self.n_max >= 0, ">= 0"),
                                ("min_steps", self.min_steps >= 0, ">= 0"),
                                ("branch_budget", self.branch_budget >= 1, ">= 1"),
@@ -103,26 +107,27 @@ class RunStats:
 
     `constant` marks an all-one-block sequence; `parity` is the length of the
     terminal constant run mod 2; `entry_block` is the block visited just
-    before that run started (None while constant).
+    before that run started (None while constant); `last_block` is the branch's
+    latest block (None at the root).
     """
 
     constant: bool
     parity: int
     entry_block: int | None
+    last_block: int | None
 
-    def extend(self, same_block: bool, previous_block: int | None) -> "RunStats":
-        if previous_block is None:
-            return RunStats(True, 0, None)
-        if same_block:
-            return RunStats(self.constant, self.parity ^ 1, self.entry_block)
-        return RunStats(False, 0, previous_block)
+    def extend(self, block: int) -> "RunStats":
+        if self.last_block is None:
+            return RunStats(True, 0, None, block)
+        if block == self.last_block:
+            return RunStats(self.constant, self.parity ^ 1, self.entry_block, block)
+        return RunStats(False, 0, self.last_block, block)
 
 
 @dataclass(slots=True)
 class TrajectoryBranch:
-    """One live node of the trajectory tree (the root has no block yet)."""
+    """One live node of the trajectory tree; `stats` only when the run classifies."""
 
-    last_block: int | None
     weight: float
     conditional_op: np.ndarray
     stats: RunStats | None = None
@@ -224,11 +229,7 @@ def cylinder_probability(walk_unitary: Operator | None, t: Instrument, rho: Dens
     if len(blocks) == 0:
         raise ValidationError("cylinder needs at least one outcome set")
     u = _checked_unitary(walk_unitary, t, rho)
-    for block in blocks:
-        require(len(block) > 0 and all(is_kind(i, numbers.Integral) and 0 <= i < t.n_outcomes
-                                       for i in block) and len(set(block)) == len(block),
-                lambda: f"outcome set {block!r} is not a non-empty set of distinct integer "
-                f"outcomes in range({t.n_outcomes})")
+    require(all(len(block) > 0 for block in blocks), "every outcome set must be non-empty")
     op = apply_instrument(t, blocks[0], rho.matrix)
     for block in blocks[1:]:
         if u is not None:
@@ -287,13 +288,17 @@ def _merge_keys(weighed: list[tuple], supports: list[np.ndarray | None],
     return keys
 
 
-def _belief_lift(moves: list[tuple[int, int, float]], entropies: list[float],
-                 weights: np.ndarray) -> BeliefLift | None:
-    """The lift of a closed depth, or None where M's eigenvalue-1 projector is not resolved."""
+def _belief_lift(moves: list[tuple[int, object, float]], entropies: list[float],
+                 parents: dict, live: dict) -> BeliefLift | None:
+    """The lift of a closed depth (every `live` key is a key of `parents`, which maps it to
+    its state), or None where M's eigenvalue-1 projector is not resolved."""
     n = len(entropies)
     m = np.zeros((n, n))
-    for s, t, p in moves:
-        m[s, t] = p
+    for s, key, p in moves:
+        m[s, parents[key]] = p
+    weights = np.zeros(n)
+    for key, b in live.items():
+        weights[parents[key]] = b.weight
     projector = cesaro_projector(m)
     if projector is None:
         return None
@@ -336,8 +341,8 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
     supports = [t.support_index(block) for block in partition.blocks]
 
     # Depth 0 measures rho itself: the root is the one parent that is not evolved.
-    branches = [TrajectoryBranch(last_block=None, weight=1.0, conditional_op=rho.matrix,
-                                 stats=RunStats(True, 0, None) if opts.classify else None)]
+    branches = [TrajectoryBranch(1.0, rho.matrix,
+                                 RunStats(True, 0, None, None) if opts.classify else None)]
     blocks = partition.blocks
     # A chunk's parents, evolved copies and children (one per block) stay near CHUNK_BYTES.
     chunk_size = max(1, CHUNK_BYTES // (np.dtype(complex).itemsize * t.dim * t.dim
@@ -345,49 +350,41 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
     pruned_mass = 0.0
     a_seq: list[float] = []
     records: list[DepthRecord] = []
-    # Position of each parent by merge key, while every child so far has landed on one; then
-    # moves[(s, t, p)] and entropies[s] describe the depth as a chain on the parents.
-    index: dict | None = None
+    # Position of each parent by merge key, while closure is tracked; then each kept child's
+    # (parent position, key, ratio) and each parent's next-block entropy are recorded.
+    parents: dict | None = None
     stop_reason, lift = "n_max", None
     classify, merge, budget = opts.classify, opts.merge, opts.branch_budget  # read per child
     for depth in range(opts.n_max + 1):
         # Children merge as they are made, summed in order of creation into the live branch
-        # with their key; without merging every key is new. The budget is checked per new key.
+        # with their key; without merging every key is new. The budget is checked per new key,
+        # so a depth passes it by at most one chunk's children.
         live: dict = {}
         merged = 0
         a_n = 0.0
-        moves, entropies = ([], []) if index is not None else (None, None)
-        start = 0
-        while start < len(branches):
-            # A parent adds at most one new key per block, so a chunk passes the budget by
-            # at most one parent's children.
-            size = min(chunk_size, (opts.branch_budget - len(live)) // len(blocks) + 1)
-            chunk = branches[start:start + size]
-            branches[start:start + size] = [None] * len(chunk)  # a spent parent is freed
+        moves, entropies = ([], [0.0] * len(branches)) if parents is not None else (None, None)
+        for start in range(0, len(branches), chunk_size):
+            chunk = branches[start:start + chunk_size]
+            branches[start:start + chunk_size] = [None] * len(chunk)  # a spent parent is freed
             ops = [parent.conditional_op for parent in chunk]
             evolved = ops if u is None or depth == 0 else u @ np.stack(ops) @ udag
-            hs = [0.0] * len(chunk)  # each parent's next-block entropy, for the lift
             for s, bi, op, w, fingerprint in _measure(t, blocks, supports, evolved, opts):
                 parent = chunk[s]
                 ratio = min(w / parent.weight, 1.0)
                 e = eta(ratio)
                 a_n += parent.weight * e
-                hs[s] += e
+                if entropies is not None:
+                    entropies[start + s] += e
                 if op is None:  # pruned
                     pruned_mass += w
                     continue
-                stats = (parent.stats.extend(bi == parent.last_block, parent.last_block)
-                         if classify else None)
+                stats = parent.stats.extend(bi) if classify else None
                 key = (bi, fingerprint, stats) if merge else len(live)
-                if index is not None:
-                    target = index.get(key)
-                    if target is None:  # not closed: release the keys and the moves
-                        index = moves = entropies = None
-                    else:
-                        moves.append((start + s, target, ratio))
+                if moves is not None:
+                    moves.append((start + s, key, ratio))
                 kept = live.get(key)
                 if kept is None:
-                    live[key] = TrajectoryBranch(bi, w, op, stats)
+                    live[key] = TrajectoryBranch(w, op, stats)
                     if len(live) > budget:
                         raise ResourceLimitError(f"live branch count {len(live)} exceeds "
                                                  f"the budget of {opts.branch_budget}")
@@ -395,9 +392,6 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
                     kept.weight += w
                     kept.conditional_op = kept.conditional_op + op
                     merged += 1
-            if entropies is not None:
-                entropies.extend(hs)
-            start += size
         branches = list(live.values())
         a_seq.append(max(a_n, 0.0))
         total = sum(b.weight for b in branches) + pruned_mass
@@ -410,11 +404,9 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
             branch_count=len(branches), merged_count=merged, pruned_mass=pruned_mass,
             classes=_classes_of(branches) if opts.classify else None))
         if depth >= opts.min_steps:
-            if index is not None:
-                weights = np.zeros(len(index))
-                for key, b in live.items():
-                    weights[index[key]] = b.weight
-                lift = _belief_lift(moves, entropies, weights)
+            # Closed: every child landed on a parent's key, so the depth is a chain on them.
+            if parents is not None and live.keys() <= parents.keys():
+                lift = _belief_lift(moves, entropies, parents, live)
             if lift is not None:
                 stop_reason = "closed"
                 report = replace(report, converged=True, converged_value=lift.limit)
@@ -423,8 +415,8 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
                 stop_reason = "converged"
                 break
         # A tree whose mass was all pruned has no states to close.
-        index = ({key: i for i, key in enumerate(live)}
-                 if opts.merge and 0 < len(live) <= LIFT_MAX_STATES else None)
+        parents = ({key: i for i, key in enumerate(live)}
+                   if merge and 0 < len(live) <= LIFT_MAX_STATES else None)
 
     if pruned_mass > PRUNED_MASS_LIMIT:
         message = (f"pruned mass {pruned_mass:.3e} exceeds {PRUNED_MASS_LIMIT:g}; "

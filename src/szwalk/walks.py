@@ -60,13 +60,6 @@ class ShiftPermutation:
     def dim(self) -> int:
         return self.coin_count * self.vertex_count
 
-    @property
-    def coin_preserving(self) -> bool:
-        """True iff sigma never changes the coin component."""
-        N = self.vertex_count
-        return all(self.sigma[c * N + v] // N == c
-                   for c in range(self.coin_count) for v in range(N))
-
     def operator(self) -> Operator:
         """The permutation matrix S = sum |sigma(e)><e|."""
         S = np.zeros((self.dim, self.dim), dtype=complex)
@@ -104,7 +97,6 @@ class CoinedWalk:
     unitary: Operator
     shift: ShiftPermutation
     coins: tuple[Operator, ...]
-    coin_preserving: bool
     space_homogeneous: bool
 
     @property
@@ -138,9 +130,7 @@ def coined_walk(shift: ShiftPermutation, coins) -> CoinedWalk:
     res = identity_residual(U.conj().T @ U)
     require(res <= UNITARY_TOL, f"assembled walk not unitary: residual {res:.3e}", NumericError)
     homogeneous = all(np.abs(c - coins[0]).max() <= RECONSTRUCTION_TOL for c in coins)
-    return CoinedWalk(unitary=U, shift=shift, coins=coins,
-                      coin_preserving=shift.coin_preserving,
-                      space_homogeneous=homogeneous)
+    return CoinedWalk(unitary=U, shift=shift, coins=coins, space_homogeneous=homogeneous)
 
 
 def hadamard_walk(N: int) -> CoinedWalk:

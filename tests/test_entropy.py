@@ -75,8 +75,10 @@ class TestPartition:
         assert Partition([[0], [1], [2]], size=np.int64(3)).size == 3
 
     def test_overlapping_blocks_rejected(self):
-        with pytest.raises(ValidationError):
-            Partition([[0, 1], [1, 2]])
+        # A loop rather than parameters, so the test keeps its name.
+        for blocks in ([[0, 1], [1, 2]], [[0, 0], [1]]):  # across blocks, within one
+            with pytest.raises(ValidationError, match="repeats an outcome"):
+                Partition(blocks)
 
     def test_gap_rejected(self):
         with pytest.raises(ValidationError):

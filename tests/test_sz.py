@@ -123,6 +123,7 @@ class TestRunOptions:
         ("n_max", -3), ("min_steps", -1), ("branch_budget", 0), ("window", 1),
         ("window", 2.9), ("n_max", True), ("tol", True), ("merge", "false"),
         ("classify", "no"), ("strict", 1), ("branch_budget", None),
+        ("merge_tol", float("inf")), ("tol", float("inf")), ("prune_eps", float("inf")),
     ])
     def test_bad_value_names_the_field(self, field, value):
         with pytest.raises(ValidationError, match=f"'{field}'"):
@@ -186,10 +187,13 @@ class TestSZEntropyRun:
         calls = []
         monkeypatch.setattr(sz, "apply_instrument",
                             lambda *a: calls.append(1) or apply_instrument(*a))
-        with pytest.raises(ResourceLimitError,
-                           match=f"live branch count {budget + 1} exceeds the budget of {budget}"):
+        message = f"live branch count {budget + 1} exceeds the budget of {budget}"
+        with pytest.raises(ResourceLimitError, match=message):
             sz_entropy_run(*args, RunOptions(branch_budget=budget))
         assert len(calls) < whole_depth_calls
+        monkeypatch.setattr(sz, "CHUNK_BYTES", 1)  # one parent per chunk: the same first miss
+        with pytest.raises(ResourceLimitError, match=message):
+            sz_entropy_run(*args, RunOptions(branch_budget=budget))
 
     def test_aggressive_pruning_warns_and_strict_raises(self):
         N = 3
@@ -535,9 +539,15 @@ class TestChunkedDepths:
         chunked = sz_entropy_run(*args, opts)
         assert chunked.records == whole.records
         assert chunked.report == whole.report
+        assert chunked.stop_reason == whole.stop_reason
+        lifts = [None if run.lift is None else
+                 (run.lift.transitions.tobytes(), run.lift.entropies.tobytes(),
+                  run.lift.weights.tobytes(), run.lift.limit) for run in (chunked, whole)]
+        assert lifts[0] == lifts[1]
+        assert (lifts[1] is None) == (case == "random-kraus")
         assert len(chunked.branches) == len(whole.branches)
         for a, b in zip(chunked.branches, whole.branches):
-            assert (a.last_block, a.weight, a.stats) == (b.last_block, b.weight, b.stats)
+            assert (a.weight, a.stats) == (b.weight, b.stats)
             assert np.array_equal(a.conditional_op, b.conditional_op)
 
 
@@ -586,7 +596,7 @@ class TestSharedZero:
         assert (other.depth, other.stop_reason) == (run.depth, run.stop_reason)
         assert len(other.branches) == len(run.branches)
         for a, b in zip(other.branches, run.branches):
-            assert (a.last_block, a.weight, a.stats) == (b.last_block, b.weight, b.stats)
+            assert (a.weight, a.stats) == (b.weight, b.stats)
             assert a.conditional_op.tobytes() == b.conditional_op.tobytes()
 
     def test_a_nan_weight_still_reaches_eta(self, monkeypatch):

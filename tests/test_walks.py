@@ -41,9 +41,6 @@ class TestIntegerShift:
         s = integer_shift(5)
         assert s.sigma[basis_index(1, 0, 5)] == basis_index(1, 4, 5)
 
-    def test_coin_preserving(self):
-        assert integer_shift(4).coin_preserving
-
     def test_too_small(self):
         with pytest.raises(ValidationError):
             integer_shift(1)

@@ -25,10 +25,18 @@ Three exact reductions keep the tree small or end it:
 
 A depth takes its live parents in fixed chunks whose operators in flight stay near
 `CHUNK_BYTES`. The budget is checked on each new key, so the children made before it
-raises stay within one chunk's `CHUNK_BYTES`. A chunk is stacked and evolved by one
-U·stack·U† (bitwise the product of each matrix alone). The kernel `apply_instrument`
-runs once per (parent, block): that call is the unit a test swaps for its dense
-oracle and a profile counts. A child whose terms the kernel skips as exactly zero is
+raises stay within one chunk's `CHUNK_BYTES`. A branch carries the block b it was last
+measured in (None at the root) and is zero outside S_b×S_b, S_b that block's support, so
+it is evolved on S_b alone: U·ρ·U† = V_b·ρ[S,S]·V_b†, V_b = U[:, S_b], which costs
+d·k(k+d) complex multiply-adds for |S_b| = k against 2d³ for the dense product. V_b and
+V_b† are built once per run; a chunk's parents of one support size are gathered and
+evolved by one stacked product, and whole-space blocks take the one U·stack·U† of the
+dense engine. Each matrix of a stacked product is bitwise the product of that matrix
+alone. For the Hadamard walk and its powers V_b·ρ[S,S]·V_b† is also bitwise U·ρ·U†; for
+a generic unitary it agrees only within round-off (the tests ask 1e-14·‖ρ‖), and the
+restricted product is then the engine's definition of the evolution. The kernel
+`apply_instrument` runs once per (parent, block): that call is the unit a test swaps
+for its dense oracle and a profile counts. A child whose terms the kernel skips as exactly zero is
 its read-only `shared_zero`, which the engine recognizes by identity and leaves out
 unweighed. The chunk's other children are weighed from one stack of their diagonals
 and keyed in one vector pass per support size; those of weight exactly 0.0 are left
@@ -44,6 +52,7 @@ is closed iff every live key is a parent's key.
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -107,29 +116,31 @@ class RunStats:
 
     `constant` marks an all-one-block sequence; `parity` is the length of the
     terminal constant run mod 2; `entry_block` is the block visited just
-    before that run started (None while constant); `last_block` is the branch's
-    latest block (None at the root).
+    before that run started (None while constant).
     """
 
     constant: bool
     parity: int
     entry_block: int | None
-    last_block: int | None
 
-    def extend(self, block: int) -> "RunStats":
-        if self.last_block is None:
-            return RunStats(True, 0, None, block)
-        if block == self.last_block:
-            return RunStats(self.constant, self.parity ^ 1, self.entry_block, block)
-        return RunStats(False, 0, self.last_block, block)
+    def extend(self, last: int | None, block: int) -> "RunStats":
+        """The stats once `block` follows a branch last measured in `last` (None: the root)."""
+        if last is None:
+            return RunStats(True, 0, None)
+        if block == last:
+            return RunStats(self.constant, self.parity ^ 1, self.entry_block)
+        return RunStats(False, 0, last)
 
 
 @dataclass(slots=True)
 class TrajectoryBranch:
-    """One live node of the trajectory tree; `stats` only when the run classifies."""
+    """One live node of the trajectory tree: `block` is the block it was last measured in (None
+    at the root), so its operator is zero outside that block's support; `stats` only when the
+    run classifies."""
 
     weight: float
     conditional_op: np.ndarray
+    block: int | None = None
     stats: RunStats | None = None
 
 
@@ -238,6 +249,49 @@ def cylinder_probability(walk_unitary: Operator | None, t: Instrument, rho: Dens
     return float(np.real(np.trace(op)))
 
 
+def _columns(u: Operator, supports: list[np.ndarray | None]) -> tuple[np.ndarray, list[tuple]]:
+    """(group of each block, groups) for `_evolve`: blocks are grouped by |S_b|, S_b read off
+    the flat index `supports[b]` as `Instrument.support` reads it. A group of size k < dim is
+    (V, V†), the contiguous stacks of V_b = U[:, S_b] (blocks × dim × k) and of its adjoint,
+    indexed by block (other groups' rows are filler); whole-space blocks are (U, U†)."""
+    d = u.shape[0]
+    sizes = [d if flat is None else math.isqrt(flat.size) for flat in supports]
+    distinct = sorted(set(sizes))
+    columns = []
+    for k in distinct:
+        if k == d:
+            columns.append((u, u.conj().T))
+            continue
+        s = np.array([flat[:k] % d if size == k else np.zeros(k, dtype=np.intp)
+                      for flat, size in zip(supports, sizes)])
+        v = np.ascontiguousarray(u[:, s].transpose(1, 0, 2))
+        columns.append((v, np.ascontiguousarray(v.conj().transpose(0, 2, 1))))
+    return np.array([distinct.index(k) for k in sizes]), columns
+
+
+def _evolve(ops: list[np.ndarray], blocks: list[int], supports: list[np.ndarray | None],
+            group: np.ndarray, columns: list[tuple]) -> np.ndarray:
+    """U·ρ·U† of each parent of a chunk, stacked in chunk order, where `blocks[s]` is the block
+    parent s was last measured in (`group` and `columns` from `_columns`): V·ρ[S,S]·V† with
+    ρ[S,S] one `take` per parent, one stacked product per support size."""
+    out = None if len(columns) == 1 else np.empty((len(ops),) + ops[0].shape, dtype=complex)
+    for g, (v, vh) in enumerate(columns):
+        at = range(len(ops)) if out is None else np.flatnonzero(group[blocks] == g).tolist()
+        if not at:
+            continue
+        if v.ndim == 2:  # whole-space blocks
+            part = v @ np.stack([ops[s] for s in at]) @ vh
+        else:
+            picked = [blocks[s] for s in at]
+            sub = np.array([ops[s].take(supports[b]) for s, b in zip(at, picked)])
+            rows, k = np.array(picked), v.shape[2]
+            part = v.take(rows, 0) @ sub.reshape(len(at), k, k) @ vh.take(rows, 0)
+        if out is None:
+            return part
+        out[at] = part
+    return out
+
+
 def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[np.ndarray | None],
              evolved: Sequence[np.ndarray], opts: RunOptions) -> list[tuple]:
     """(parent position, block, child, weight, merge key) of each child of a chunk whose
@@ -335,14 +389,15 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
         raise ValidationError(
             f"partition covers {partition.size} outcomes, instrument has {t.n_outcomes}")
     u = _checked_unitary(walk_unitary, t, rho)
-    udag = None if u is None else u.conj().T
 
-    # A child is zero outside its block's support, so its merge key covers only that.
+    # A child is zero outside its block's support: its merge key covers only that, and its
+    # evolution acts on that alone.
     supports = [t.support_index(block) for block in partition.blocks]
+    on_support = None if u is None else _columns(u, supports)
 
     # Depth 0 measures rho itself: the root is the one parent that is not evolved.
-    branches = [TrajectoryBranch(1.0, rho.matrix,
-                                 RunStats(True, 0, None, None) if opts.classify else None)]
+    branches = [TrajectoryBranch(1.0, rho.matrix, None,
+                                 RunStats(True, 0, None) if opts.classify else None)]
     blocks = partition.blocks
     # A chunk's parents, evolved copies and children (one per block) stay near CHUNK_BYTES.
     chunk_size = max(1, CHUNK_BYTES // (np.dtype(complex).itemsize * t.dim * t.dim
@@ -367,7 +422,8 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
             chunk = branches[start:start + chunk_size]
             branches[start:start + chunk_size] = [None] * len(chunk)  # a spent parent is freed
             ops = [parent.conditional_op for parent in chunk]
-            evolved = ops if u is None or depth == 0 else u @ np.stack(ops) @ udag
+            evolved = (ops if on_support is None or depth == 0 else
+                       _evolve(ops, [parent.block for parent in chunk], supports, *on_support))
             for s, bi, op, w, fingerprint in _measure(t, blocks, supports, evolved, opts):
                 parent = chunk[s]
                 ratio = min(w / parent.weight, 1.0)
@@ -378,13 +434,13 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
                 if op is None:  # pruned
                     pruned_mass += w
                     continue
-                stats = parent.stats.extend(bi) if classify else None
+                stats = parent.stats.extend(parent.block, bi) if classify else None
                 key = (bi, fingerprint, stats) if merge else len(live)
                 if moves is not None:
                     moves.append((start + s, key, ratio))
                 kept = live.get(key)
                 if kept is None:
-                    live[key] = TrajectoryBranch(w, op, stats)
+                    live[key] = TrajectoryBranch(w, op, bi, stats)
                     if len(live) > budget:
                         raise ResourceLimitError(f"live branch count {len(live)} exceeds "
                                                  f"the budget of {opts.branch_budget}")

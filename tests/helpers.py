@@ -43,8 +43,17 @@ def random_coherent(rng: np.random.Generator, dim: int) -> Instrument:
     return coherent_instrument(list(random_unitary(rng, dim).T))
 
 
-def random_lvn(rng: np.random.Generator, dim: int, n_outcomes: int) -> Instrument:
-    basis = random_unitary(rng, dim).T
+def random_lvn(rng: np.random.Generator, dim: int, n_outcomes: int,
+               coordinates: list[list[int]] | None = None) -> Instrument:
+    """Projections onto random groups of a random orthonormal basis. With `coordinates`
+    (disjoint index sets covering range(dim)) each basis vector is random within one set,
+    so an outcome acts only on the sets its vectors come from: a partial support."""
+    if coordinates is None:
+        basis = random_unitary(rng, dim).T
+    else:
+        basis = np.zeros((dim, dim), dtype=complex)
+        for c in coordinates:
+            basis[np.ix_(c, c)] = random_unitary(rng, len(c)).T
     groups = random_blocks(rng, dim, n_outcomes)
     projections = []
     for group in groups:

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from szwalk import (AccuracyError, DensityState, Partition, ResourceLimitError, 
                     sz_entropy_run, unitary_power)
 from szwalk.entropy import eta
 from szwalk.quantum import min_eigenvalue, shared_zero
-from szwalk.walks import (basis_index, coin_vertex_instrument, hadamard_eigenstate,
-                          position_instrument, vertex_partition)
+from szwalk.walks import (basis_index, coin_vertex_instrument, coined_walk, hadamard_eigenstate,
+                          integer_shift, position_instrument, vertex_partition)
 
 from helpers import (conditional_sequence_from_levels, cylinder_level_joints, dense_apply,
                      random_coherent, random_density, random_general, random_lvn,
@@ -547,8 +548,102 @@ class TestChunkedDepths:
         assert (lifts[1] is None) == (case == "random-kraus")
         assert len(chunked.branches) == len(whole.branches)
         for a, b in zip(chunked.branches, whole.branches):
-            assert (a.weight, a.stats) == (b.weight, b.stats)
+            assert (a.weight, a.block, a.stats) == (b.weight, b.block, b.stats)
             assert np.array_equal(a.conditional_op, b.conditional_op)
+
+
+def _flat(s, d):
+    """The flat S×S index of a support S of a d×d operator, None for the whole space."""
+    return None if s is None else (np.array(s)[:, None] * d + np.array(s)).ravel()
+
+
+def _on_support(rng, flat, d):
+    """A random d×d operator that is zero outside the support of the flat index `flat`."""
+    k = d if flat is None else math.isqrt(flat.size)
+    op = np.zeros(d * d, dtype=complex)
+    op[slice(None) if flat is None else flat] = random_density(rng, k).matrix.ravel()
+    return op.reshape(d, d)
+
+
+def _evolved(u, supports, blocks, ops):
+    return sz._evolve(ops, blocks, supports, *sz._columns(u, supports))
+
+
+class TestSupportEvolution:
+    """Each parent is evolved on its block's support S: U[:,S]·ρ[S,S]·U[:,S]†."""
+
+    @pytest.mark.parametrize("sets", [[[2], [1, 6], [0, 3, 5], None],  # sizes 1, 2, 3, all
+                                      [[0, 4], [1, 7], [2, 5]],  # one size
+                                      [None]])  # the whole space
+    def test_matches_the_dense_product_for_random_unitaries(self, sets):
+        d = 8
+        rng = np.random.default_rng(len(sets))
+        u = random_unitary(rng, d)
+        supports = [_flat(s, d) for s in sets]
+        blocks = [int(b) for b in rng.integers(0, len(sets), 9)]
+        ops = [_on_support(rng, supports[b], d) for b in blocks]
+        evolved = _evolved(u, supports, blocks, ops)
+        assert evolved.shape == (len(ops), d, d)
+        for op, e in zip(ops, evolved):
+            assert np.abs(e - u @ op @ u.conj().T).max() <= 1e-14 * np.linalg.norm(op)
+        if sets == [None]:  # whole-space blocks take the dense engine's one stacked product
+            assert np.array_equal(evolved, u @ np.stack(ops) @ u.conj().T)
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["rank2", "coin-vertex"])
+    def test_bitwise_the_dense_product_for_hadamard_powers(self, power, kind):
+        u, t, _, part = _hadamard_setup(5, power, kind)
+        supports = [t.support_index(block) for block in part.blocks]
+        rng = np.random.default_rng(power)
+        blocks = [int(b) for b in rng.integers(0, len(supports), 12)]
+        ops = [_on_support(rng, supports[b], 10) for b in blocks]
+        assert np.array_equal(_evolved(u, supports, blocks, ops), u @ np.stack(ops) @ u.conj().T)
+
+    @pytest.mark.parametrize("case", ["position", "lvn-atomic", "lvn-whole-space-block"])
+    def test_random_coin_walk_matches_the_dense_bruteforce(self, case):
+        N = 3
+        rng = np.random.default_rng(21)
+        walk = coined_walk(integer_shift(N), [random_unitary(rng, 2) for _ in range(N)])
+        rho = random_density(rng, 2 * N)
+        if case == "position":
+            t = position_instrument(N)
+            part = Partition.atomic(N)
+        else:
+            t = random_lvn(np.random.default_rng(3), 2 * N, 4, [[0, 4, 2], [1, 5], [3]])
+            part = (Partition.atomic(4) if case == "lvn-atomic"
+                    else Partition([[0, 1], [2], [3]], size=4))
+        sizes = {2 * N if s is None else math.isqrt(s.size)
+                 for s in (t.support_index(block) for block in part.blocks)}
+        # Several support sizes, and a whole-space block beside partial ones.
+        assert sizes == {"position": {2}, "lvn-atomic": {2, 3, 4, 5},
+                         "lvn-whole-space-block": {3, 5, 6}}[case]
+        run = sz_entropy_run(walk.unitary, t, rho, part, RunOptions(n_max=5, min_steps=5))
+        oracle = conditional_sequence_from_levels(
+            cylinder_level_joints(walk.unitary, t, rho, part, 5))
+        assert len(run.report.direct_sequence) == len(oracle) == 6
+        for a, b in zip(run.report.direct_sequence, oracle):
+            assert abs(a - b) <= 1e-12
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    @pytest.mark.parametrize("merge", [True, False])
+    def test_every_branch_is_zero_outside_its_block_support(self, case, merge):
+        args, opts = _kernel_case(case)
+        run = sz_entropy_run(*args, replace(opts, n_max=4, merge=merge))
+        t, part = args[1], args[3]
+        for branch in run.branches:
+            on = np.zeros(t.dim * t.dim, dtype=bool)
+            on[slice(None) if (flat := t.support_index(part.blocks[branch.block])) is None
+               else flat] = True
+            assert not branch.conditional_op.ravel()[~on].any()
+            assert (branch.stats is None) == (not opts.classify)  # no history unless classified
+
+    def test_run_stats_follow_the_parent_block(self):
+        root = sz.RunStats(True, 0, None)
+        first = root.extend(None, 3)
+        assert first == sz.RunStats(True, 0, None)
+        assert first.extend(3, 3) == sz.RunStats(True, 1, None)
+        assert first.extend(3, 3).extend(3, 1) == sz.RunStats(False, 0, 3)
+        assert sz.RunStats(False, 0, 3).extend(1, 1) == sz.RunStats(False, 1, 3)
 
 
 def _booked_run(monkeypatch, args, opts, fresh_zero: bool):
@@ -596,7 +691,7 @@ class TestSharedZero:
         assert (other.depth, other.stop_reason) == (run.depth, run.stop_reason)
         assert len(other.branches) == len(run.branches)
         for a, b in zip(other.branches, run.branches):
-            assert (a.weight, a.stats) == (b.weight, b.stats)
+            assert (a.weight, a.block, a.stats) == (b.weight, b.block, b.stats)
             assert a.conditional_op.tobytes() == b.conditional_op.tobytes()
 
     def test_a_nan_weight_still_reaches_eta(self, monkeypatch):

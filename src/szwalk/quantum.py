@@ -1,16 +1,18 @@
 """Finite-dimensional density states and measurement instruments.
 
 States and dynamics are dense complex numpy arrays of a few dozen dimensions. An instrument
-is a finite Kraus family {B_i} with sum B_i† B_i = 1, held as each B_i's block on its support
-S_i: B[S,S], its adjoint and the flat index of S×S (row-major positions in a dim×dim operator).
-Every check runs on the blocks, once, when the instrument is built; the kernel gathers with
-`take` and scatters back by the same index, and returns one shared read-only zero
-(`shared_zero`) for a child whose terms are all exactly zero. Dense operators are only an
-input format (`general_instrument`) and a view (`Instrument.kraus`).
+is a finite Kraus family {B_i} with sum B_i† B_i = 1, held as each B_i's block on its
+support S_i: B[S,S], its adjoint and the flat index of S×S (`flat_index`, row-major
+positions in a dim×dim operator; the whole space is `arange(dim²)`, an index like any
+other). Every check runs on the blocks, once, when the instrument is built; the kernel
+gathers with `take` and scatters back by the same index, and returns one shared read-only
+zero (`shared_zero`) for a child whose terms are all exactly zero. Dense operators are only
+an input format (`general_instrument`) and a view (`Instrument.kraus`).
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Iterable, Sequence
 
@@ -94,10 +96,23 @@ def pure_state(v) -> DensityState:
     return DensityState(np.outer(vec, vec.conj()))
 
 
-def _gather(m: np.ndarray, flat: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
-    """m[S,S] gathered by the flat index of S×S, as a `shape` matrix; m itself when the index
-    is None (S the whole space)."""
-    return m if flat is None else m.take(flat).reshape(shape)
+def flat_index(s: np.ndarray, dim: int) -> np.ndarray:
+    """The flat index of S×S: the row-major positions of S×S in a dim×dim operator, taken in
+    the order of S. S holds distinct indices in range(dim)."""
+    return (s[:, None] * dim + s).ravel()
+
+
+def index_support(flat: np.ndarray, dim: int) -> np.ndarray:
+    """S back from `flat_index(S, dim)`: its first |S| entries are s_0·dim + S."""
+    return flat[:math.isqrt(flat.size)] % dim
+
+
+def _outcome(i, n: int, outcomes) -> int:
+    """Index i of the outcome set `outcomes` as an int in range(n): no bool, no negative."""
+    require(is_kind(i, numbers.Integral),
+            lambda: f"outcome set {outcomes!r}: index {i!r} is not an integer")
+    require(0 <= i < n, lambda: f"outcome set {outcomes!r}: index {i} outside range({n})")
+    return int(i)
 
 
 _ZEROS: dict[int, Operator] = {}
@@ -117,9 +132,9 @@ class Instrument:
     """A complete Kraus family {B_i} (sum B_i† B_i = 1) indexed by labeled outcomes.
 
     Outcome i comes as (S, B[S,S]), S the increasing indices (None: all) outside which B_i is
-    zero, and is held as `supports[i]` = (flat index of S×S, B[S,S], B[S,S]†), the index None
-    when S is the whole space. Absent or empty labels default to "0", "1", ...; constructors
-    that promise more structure (projections, rank-1 projections) check it themselves.
+    zero, and is held as `supports[i]` = (`flat_index(S, dim)`, B[S,S], B[S,S]†). Absent or
+    empty labels default to "0", "1", ...; constructors that promise more structure
+    (projections, rank-1 projections) check it themselves.
     """
 
     __slots__ = ("dim", "supports", "outcome_labels")
@@ -135,9 +150,9 @@ class Instrument:
                     and s.tolist() == sorted(x for x in set(s.tolist()) if 0 <= x < dim)
                     and np.isfinite(b).all(), lambda: f"outcome {i}: need increasing S in "
                     f"range({dim}) and a finite |S|×|S| block, got S = {s.tolist()}, {b.shape}")
-            flat = None if s.size == dim else (s[:, None] * dim + s).ravel()
+            flat = flat_index(s, dim)
             bh = np.ascontiguousarray(b.conj().T)
-            total[slice(None) if flat is None else flat] += bh.dot(b).ravel()
+            total[flat] += bh.dot(b).ravel()
             supports.append((flat, b, bh))
         if not supports:
             raise ValidationError("instrument needs at least one Kraus operator")
@@ -159,22 +174,21 @@ class Instrument:
         oracles and outside callers. The package itself reads `supports`."""
         ops = tuple(np.zeros((self.dim, self.dim), dtype=complex) for _ in self.supports)
         for op, (flat, b, _) in zip(ops, self.supports):
-            op.flat[slice(None) if flat is None else flat] = b
+            op.flat[flat] = b
         return ops
 
     def support(self, i: int) -> np.ndarray:
-        """S_i, the increasing indices that outcome i's block acts on."""
-        flat, b, _ = self.supports[i]
-        return np.arange(self.dim) if flat is None else flat[:b.shape[0]] % self.dim
+        """S_i, the increasing indices that outcome i's block acts on; i is an integer in
+        range(n_outcomes), as in `apply_instrument`."""
+        return index_support(self.supports[_outcome(i, len(self.supports), [i])][0], self.dim)
 
-    def support_index(self, outcomes: Iterable[int]) -> np.ndarray | None:
-        """Row-major positions of S×S in a dim×dim operator, S the union of the outcomes'
-        supports (None: the whole space). Each B_i ρ B_i† is exactly zero outside S×S."""
+    def support_index(self, outcomes: Iterable[int]) -> np.ndarray:
+        """`flat_index(S, dim)`, S the union of the outcomes' supports: each B_i ρ B_i† is
+        exactly zero outside S×S."""
         on = np.zeros(self.dim, dtype=bool)
         for i in outcomes:
             on[self.support(i)] = True
-        s = np.flatnonzero(on)
-        return None if s.size == self.dim else (s[:, None] * self.dim + s).ravel()
+        return flat_index(np.flatnonzero(on), self.dim)
 
 
 def general_instrument(kraus: Sequence, labels: Sequence[str] | None = None) -> Instrument:
@@ -260,30 +274,26 @@ def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> O
         raise ValidationError(
             f"state of shape {rho.shape} does not match instrument dimension {t.dim}")
     supports = t.supports
+    n = len(supports)
     terms = []
     for i in outcomes:
-        if type(i) is not int:  # the number rule, off the path of plain ints
-            if not is_kind(i, numbers.Integral):
-                raise ValidationError(f"outcome set {outcomes!r}: index {i!r} is not an integer")
-            i = int(i)
-        if not 0 <= i < len(supports):
-            raise ValidationError(
-                f"outcome set {outcomes!r}: index {i} outside range({len(supports)})")
+        if type(i) is not int or not 0 <= i < n:  # `_outcome` off the path of plain ints
+            i = _outcome(i, n, outcomes)
         terms.append(supports[i])
     # Each outcome's term is its own tuple, so a repeated outcome repeats an object.
     if len(terms) > 1 and len(set(map(id, terms))) < len(terms):
         raise ValidationError(f"outcome set {outcomes!r} repeats an outcome")
-    if len(terms) == 1 and terms[0][0] is None:  # one outcome, whole space
+    if len(terms) == 1 and terms[0][1].shape[0] == t.dim:  # one outcome, whole space
         _, b, bh = terms[0]
         return b.dot(rho).dot(bh)
     out = None
     for flat, b, bh in terms:
-        sub = rho if flat is None else rho.take(flat)
+        sub = rho.take(flat)
         if np.count_nonzero(sub):
             if out is None:
                 out = np.zeros(rho.size, dtype=complex)
             product = b.dot(sub.reshape(b.shape)).dot(bh)
-            out[slice(None) if flat is None else flat] += product.ravel()
+            out[flat] += product.ravel()
     return shared_zero(t.dim) if out is None else out.reshape(rho.shape)
 
 
@@ -292,6 +302,6 @@ def outcome_pmf(t: Instrument, rho: DensityState) -> ProbVector:
     if rho.dim != t.dim:
         raise ValidationError(
             f"state dimension {rho.dim} does not match instrument dimension {t.dim}")
-    probs = [float(np.real(np.vdot(b, b @ _gather(rho.matrix, flat, b.shape))))
+    probs = [float(np.real(np.vdot(b, b @ rho.matrix.take(flat).reshape(b.shape))))
              for flat, b, _ in t.supports]
     return ProbVector(np.clip(probs, 0.0, None), tol=1e-10)

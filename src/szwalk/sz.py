@@ -24,35 +24,34 @@ Three exact reductions keep the tree small or end it:
   there with that limit.
 
 A depth takes its live parents in fixed chunks whose operators in flight stay near
-`CHUNK_BYTES`. The budget is checked on each new key, so the children made before it
-raises stay within one chunk's `CHUNK_BYTES`. A branch carries the block b it was last
-measured in (None at the root) and is zero outside S_b×S_b, S_b that block's support, so
-it is evolved on S_b alone: U·ρ·U† = V_b·ρ[S,S]·V_b†, V_b = U[:, S_b], which costs
-d·k(k+d) complex multiply-adds for |S_b| = k against 2d³ for the dense product. V_b and
-V_b† are built once per run; a chunk's parents of one support size are gathered and
-evolved by one stacked product, and whole-space blocks take the one U·stack·U† of the
-dense engine. Each matrix of a stacked product is bitwise the product of that matrix
-alone. For the Hadamard walk and its powers V_b·ρ[S,S]·V_b† is also bitwise U·ρ·U†; for
-a generic unitary it agrees only within round-off (the tests ask 1e-14·‖ρ‖), and the
-restricted product is then the engine's definition of the evolution. The kernel
-`apply_instrument` runs once per (parent, block): that call is the unit a test swaps
-for its dense oracle and a profile counts. A child whose terms the kernel skips as exactly zero is
-its read-only `shared_zero`, which the engine recognizes by identity and leaves out
-unweighed. The chunk's other children are weighed from one stack of their diagonals
-and keyed in one vector pass per support size; those of weight exactly 0.0 are left
-out too (each would add +0 to every sum and is never kept). The bookkeeping then
-makes one pass over the rest in (parent, block) order, so every sum (a_n, h, pruned
-mass, merged operators and weights) adds in the same order as when each child is
-made and booked alone. A fresh zero buffer in place of the shared one weighs 0.0
-too, so the run does not depend on it. While closure is tracked (merging on, at most
-`LIFT_MAX_STATES` parents), the pass also records each kept child's (parent
-position, key, ratio) and each parent's next-block entropy; after the depth the tree
-is closed iff every live key is a parent's key.
+`CHUNK_BYTES`. The budget is checked on each new key, so the children made before it raises
+stay within one chunk's `CHUNK_BYTES`. A branch carries the block b it was last measured in
+(None at the root) and is zero outside S_b×S_b, S_b that block's support, so it is evolved
+on S_b alone: U·ρ·U† = V_b·ρ[S,S]·V_b†, V_b = U[:, S_b], which costs d·k(k+d) complex
+multiply-adds for |S_b| = k against 2d³ for the dense product. Every S_b is padded to the
+largest support size k by indices outside it, which only adds exact zeros; V_b, V_b† and the
+flat index of each padded S_b×S_b are built once per run, and a chunk's parents are gathered
+and evolved by one stacked product. When k is the dimension, every V_b is U and the chunk
+takes the one U·stack·U† of the dense engine. Each matrix of a stacked product is bitwise
+the product of that matrix alone. For the Hadamard walk and its powers V_b·ρ[S,S]·V_b† is
+also bitwise U·ρ·U†; for a generic unitary it agrees only within round-off (the tests ask
+1e-14·‖ρ‖), and the restricted product is then the engine's definition of the evolution. The
+kernel `apply_instrument` runs once per (parent, block): that call is the unit a test swaps
+for its dense oracle and a profile counts. A child whose terms the kernel skips as exactly
+zero is its read-only `shared_zero`, which the engine recognizes by identity and leaves out
+unweighed. The chunk's other children are weighed from one stack of their diagonals and
+keyed in one vector pass per support size; those of weight exactly 0.0 are left out too
+(each would add +0 to every sum and is never kept). The bookkeeping then makes one pass over
+the rest in (parent, block) order, so every sum (a_n, h, pruned mass, merged operators and
+weights) adds in the same order as when each child is made and booked alone. A fresh zero
+buffer in place of the shared one weighs 0.0 too, so the run does not depend on it. While
+closure is tracked (merging on, at most `LIFT_MAX_STATES` parents), the pass also records
+each kept child's (parent position, key, ratio) and each parent's next-block entropy; after
+the depth the tree is closed iff every live key is a parent's key.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -65,13 +64,15 @@ from .entropy import ConvergenceReport, Partition, ProbVector, eta, limit_estima
 from .errors import (AccuracyError, NumericError, ResourceLimitError,
                      UnsupportedConfigurationError, ValidationError, is_kind, require)
 from .quantum import (DensityState, Instrument, Operator, as_operator, apply_instrument,
-                      identity_residual, orthonormal_columns, outcome_pmf, shared_zero)
+                      flat_index, identity_residual, index_support, orthonormal_columns,
+                      outcome_pmf, shared_zero)
 
 NORMALIZATION_TOL = 1e-8
 PRUNED_MASS_LIMIT = 1e-6
 RANK1_TOL = 1e-8
 LIFT_MAX_STATES = 1000  # closure is tracked only while at most this many branches are live
 CHUNK_BYTES = 256 * 1024  # bound on the operators in flight per chunk of parents
+MERGE_TOL_MIN = 1e-18  # merge keys count merge_tol units of entries |x| <= 1 in int64 (< 2**63)
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,8 @@ class RunOptions:
             require(is_kind(value, kind),
                     f"option '{f.name}' must be of type {wanted.__name__}, got {value!r}")
         for name, ok, rule in (("tol", 0 < self.tol < np.inf, "finite and > 0"),
-                               ("merge_tol", 0 < self.merge_tol < np.inf, "finite and > 0"),
+                               ("merge_tol", MERGE_TOL_MIN <= self.merge_tol < np.inf,
+                                f"finite and >= {MERGE_TOL_MIN:g}"),
                                ("prune_eps", 0 <= self.prune_eps < np.inf, "finite and >= 0"),
                                ("n_max", self.n_max >= 0, ">= 0"),
                                ("min_steps", self.min_steps >= 0, ">= 0"),
@@ -249,50 +251,37 @@ def cylinder_probability(walk_unitary: Operator | None, t: Instrument, rho: Dens
     return float(np.real(np.trace(op)))
 
 
-def _columns(u: Operator, supports: list[np.ndarray | None]) -> tuple[np.ndarray, list[tuple]]:
-    """(group of each block, groups) for `_evolve`: blocks are grouped by |S_b|, S_b read off
-    the flat index `supports[b]` as `Instrument.support` reads it. A group of size k < dim is
-    (V, V†), the contiguous stacks of V_b = U[:, S_b] (blocks × dim × k) and of its adjoint,
-    indexed by block (other groups' rows are filler); whole-space blocks are (U, U†)."""
+def _columns(u: Operator, supports: list[np.ndarray]) -> tuple:
+    """(V, V†, index) for `_evolve`, k the largest |S_b| over the blocks' flat indices
+    `supports`. Each S_b is padded to k by the first indices outside it, where a branch is
+    exactly zero; V and V† stack V_b = U[:, S_b] (blocks × dim × k) and its adjoint, and
+    index[b] is the flat index of the padded S_b×S_b. With k = dim: (U, U†, supports)."""
     d = u.shape[0]
-    sizes = [d if flat is None else math.isqrt(flat.size) for flat in supports]
-    distinct = sorted(set(sizes))
-    columns = []
-    for k in distinct:
-        if k == d:
-            columns.append((u, u.conj().T))
-            continue
-        s = np.array([flat[:k] % d if size == k else np.zeros(k, dtype=np.intp)
-                      for flat, size in zip(supports, sizes)])
-        v = np.ascontiguousarray(u[:, s].transpose(1, 0, 2))
-        columns.append((v, np.ascontiguousarray(v.conj().transpose(0, 2, 1))))
-    return np.array([distinct.index(k) for k in sizes]), columns
+    sets = [index_support(flat, d) for flat in supports]
+    k = max(s.size for s in sets)
+    if k == d:
+        return u, u.conj().T, supports
+    for b, s in enumerate(sets):
+        if s.size < k:
+            sets[b] = np.concatenate((s, np.delete(np.arange(d), s)[:k - s.size]))
+    v = np.ascontiguousarray(u[:, np.array(sets)].transpose(1, 0, 2))
+    vh = np.ascontiguousarray(v.conj().transpose(0, 2, 1))
+    return v, vh, [flat_index(s, d) for s in sets]
 
 
-def _evolve(ops: list[np.ndarray], blocks: list[int], supports: list[np.ndarray | None],
-            group: np.ndarray, columns: list[tuple]) -> np.ndarray:
+def _evolve(ops: list[np.ndarray], blocks: list[int], v: np.ndarray, vh: np.ndarray,
+            index: list[np.ndarray]) -> np.ndarray:
     """U·ρ·U† of each parent of a chunk, stacked in chunk order, where `blocks[s]` is the block
-    parent s was last measured in (`group` and `columns` from `_columns`): V·ρ[S,S]·V† with
-    ρ[S,S] one `take` per parent, one stacked product per support size."""
-    out = None if len(columns) == 1 else np.empty((len(ops),) + ops[0].shape, dtype=complex)
-    for g, (v, vh) in enumerate(columns):
-        at = range(len(ops)) if out is None else np.flatnonzero(group[blocks] == g).tolist()
-        if not at:
-            continue
-        if v.ndim == 2:  # whole-space blocks
-            part = v @ np.stack([ops[s] for s in at]) @ vh
-        else:
-            picked = [blocks[s] for s in at]
-            sub = np.array([ops[s].take(supports[b]) for s, b in zip(at, picked)])
-            rows, k = np.array(picked), v.shape[2]
-            part = v.take(rows, 0) @ sub.reshape(len(at), k, k) @ vh.take(rows, 0)
-        if out is None:
-            return part
-        out[at] = part
-    return out
+    parent s was last measured in (`v`, `vh` and `index` from `_columns`): one stacked
+    V·ρ[S,S]·V† with ρ[S,S] one `take` per parent, or the dense U·stack·U† when k = dim."""
+    if v.ndim == 2:
+        return v @ np.stack(ops) @ vh
+    sub = np.array([op.take(index[b]) for op, b in zip(ops, blocks)])
+    rows, k = np.array(blocks), v.shape[2]
+    return v.take(rows, 0) @ sub.reshape(len(ops), k, k) @ vh.take(rows, 0)
 
 
-def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[np.ndarray | None],
+def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[np.ndarray],
              evolved: Sequence[np.ndarray], opts: RunOptions) -> list[tuple]:
     """(parent position, block, child, weight, merge key) of each child of a chunk whose
     weight is not exactly 0.0, in (parent, block) order.
@@ -313,22 +302,22 @@ def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[np.n
     return [(s, bi, child, w, key) for (s, bi, child, w), key in zip(weighed, keys)]
 
 
-def _merge_keys(weighed: list[tuple], supports: list[np.ndarray | None],
-                merge_tol: float) -> list:
+def _merge_keys(weighed: list[tuple], supports: list[np.ndarray], merge_tol: float) -> list:
     """The merge key of each kept child of `weighed` (see `_measure`), None for a pruned one.
 
-    The key holds the entries on the child's block support (`supports`, one flat index or
-    None per block) over its weight, in row-major order, in units of `merge_tol` and
-    rounded, as interleaved (re, im) pairs: two children share a key iff their real and
-    imaginary parts do. One pass per support size over the stacked entries does the same
-    float operations as on each child alone.
+    The key holds the entries on the child's block support (`supports`, one flat index per
+    block) over its weight, in row-major order, in units of `merge_tol` and rounded, as
+    interleaved (re, im) pairs: two children share a key iff their real and imaginary parts
+    do. One pass per support size over the stacked entries does the same float operations as
+    on each child alone.
     """
     keys = [None] * len(weighed)
     buckets: dict[int, list[tuple[int, np.ndarray, float]]] = {}  # by support size
     for i, (_, bi, child, w) in enumerate(weighed):
         if child is not None:
             flat = supports[bi]
-            entries = child.ravel() if flat is None else child.take(flat)
+            # The whole space reads as `ravel`: the same entries, without the gather.
+            entries = child.ravel() if flat.size == child.size else child.take(flat)
             buckets.setdefault(entries.size, []).append((i, entries, w))
     for bucket in buckets.values():
         index, stacked, weights = zip(*bucket)
@@ -423,7 +412,7 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
             branches[start:start + chunk_size] = [None] * len(chunk)  # a spent parent is freed
             ops = [parent.conditional_op for parent in chunk]
             evolved = (ops if on_support is None or depth == 0 else
-                       _evolve(ops, [parent.block for parent in chunk], supports, *on_support))
+                       _evolve(ops, [parent.block for parent in chunk], *on_support))
             for s, bi, op, w, fingerprint in _measure(t, blocks, supports, evolved, opts):
                 parent = chunk[s]
                 ratio = min(w / parent.weight, 1.0)

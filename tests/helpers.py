@@ -99,14 +99,14 @@ def dense_coherent(basis) -> list[np.ndarray]:
 
 
 def dense_supports(kraus) -> list[tuple]:
-    """Per dense operator B, (flat index of S×S or None, B[S,S], B[S,S]†) with S its nonzero
-    rows and columns, scanned from the dense matrix: the oracle of `Instrument.supports`."""
+    """Per dense operator B, (flat index of S×S, B[S,S], B[S,S]†) with S its nonzero rows and
+    columns, scanned from the dense matrix: the oracle of `Instrument.supports`."""
     out = []
     for b in kraus:
         nonzero = b != 0
         s = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-        flat = None if s.size == b.shape[0] else (s[:, None] * b.shape[0] + s).ravel()
-        bs = np.ascontiguousarray(b if flat is None else b.take(flat).reshape(s.size, s.size))
+        flat = (s[:, None] * b.shape[0] + s).ravel()
+        bs = np.ascontiguousarray(b.take(flat).reshape(s.size, s.size))
         out.append((flat, bs, np.ascontiguousarray(bs.conj().T)))
     return out
 

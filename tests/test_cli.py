@@ -123,6 +123,7 @@ class TestConfigParsing:
         ({"n_max": -3}, "n_max"),
         ({"window": 1}, "window"),  # a_1 = a_2 here would pass as converged
         ({"merge_tol": 1e999}, "merge_tol"),  # JSON reads inf: every block would merge
+        ({"merge_tol": 1e-20}, "merge_tol"),  # the int64 merge keys would overflow
     ])
     def test_bad_run_option_exits_2(self, tmp_path, capsys, run, field):
         cfg = write_config(tmp_path / "bad.json", run={"n_max": 25, **run})

@@ -190,8 +190,7 @@ def assert_matches_dense(t: Instrument, dense: list) -> None:
     expected = dense_supports(dense)
     assert len(t.supports) == len(expected) == len(t.kraus)
     for (flat, b, bh), (flat0, b0, bh0) in zip(t.supports, expected):
-        assert (flat is None and flat0 is None) or (flat.dtype == flat0.dtype
-                                                    and flat.tobytes() == flat0.tobytes())
+        assert flat.dtype == flat0.dtype and flat.tobytes() == flat0.tobytes()
         assert b.flags.c_contiguous and bh.flags.c_contiguous
         assert b.shape == b0.shape and bits(b) == bits(b0) and bits(bh) == bits(bh0)
     assert all(np.array_equal(k, d) for k, d in zip(t.kraus, dense))
@@ -199,11 +198,9 @@ def assert_matches_dense(t: Instrument, dense: list) -> None:
     for outcomes in ([0], [n - 1, 0], list(range(0, n, 2)), range(n)):
         union = sum(np.abs(dense[i]) for i in outcomes) != 0
         s = np.flatnonzero(union.any(axis=0) | union.any(axis=1))
-        index = t.support_index(outcomes)
-        if s.size == t.dim:
-            assert index is None
-        else:
-            assert index.tobytes() == (s[:, None] * t.dim + s).ravel().tobytes()
+        index = t.support_index(outcomes)  # the whole space included
+        assert index.dtype == np.intp
+        assert index.tobytes() == (s[:, None] * t.dim + s).ravel().tobytes()
 
 
 class TestBlocksMatchTheDenseConstruction:
@@ -218,7 +215,7 @@ class TestBlocksMatchTheDenseConstruction:
 
     def test_coherent_on_a_random_dense_basis(self):
         basis = list(random_unitary(np.random.default_rng(31), 6).T)
-        assert coherent_instrument(basis).supports[0][0] is None
+        assert np.array_equal(coherent_instrument(basis).supports[0][0], np.arange(36))
         assert_matches_dense(coherent_instrument(basis), dense_coherent(basis))
 
     def test_coherent_on_a_sparse_basis(self):
@@ -253,6 +250,23 @@ class TestBlocksMatchTheDenseConstruction:
         scaled = [([0, 1], np.eye(2) / SQRT2), ([0, 1], np.eye(2) / SQRT2), ([2], [[1.0]])]
         with pytest.raises(ValidationError, match=r"^outcome 0: not a projection \(\|B-B†\|=0"):
             lvn_instrument(Instrument(3, scaled))
+
+    def test_every_support_is_an_int_array(self):
+        """Each constructor holds every support, the whole space included, as an integer
+        ndarray; `support` and `support_index` give integer ndarrays too."""
+        rng = np.random.default_rng(43)
+        families = [Instrument(2, [(None, np.eye(2))]), Instrument(3, [(range(3), np.eye(3))]),
+                    general_instrument([np.eye(3)]),
+                    general_instrument([np.eye(2), np.zeros((2, 2))]),
+                    lvn_instrument(dense_position(3)), coherent_instrument(list(np.eye(4))),
+                    random_coherent(rng, 4), position_instrument(3), coin_vertex_instrument(3)]
+        for t in families:
+            indices = [flat for flat, _, _ in t.supports]
+            indices += [t.support(i) for i in range(t.n_outcomes)]
+            indices += [t.support_index(outcomes) for outcomes in ([0], range(t.n_outcomes), [])]
+            for index in indices:
+                assert isinstance(index, np.ndarray) and index.dtype.kind == "i"
+        assert np.array_equal(families[0].supports[0][0], np.arange(4))
 
     def test_zero_operator_has_an_empty_block(self):
         t = general_instrument([np.eye(2), np.zeros((2, 2))])
@@ -307,6 +321,20 @@ class TestApplyInstrument:
         for outcomes in ([4], [-1], [1.7], ["1"], [True], [np.float64(2.0)], [1, 1], [0, 2, 0]):
             with pytest.raises(ValidationError, match="outcome"):
                 apply_instrument(t, outcomes, maximally_mixed(4).matrix)
+
+    @pytest.mark.parametrize("i", [-1, 3, True, 1.0, np.float64(0.0), "0", None])
+    def test_one_outcome_rule(self, i):
+        """`support`, `support_index` and `apply_instrument` reject the same outcome indices
+        with the same error: a negative index does not count from the end, and a bool is not
+        an outcome."""
+        t = position_instrument(3)
+        calls = (lambda: t.support(i), lambda: t.support_index([0, i]),
+                 lambda: apply_instrument(t, [i], maximally_mixed(6).matrix))
+        for call in calls:
+            with pytest.raises(ValidationError, match=r"^outcome set .*: index .* "
+                                                      r"(is not an integer|outside range)"):
+                call()
+        assert np.array_equal(t.support(np.int64(2)), t.support(2))
 
     def test_integer_outcome_sets(self):
         t = position_instrument(3)
@@ -367,7 +395,7 @@ def kernel_states(rng, t: Instrument) -> dict:
     rho = random_density(rng, t.dim).matrix
     flat = t.supports[0][0]
     on_block = np.zeros(t.dim * t.dim, dtype=bool)
-    on_block[slice(None) if flat is None else flat] = True
+    on_block[flat] = True
     on_block = on_block.reshape(t.dim, t.dim)
     return {"random": rho, "zero-block": np.where(on_block, 0.0, rho),
             "minus-zero": np.where(on_block, -0.0, rho)}
@@ -456,7 +484,7 @@ class TestSharedZero:
         assert apply_instrument(t, [], states["random"]) is zero
         for state in ("zero-block", "minus-zero"):
             out = apply_instrument(t, [0], states[state])
-            if t.supports[0][0] is None:  # one outcome on the whole space: its own product
+            if t.supports[0][1].shape[0] == t.dim:  # one outcome, whole space: its own product
                 assert out is not zero and out.flags.writeable
             else:
                 assert out is zero

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -125,6 +126,7 @@ class TestRunOptions:
         ("window", 2.9), ("n_max", True), ("tol", True), ("merge", "false"),
         ("classify", "no"), ("strict", 1), ("branch_budget", None),
         ("merge_tol", float("inf")), ("tol", float("inf")), ("prune_eps", float("inf")),
+        ("merge_tol", 1e-20),  # |entry|/merge_tol would overflow the int64 merge keys
     ])
     def test_bad_value_names_the_field(self, field, value):
         with pytest.raises(ValidationError, match=f"'{field}'"):
@@ -132,6 +134,19 @@ class TestRunOptions:
 
     def test_int_accepted_for_float_fields(self):
         assert RunOptions(tol=1, prune_eps=0, window=2).tol == 1
+
+    def test_smallest_merge_tol_keys_exactly(self):
+        """At the 1e-18 floor the merge keys stay within int64: rank-2 U², N=5 still merges,
+        gives the unmerged a_n, and warns nothing."""
+        args = _hadamard_setup(5, 2, "rank2")
+        off = sz_entropy_run(*args, RunOptions(n_max=6, min_steps=6, merge=False))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            on = sz_entropy_run(*args, RunOptions(n_max=6, min_steps=6, merge_tol=1e-18))
+        assert on.records[-1].branch_count < off.records[-1].branch_count
+        assert len(on.report.direct_sequence) == len(off.report.direct_sequence) == 7
+        for a, b in zip(on.report.direct_sequence, off.report.direct_sequence):
+            assert abs(a - b) <= 1e-12
 
 
 class TestSZEntropyRun:
@@ -526,7 +541,7 @@ class TestChunkedDepths:
                 continue
             assert np.array_equal(child, ref)
             flat = supports[bi]
-            entries = ref.ravel() if flat is None else ref.take(flat)
+            entries = ref.take(flat)
             scaled = (entries / ref_w).view(np.float64) / opts.merge_tol
             assert key == np.round(scaled).astype(np.int64).tobytes()
         assert any(m[2] is None for m in measured) and any(m[2] is not None for m in measured)
@@ -553,28 +568,28 @@ class TestChunkedDepths:
 
 
 def _flat(s, d):
-    """The flat S×S index of a support S of a d×d operator, None for the whole space."""
-    return None if s is None else (np.array(s)[:, None] * d + np.array(s)).ravel()
+    """The flat S×S index of a support S of a d×d operator."""
+    return (np.array(s)[:, None] * d + np.array(s)).ravel()
 
 
 def _on_support(rng, flat, d):
     """A random d×d operator that is zero outside the support of the flat index `flat`."""
-    k = d if flat is None else math.isqrt(flat.size)
     op = np.zeros(d * d, dtype=complex)
-    op[slice(None) if flat is None else flat] = random_density(rng, k).matrix.ravel()
+    op[flat] = random_density(rng, math.isqrt(flat.size)).matrix.ravel()
     return op.reshape(d, d)
 
 
 def _evolved(u, supports, blocks, ops):
-    return sz._evolve(ops, blocks, supports, *sz._columns(u, supports))
+    return sz._evolve(ops, blocks, *sz._columns(u, supports))
 
 
 class TestSupportEvolution:
     """Each parent is evolved on its block's support S: U[:,S]·ρ[S,S]·U[:,S]†."""
 
-    @pytest.mark.parametrize("sets", [[[2], [1, 6], [0, 3, 5], None],  # sizes 1, 2, 3, all
+    @pytest.mark.parametrize("sets", [[[2], [1, 6], [0, 3, 5], range(8)],  # sizes 1, 2, 3, all
                                       [[0, 4], [1, 7], [2, 5]],  # one size
-                                      [None]])  # the whole space
+                                      [range(8)],  # the whole space
+                                      [[2], [1, 6], [0, 3, 5]]])  # sizes 1, 2, 3: padded to 3
     def test_matches_the_dense_product_for_random_unitaries(self, sets):
         d = 8
         rng = np.random.default_rng(len(sets))
@@ -586,7 +601,7 @@ class TestSupportEvolution:
         assert evolved.shape == (len(ops), d, d)
         for op, e in zip(ops, evolved):
             assert np.abs(e - u @ op @ u.conj().T).max() <= 1e-14 * np.linalg.norm(op)
-        if sets == [None]:  # whole-space blocks take the dense engine's one stacked product
+        if any(len(s) == d for s in sets):  # a whole-space block: the dense engine's product
             assert np.array_equal(evolved, u @ np.stack(ops) @ u.conj().T)
 
     @pytest.mark.parametrize("power", [1, 2, 3])
@@ -612,8 +627,7 @@ class TestSupportEvolution:
             t = random_lvn(np.random.default_rng(3), 2 * N, 4, [[0, 4, 2], [1, 5], [3]])
             part = (Partition.atomic(4) if case == "lvn-atomic"
                     else Partition([[0, 1], [2], [3]], size=4))
-        sizes = {2 * N if s is None else math.isqrt(s.size)
-                 for s in (t.support_index(block) for block in part.blocks)}
+        sizes = {math.isqrt(t.support_index(block).size) for block in part.blocks}
         # Several support sizes, and a whole-space block beside partial ones.
         assert sizes == {"position": {2}, "lvn-atomic": {2, 3, 4, 5},
                          "lvn-whole-space-block": {3, 5, 6}}[case]
@@ -632,8 +646,7 @@ class TestSupportEvolution:
         t, part = args[1], args[3]
         for branch in run.branches:
             on = np.zeros(t.dim * t.dim, dtype=bool)
-            on[slice(None) if (flat := t.support_index(part.blocks[branch.block])) is None
-               else flat] = True
+            on[t.support_index(part.blocks[branch.block])] = True
             assert not branch.conditional_op.ravel()[~on].any()
             assert (branch.stats is None) == (not opts.classify)  # no history unless classified
 

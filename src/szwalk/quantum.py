@@ -4,10 +4,10 @@ States and dynamics are dense complex numpy arrays of a few dozen dimensions. An
 is a finite Kraus family {B_i} with sum B_i† B_i = 1, held as each B_i's block on its
 support S_i: B[S,S], its adjoint and the flat index of S×S (`flat_index`, row-major
 positions in a dim×dim operator; the whole space is `arange(dim²)`, an index like any
-other). Every check runs on the blocks, once, when the instrument is built; the kernel
-gathers with `take` and scatters back by the same index, and returns one shared read-only
-zero (`shared_zero`) for a child whose terms are all exactly zero. Dense operators are only
-an input format (`general_instrument`) and a view (`Instrument.kraus`).
+other). Every check runs on the blocks, once, when the instrument is built, as one stack per
+block size; the kernel gathers with `take` and scatters back by the same index, and returns
+one shared read-only zero (`shared_zero`) for a child whose terms are all exactly zero. Dense
+operators are only an input format (`general_instrument`) and a view (`Instrument.kraus`).
 """
 
 from __future__ import annotations
@@ -98,8 +98,9 @@ def pure_state(v) -> DensityState:
 
 def flat_index(s: np.ndarray, dim: int) -> np.ndarray:
     """The flat index of S×S: the row-major positions of S×S in a dim×dim operator, taken in
-    the order of S. S holds distinct indices in range(dim)."""
-    return (s[:, None] * dim + s).ravel()
+    the order of S. S holds distinct indices in range(dim); a stack of sets (..., |S|) gives a
+    stack of indices (..., |S|²)."""
+    return (s[..., :, None] * dim + s[..., None, :]).reshape(*s.shape[:-1], -1)
 
 
 def index_support(flat: np.ndarray, dim: int) -> np.ndarray:
@@ -132,7 +133,8 @@ class Instrument:
     """A complete Kraus family {B_i} (sum B_i† B_i = 1) indexed by labeled outcomes.
 
     Outcome i comes as (S, B[S,S]), S the increasing indices (None: all) outside which B_i is
-    zero, and is held as `supports[i]` = (`flat_index(S, dim)`, B[S,S], B[S,S]†). Absent or
+    zero, and is held as `supports[i]` = (`flat_index(S, dim)`, B[S,S], B[S,S]†), rows of one
+    stack per support size, in which the outcomes of that size are checked. Absent or
     empty labels default to "0", "1", ...; constructors that promise more structure
     (projections, rank-1 projections) check it themselves.
     """
@@ -142,20 +144,36 @@ class Instrument:
     def __init__(self, dim: int, blocks: Iterable[tuple], labels: Sequence[str] | None = None):
         require(is_kind(dim, numbers.Integral) and dim >= 1,
                 f"instrument dimension must be an integer >= 1, got {dim!r}")
-        supports = []
-        total = np.zeros(dim * dim, dtype=complex)  # sum B†B, scattered by flat index
-        for i, (s, b) in enumerate(blocks):
-            s, b = np.arange(dim) if s is None else np.asarray(s), np.array(b, complex, order="C")
-            require(s.ndim == 1 and s.dtype.kind in "iu" and b.shape == (s.size, s.size)
-                    and s.tolist() == sorted(x for x in set(s.tolist()) if 0 <= x < dim)
-                    and np.isfinite(b).all(), lambda: f"outcome {i}: need increasing S in "
-                    f"range({dim}) and a finite |S|×|S| block, got S = {s.tolist()}, {b.shape}")
-            flat = flat_index(s, dim)
-            bh = np.ascontiguousarray(b.conj().T)
-            total[flat] += bh.dot(b).ravel()
-            supports.append((flat, b, bh))
-        if not supports:
+        given = [(np.arange(dim) if s is None else np.asarray(s), np.asarray(b, complex))
+                 for s, b in blocks]
+        if not given:
             raise ValidationError("instrument needs at least one Kraus operator")
+        # Outcomes of one support size are checked, conjugated and summed as one stack.
+        ok = [s.ndim == 1 and s.dtype.kind in "iu" and b.shape == (s.size, s.size)
+              for s, b in given]
+        by_size: dict[int, list[int]] = {}
+        for i, (s, _) in enumerate(given):
+            if ok[i]:
+                by_size.setdefault(s.size, []).append(i)
+        ok = np.array(ok)
+        stacks = []
+        for k, index in by_size.items():
+            s = np.array([given[i][0] for i in index], np.intp).reshape(len(index), k)
+            b = np.array([given[i][1] for i in index]).reshape(len(index), k, k)
+            ok[index] = ((s[:, 1:] > s[:, :-1]).all(axis=1) & (s >= 0).all(axis=1)
+                         & (s < dim).all(axis=1) & np.isfinite(b).all(axis=(1, 2)))
+            stacks.append((index, s, b))
+        i = int(np.argmin(ok))  # the first outcome that fails, if any
+        require(ok[i], lambda: f"outcome {i}: need increasing S in range({dim}) and a finite "
+                f"|S|×|S| block, got S = {given[i][0].tolist()}, {given[i][1].shape}")
+        supports = [None] * len(given)
+        total = np.zeros(dim * dim, dtype=complex)  # sum B†B, scattered by flat index
+        for index, s, b in stacks:
+            flat = flat_index(s, dim)
+            bh = np.ascontiguousarray(b.conj().transpose(0, 2, 1))
+            np.add.at(total, flat.ravel(), (bh @ b).ravel())  # supports may overlap
+            for j, i in enumerate(index):
+                supports[i] = (flat[j], b[j], bh[j])
         labels = tuple(str(x) for x in labels or range(len(supports)))
         if len(labels) != len(supports):
             raise ValidationError(f"{len(labels)} labels for {len(supports)} outcomes")
@@ -209,11 +227,20 @@ def lvn_instrument(projections: Instrument | Sequence,
     t = (projections if isinstance(projections, Instrument)
          else general_instrument(projections, labels))
     on = np.zeros((t.n_outcomes, t.dim), dtype=bool)  # on[i] marks S_i, outcome i's support
-    for i, (_, b, bh) in enumerate(t.supports):
-        herm, idem = (float(np.abs(m).max(initial=0.0)) for m in (b - bh, b @ b - b))
-        require(herm <= PROJECTION_TOL and idem <= PROJECTION_TOL,
-                lambda: f"outcome {i}: not a projection (|B-B†|={herm:.3e}, |B²-B|={idem:.3e})")
-        on[i, t.support(i)] = True
+    herm, idem = np.zeros(t.n_outcomes), np.zeros(t.n_outcomes)  # |B-B†| and |B²-B|
+    by_size: dict[int, list[int]] = {}
+    for i, (_, b, _) in enumerate(t.supports):
+        by_size.setdefault(b.shape[0], []).append(i)
+    for k, index in by_size.items():  # one stack per support size
+        flat, b, bh = (np.array([t.supports[i][j] for i in index]) for j in range(3))
+        b, bh = b.reshape(len(index), k, k), bh.reshape(len(index), k, k)
+        herm[index] = np.abs(b - bh).max(axis=(1, 2), initial=0.0)
+        idem[index] = np.abs(b @ b - b).max(axis=(1, 2), initial=0.0)
+        on[np.array(index)[:, None], flat[:, :k] % t.dim] = True
+    ok = (herm <= PROJECTION_TOL) & (idem <= PROJECTION_TOL)
+    i = int(np.argmin(ok))  # the first outcome that fails, if any
+    require(ok[i], lambda: f"outcome {i}: not a projection "
+            f"(|B-B†|={herm[i]:.3e}, |B²-B|={idem[i]:.3e})")
     # Disjoint supports give P_iP_j = 0 exactly; the others multiply over S_i ∩ S_j only.
     for i, j in zip(*np.nonzero(np.triu(on @ on.T, 1))):
         common = on[i] & on[j]
@@ -263,7 +290,9 @@ def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> O
     When every term is skipped, the empty outcome set included, the result is
     `shared_zero(dim)`, the same read-only object on every such call: callers must not
     write into a result. A single outcome whose support is the whole space returns its
-    product B rho B† itself.
+    product B rho B† itself. A one-outcome tuple, as the engine passes each partition block,
+    skips the term loop; a whole-space term of a larger set is read through `ravel` and added
+    by a plain `+=`.
     `outcomes` must be distinct integers (a bool is not one) in range(n_outcomes).
     The products are `ndarray.dot`: the same BLAS calls as `@`, without its per-call ufunc
     dispatch. rho is checked for shape only, not re-scanned for non-finite entries: it
@@ -275,25 +304,42 @@ def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> O
             f"state of shape {rho.shape} does not match instrument dimension {t.dim}")
     supports = t.supports
     n = len(supports)
-    terms = []
-    for i in outcomes:
-        if type(i) is not int or not 0 <= i < n:  # `_outcome` off the path of plain ints
-            i = _outcome(i, n, outcomes)
-        terms.append(supports[i])
-    # Each outcome's term is its own tuple, so a repeated outcome repeats an object.
-    if len(terms) > 1 and len(set(map(id, terms))) < len(terms):
-        raise ValidationError(f"outcome set {outcomes!r} repeats an outcome")
-    if len(terms) == 1 and terms[0][1].shape[0] == t.dim:  # one outcome, whole space
-        _, b, bh = terms[0]
-        return b.dot(rho).dot(bh)
+    if type(outcomes) is tuple and len(outcomes) == 1:  # the engine's sets: no term loop
+        i = outcomes[0]
+        terms = [supports[i if type(i) is int and 0 <= i < n else _outcome(i, n, outcomes)]]
+    else:
+        terms = []
+        for i in outcomes:
+            if type(i) is not int or not 0 <= i < n:  # `_outcome` off the path of plain ints
+                i = _outcome(i, n, outcomes)
+            terms.append(supports[i])
+        # Each outcome's term is its own tuple, so a repeated outcome repeats an object.
+        if len(terms) > 1 and len(set(map(id, terms))) < len(terms):
+            raise ValidationError(f"outcome set {outcomes!r} repeats an outcome")
+    if len(terms) == 1:
+        flat, b, bh = terms[0]
+        if b.shape[0] == t.dim:  # whole space
+            return b.dot(rho).dot(bh)
+        sub = rho.take(flat)
+        if not np.count_nonzero(sub):
+            return shared_zero(t.dim)
+        out = np.zeros(rho.size, dtype=complex)
+        out[flat] += b.dot(sub.reshape(b.shape)).dot(bh).ravel()
+        return out.reshape(rho.shape)
     out = None
     for flat, b, bh in terms:
-        sub = rho.take(flat)
+        # A whole-space term is read through `ravel` and added by a plain `+=`: the same
+        # values as the gather and scatter by the full index, without the fancy indexing.
+        whole = flat.size == rho.size
+        sub = rho.ravel() if whole else rho.take(flat)
         if np.count_nonzero(sub):
             if out is None:
                 out = np.zeros(rho.size, dtype=complex)
-            product = b.dot(sub.reshape(b.shape)).dot(bh)
-            out[flat] += product.ravel()
+            product = b.dot(sub.reshape(b.shape)).dot(bh).ravel()
+            if whole:
+                out += product
+            else:
+                out[flat] += product
     return shared_zero(t.dim) if out is None else out.reshape(rho.shape)
 
 

@@ -26,32 +26,36 @@ Three exact reductions keep the tree small or end it:
 A depth takes its live parents in fixed chunks whose operators in flight stay near
 `CHUNK_BYTES`. The budget is checked on each new key, so the children made before it raises
 stay within one chunk's `CHUNK_BYTES`. A branch carries the block b it was last measured in
-(None at the root) and is zero outside S_b×S_b, S_b that block's support, so it is evolved
-on S_b alone: U·ρ·U† = V_b·ρ[S,S]·V_b†, V_b = U[:, S_b], which costs d·k(k+d) complex
-multiply-adds for |S_b| = k against 2d³ for the dense product. Every S_b is padded to the
-largest support size k by indices outside it, which only adds exact zeros; V_b, V_b† and the
-flat index of each padded S_b×S_b are built once per run, and a chunk's parents are gathered
-and evolved by one stacked product. When k is the dimension, every V_b is U and the chunk
-takes the one U·stack·U† of the dense engine. Each matrix of a stacked product is bitwise
-the product of that matrix alone. For the Hadamard walk and its powers V_b·ρ[S,S]·V_b† is
-also bitwise U·ρ·U†; for a generic unitary it agrees only within round-off (the tests ask
-1e-14·‖ρ‖), and the restricted product is then the engine's definition of the evolution. The
-kernel `apply_instrument` runs once per (parent, block): that call is the unit a test swaps
-for its dense oracle and a profile counts. A child whose terms the kernel skips as exactly
-zero is its read-only `shared_zero`, which the engine recognizes by identity and leaves out
-unweighed. The chunk's other children are weighed from one stack of their diagonals and
-keyed in one vector pass per support size; those of weight exactly 0.0 are left out too
-(each would add +0 to every sum and is never kept). The bookkeeping then makes one pass over
-the rest in (parent, block) order, so every sum (a_n, h, pruned mass, merged operators and
-weights) adds in the same order as when each child is made and booked alone. A fresh zero
-buffer in place of the shared one weighs 0.0 too, so the run does not depend on it. While
-closure is tracked (merging on, at most `LIFT_MAX_STATES` parents), the pass also records
-each kept child's (parent position, key, ratio) and each parent's next-block entropy; after
-the depth the tree is closed iff every live key is a parent's key.
+(None at the root) and is zero outside S_b×S_b, S_b that block's support, so it holds only its
+block ρ[S_b,S_b], in the order of S_b (a whole-space branch is its dim×dim operator; the root
+is the start state). It is evolved on S_b alone: U·ρ·U† = V_b·ρ[S,S]·V_b†, V_b = U[:, S_b],
+which costs d·k(k+d) complex multiply-adds for |S_b| = k against 2d³ for the dense product.
+Every S_b is padded to the largest support size k by indices outside it; V_b and V_b† are built
+once per run, and a chunk's blocks, zero-padded to k×k, are evolved by one stacked product.
+When k is the dimension, every V_b is U, each smaller block is scattered by its flat index, and
+the chunk takes the one U·stack·U† of the dense engine. Each matrix of a stacked product is
+bitwise the product of that matrix alone. For the Hadamard walk and its powers V_b·ρ[S,S]·V_b†
+is also bitwise U·ρ·U†; for a generic unitary it agrees only within round-off (the tests ask
+1e-14·‖ρ‖), and the restricted product is then the engine's definition of the evolution. With
+identity dynamics a parent is only scattered back to dim×dim. The kernel `apply_instrument`
+runs once per (parent, block) on the dim×dim evolved parent: that call is the unit a test swaps
+for its dense oracle and a profile counts. A child whose terms the kernel skips as exactly zero
+is its read-only `shared_zero`, which the engine recognizes by identity and leaves out
+unweighed. The chunk's other children are weighed from one stack of their diagonals; those of
+weight exactly 0.0 are left out too (each would add +0 to every sum and is never kept). Each
+kept child is then cut to its block by one `take` (a whole-space child stays the kernel's own
+array), and the blocks are keyed in one vector pass per support size. The bookkeeping then
+makes one pass over the rest in (parent, block) order, so every sum (a_n, h, pruned mass,
+merged blocks and weights) adds in the same order as when each child is made and booked alone.
+A fresh zero buffer in place of the shared one weighs 0.0 too, so the run does not depend on
+it. While closure is tracked (merging on, at most `LIFT_MAX_STATES` parents), the pass also
+records each kept child's (parent position, key, ratio) and each parent's next-block entropy;
+after the depth the tree is closed iff every live key is a parent's key.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -64,7 +68,7 @@ from .entropy import ConvergenceReport, Partition, ProbVector, eta, limit_estima
 from .errors import (AccuracyError, NumericError, ResourceLimitError,
                      UnsupportedConfigurationError, ValidationError, is_kind, require)
 from .quantum import (DensityState, Instrument, Operator, as_operator, apply_instrument,
-                      flat_index, identity_residual, index_support, orthonormal_columns,
+                      identity_residual, index_support, orthonormal_columns,
                       outcome_pmf, shared_zero)
 
 NORMALIZATION_TOL = 1e-8
@@ -137,8 +141,9 @@ class RunStats:
 @dataclass(slots=True)
 class TrajectoryBranch:
     """One live node of the trajectory tree: `block` is the block it was last measured in (None
-    at the root), so its operator is zero outside that block's support; `stats` only when the
-    run classifies."""
+    at the root), so its operator is zero outside S×S, S that block's support. `conditional_op`
+    holds only the |S|×|S| block ρ[S,S], in the order of S: the dim×dim operator when S is the
+    whole space, and the start state at the root. `stats` only when the run classifies."""
 
     weight: float
     conditional_op: np.ndarray
@@ -187,7 +192,9 @@ class SZRun:
     """Result of one trajectory-tree run.
 
     `stop_reason` is "closed" (the live states closed; `lift` holds the chain whose limit is
-    the report's value), "converged" (`limit_estimate` accepted a_n) or "n_max".
+    the report's value), "converged" (`limit_estimate` accepted a_n) or "n_max". `branches` are
+    the live branches of the last depth, each held as its block on its support (see
+    `TrajectoryBranch`).
     """
 
     branches: list[TrajectoryBranch]
@@ -252,33 +259,51 @@ def cylinder_probability(walk_unitary: Operator | None, t: Instrument, rho: Dens
 
 
 def _columns(u: Operator, supports: list[np.ndarray]) -> tuple:
-    """(V, V†, index) for `_evolve`, k the largest |S_b| over the blocks' flat indices
-    `supports`. Each S_b is padded to k by the first indices outside it, where a branch is
-    exactly zero; V and V† stack V_b = U[:, S_b] (blocks × dim × k) and its adjoint, and
-    index[b] is the flat index of the padded S_b×S_b. With k = dim: (U, U†, supports)."""
+    """(V, V†) for `_evolve`, k the largest |S_b| over the blocks' flat indices `supports`.
+    Each S_b is padded to k by the first indices outside it; V and V† stack V_b = U[:, S_b]
+    (blocks × dim × k) and its adjoint, so a block ρ[S_b,S_b] padded by zeros to k×k is
+    evolved by V_b·ρ·V_b†. With k = dim: (U, U†)."""
     d = u.shape[0]
-    sets = [index_support(flat, d) for flat in supports]
+    sets = [index_support(flat.ravel(), d) for flat in supports]
     k = max(s.size for s in sets)
     if k == d:
-        return u, u.conj().T, supports
+        return u, u.conj().T
     for b, s in enumerate(sets):
         if s.size < k:
             sets[b] = np.concatenate((s, np.delete(np.arange(d), s)[:k - s.size]))
     v = np.ascontiguousarray(u[:, np.array(sets)].transpose(1, 0, 2))
-    vh = np.ascontiguousarray(v.conj().transpose(0, 2, 1))
-    return v, vh, [flat_index(s, d) for s in sets]
+    return v, np.ascontiguousarray(v.conj().transpose(0, 2, 1))
 
 
-def _evolve(ops: list[np.ndarray], blocks: list[int], v: np.ndarray, vh: np.ndarray,
-            index: list[np.ndarray]) -> np.ndarray:
-    """U·ρ·U† of each parent of a chunk, stacked in chunk order, where `blocks[s]` is the block
-    parent s was last measured in (`v`, `vh` and `index` from `_columns`): one stacked
-    V·ρ[S,S]·V† with ρ[S,S] one `take` per parent, or the dense U·stack·U† when k = dim."""
+def _dense(ops: list[np.ndarray], blocks: list[int], supports: list[np.ndarray],
+           dim: int) -> list[np.ndarray]:
+    """The dim×dim operator of each parent, where parent s is held as its block `ops[s]` on the
+    flat S×S index `supports[blocks[s]]`: the block itself when S is the whole space, else the
+    block scattered into zeros."""
+    dense = []
+    for op, b in zip(ops, blocks):
+        if op.shape[0] < dim:
+            full = np.zeros(dim * dim, dtype=complex)
+            full[supports[b]] = op
+            op = full.reshape(dim, dim)
+        dense.append(op)
+    return dense
+
+
+def _evolve(ops: list[np.ndarray], blocks: list[int], supports: list[np.ndarray],
+            v: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """U·ρ·U† of each parent of a chunk, stacked in chunk order, where parent s is held as its
+    block `ops[s]` on the support of block `blocks[s]` (`v` and `vh` from `_columns`): one
+    stacked V·ρ·V† of the blocks zero-padded to k, or, when k = dim, the dense U·stack·U† with
+    each smaller block scattered by its flat index (`supports`)."""
     if v.ndim == 2:
-        return v @ np.stack(ops) @ vh
-    sub = np.array([op.take(index[b]) for op, b in zip(ops, blocks)])
-    rows, k = np.array(blocks), v.shape[2]
-    return v.take(rows, 0) @ sub.reshape(len(ops), k, k) @ vh.take(rows, 0)
+        return v @ np.stack(_dense(ops, blocks, supports, v.shape[0])) @ vh
+    k = v.shape[2]
+    sub = np.zeros((len(ops), k, k), dtype=complex)
+    for s, op in enumerate(ops):
+        sub[s, :op.shape[0], :op.shape[0]] = op
+    rows = np.array(blocks)
+    return v.take(rows, 0) @ sub @ vh.take(rows, 0)
 
 
 def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[np.ndarray],
@@ -289,35 +314,35 @@ def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[np.n
     Each child is one `apply_instrument` call on its evolved parent. The kernel's `shared_zero`
     is left out by identity. The others are weighed from one stack of their diagonals (the
     trace clipped at 0, summed as `trace` sums each one; a NaN stays). A child at or below
-    `prune_eps` gets child and key None; the kept ones get their keys from `_merge_keys`.
+    `prune_eps` gets child and key None. A kept child is its block on its support: one `take`
+    by `supports[block]`, the flat S×S index laid out |S|×|S|, or the kernel's own array when S
+    is the whole space. Its key comes from `_merge_keys`.
     """
     zero = shared_zero(t.dim)
     made = [(s, bi, child) for s, op in enumerate(evolved) for bi, block in enumerate(blocks)
             if (child := apply_instrument(t, block, op)) is not zero]
     diagonals = np.array([child.diagonal() for _, _, child in made]).reshape(len(made), t.dim)
     weights = np.maximum(diagonals.sum(axis=1).real, 0.0).tolist()
-    weighed = [(s, bi, child if w > opts.prune_eps else None, w)
+    weighed = [(s, bi, None if not w > opts.prune_eps else
+                child if supports[bi].size == child.size else child.take(supports[bi]), w)
                for (s, bi, child), w in zip(made, weights) if w != 0.0]
-    keys = _merge_keys(weighed, supports, opts.merge_tol) if opts.merge else [None] * len(weighed)
+    keys = _merge_keys(weighed, opts.merge_tol) if opts.merge else [None] * len(weighed)
     return [(s, bi, child, w, key) for (s, bi, child, w), key in zip(weighed, keys)]
 
 
-def _merge_keys(weighed: list[tuple], supports: list[np.ndarray], merge_tol: float) -> list:
+def _merge_keys(weighed: list[tuple], merge_tol: float) -> list:
     """The merge key of each kept child of `weighed` (see `_measure`), None for a pruned one.
 
-    The key holds the entries on the child's block support (`supports`, one flat index per
-    block) over its weight, in row-major order, in units of `merge_tol` and rounded, as
-    interleaved (re, im) pairs: two children share a key iff their real and imaginary parts
-    do. One pass per support size over the stacked entries does the same float operations as
-    on each child alone.
+    The key holds the entries of the child's block on its support over its weight, in
+    row-major order, in units of `merge_tol` and rounded, as interleaved (re, im) pairs: two
+    children share a key iff their real and imaginary parts do. One pass per support size over
+    the stacked entries does the same float operations as on each child alone.
     """
     keys = [None] * len(weighed)
     buckets: dict[int, list[tuple[int, np.ndarray, float]]] = {}  # by support size
-    for i, (_, bi, child, w) in enumerate(weighed):
+    for i, (_, _, child, w) in enumerate(weighed):
         if child is not None:
-            flat = supports[bi]
-            # The whole space reads as `ravel`: the same entries, without the gather.
-            entries = child.ravel() if flat.size == child.size else child.take(flat)
+            entries = child.ravel()
             buckets.setdefault(entries.size, []).append((i, entries, w))
     for bucket in buckets.values():
         index, stacked, weights = zip(*bucket)
@@ -379,16 +404,19 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
             f"partition covers {partition.size} outcomes, instrument has {t.n_outcomes}")
     u = _checked_unitary(walk_unitary, t, rho)
 
-    # A child is zero outside its block's support: its merge key covers only that, and its
-    # evolution acts on that alone.
-    supports = [t.support_index(block) for block in partition.blocks]
+    # A child is zero outside its block's support S×S and is held as its block there: its merge
+    # key covers only that, and its evolution acts on that alone. supports[b] is block b's flat
+    # S×S index laid out |S|×|S|, so one `take` by it gives the block.
+    supports = [flat.reshape(math.isqrt(flat.size), -1)
+                for flat in map(t.support_index, partition.blocks)]
     on_support = None if u is None else _columns(u, supports)
 
     # Depth 0 measures rho itself: the root is the one parent that is not evolved.
     branches = [TrajectoryBranch(1.0, rho.matrix, None,
                                  RunStats(True, 0, None) if opts.classify else None)]
     blocks = partition.blocks
-    # A chunk's parents, evolved copies and children (one per block) stay near CHUNK_BYTES.
+    # A chunk's parents (each at most dim×dim), evolved copies and children (one per block)
+    # stay near CHUNK_BYTES.
     chunk_size = max(1, CHUNK_BYTES // (np.dtype(complex).itemsize * t.dim * t.dim
                                         * (2 + len(blocks))))
     pruned_mass = 0.0
@@ -411,8 +439,12 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
             chunk = branches[start:start + chunk_size]
             branches[start:start + chunk_size] = [None] * len(chunk)  # a spent parent is freed
             ops = [parent.conditional_op for parent in chunk]
-            evolved = (ops if on_support is None or depth == 0 else
-                       _evolve(ops, [parent.block for parent in chunk], *on_support))
+            if depth == 0:
+                evolved = ops
+            elif on_support is None:  # identity dynamics: each parent is only made dim×dim
+                evolved = _dense(ops, [p.block for p in chunk], supports, t.dim)
+            else:
+                evolved = _evolve(ops, [p.block for p in chunk], supports, *on_support)
             for s, bi, op, w, fingerprint in _measure(t, blocks, supports, evolved, opts):
                 parent = chunk[s]
                 ratio = min(w / parent.weight, 1.0)

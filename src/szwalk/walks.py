@@ -118,18 +118,20 @@ def coined_walk(shift: ShiftPermutation, coins) -> CoinedWalk:
     for v, c in enumerate(coins):
         if c.shape[0] != k:
             raise ValidationError(f"coin at vertex {v} has dimension {c.shape[0]}, expected {k}")
-        res = identity_residual(c.conj().T @ c)
-        require(res <= UNITARY_TOL, lambda: f"coin at vertex {v} not unitary: residual {res:.3e}")
+    stack = np.array(coins).reshape(N, k, k)  # coins[v] = stack[v]
+    res = np.abs(stack.conj().transpose(0, 2, 1) @ stack - np.eye(k)).max(axis=(1, 2))
+    ok = res <= UNITARY_TOL
+    v = int(np.argmin(ok))  # the first vertex that fails, if any
+    require(ok[v], lambda: f"coin at vertex {v} not unitary: residual {res[v]:.3e}")
     dim = shift.dim
     coin_layer = np.zeros((dim, dim), dtype=complex)
-    for v in range(N):
-        for c1 in range(k):
-            for c2 in range(k):
-                coin_layer[c1 * N + v, c2 * N + v] = coins[v][c1, c2]
+    # Entry (c1, c2) of the coin at v sits at (c1·N + v, c2·N + v).
+    v, c = np.arange(N)[:, None, None], np.arange(k)
+    coin_layer[c[:, None] * N + v, c * N + v] = stack
     U = shift.operator() @ coin_layer
     res = identity_residual(U.conj().T @ U)
     require(res <= UNITARY_TOL, f"assembled walk not unitary: residual {res:.3e}", NumericError)
-    homogeneous = all(np.abs(c - coins[0]).max() <= RECONSTRUCTION_TOL for c in coins)
+    homogeneous = bool(np.abs(stack - stack[0]).max() <= RECONSTRUCTION_TOL)
     return CoinedWalk(unitary=U, shift=shift, coins=coins, space_homogeneous=homogeneous)
 
 

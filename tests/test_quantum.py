@@ -290,6 +290,22 @@ class TestBlocksMatchTheDenseConstruction:
         with pytest.raises(ValidationError, match="^outcome 0: need increasing S in range"):
             Instrument(3, [(support, block), ([2], [[1.0]])])
 
+    def test_the_first_failing_outcome_is_named_across_support_sizes(self):
+        """Outcomes are checked in one stack per support size, the sizes in order of first
+        appearance; each message still names the first outcome that fails."""
+        nan_block = [[1.0, math.nan], [0.0, 1.0]]
+        for blocks, first in (
+                ([([0], [[1.0]]), ([1, 2], nan_block), ([5], [[1.0]])], 1),  # 2 fails first
+                ([([0], [[1.0]]), ([1, 2], nan_block), ([3], np.eye(2))], 1),  # 2: bad shape
+                ([([0], np.eye(2)), ([1], [[math.nan]])], 0)):
+            with pytest.raises(ValidationError, match=f"^outcome {first}: need increasing S"):
+                Instrument(4, blocks)
+        half = [[1 / SQRT2]]
+        blocks = [([0], [[1.0]]), ([1, 2], np.eye(2) / SQRT2), ([1, 2], np.eye(2) / SQRT2),
+                  ([3], half), ([3], half)]  # outcomes 1 to 4 are not projections
+        with pytest.raises(ValidationError, match=r"^outcome 1: not a projection"):
+            lvn_instrument(Instrument(4, blocks))
+
     def test_instrument_rejects_a_bad_dimension(self):
         for dim in (0, 2.0, True):
             with pytest.raises(ValidationError, match="instrument dimension"):
@@ -371,6 +387,24 @@ class TestApplyInstrument:
             for outcomes in ([0], [1], range(t.n_outcomes)):
                 assert np.allclose(apply_instrument(t, outcomes, rho),
                                    dense_apply(t, outcomes, rho), rtol=0.0, atol=1e-15)
+
+
+    def test_whole_space_terms_in_one_set_match_dense_products(self):
+        """A whole-space outcome beside others is read through `ravel` and added by `+=`."""
+        rng = np.random.default_rng(15)
+        dense = random_general(rng, 6, 2)
+        assert all(b.shape == (6, 6) for _, b, _ in dense.supports)
+        b0 = np.zeros((6, 6), dtype=complex)
+        b0[1:4, 1:4] = 0.6 * random_unitary(rng, 3)
+        vals, vecs = np.linalg.eigh(np.eye(6) - b0.conj().T @ b0)
+        mixed = general_instrument([b0, vecs @ np.diag(np.sqrt(vals)) @ vecs.conj().T])
+        assert [b.shape for _, b, _ in mixed.supports] == [(3, 3), (6, 6)]
+        for t in (dense, mixed):
+            rho = random_density(rng, 6).matrix
+            for op in (rho, rho.T):  # rho.T is not contiguous: `ravel` copies it
+                for outcomes in ([0, 1], (1, 0), range(2)):
+                    assert np.allclose(apply_instrument(t, outcomes, op),
+                                       dense_apply(t, outcomes, op), rtol=0.0, atol=1e-15)
 
 
 def bits(m: np.ndarray) -> bytes:

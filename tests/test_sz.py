@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -29,6 +30,18 @@ LN2 = math.log(2.0)
 
 def _atomic_for(instrument):
     return Partition.atomic(instrument.n_outcomes, labels=instrument.outcome_labels)
+
+
+def _squares(t, part):
+    """Each block's flat S×S index laid out |S|×|S|, as `sz_entropy_run` passes it on."""
+    return [flat.reshape(math.isqrt(flat.size), -1) for flat in map(t.support_index, part.blocks)]
+
+
+def _scattered(branch, t, part):
+    """The dim×dim operator of a live branch: its block put back on its block's S×S."""
+    op = np.zeros(t.dim * t.dim, dtype=complex)
+    op[t.support_index(part.blocks[branch.block])] = branch.conditional_op.ravel()
+    return op.reshape(t.dim, t.dim)
 
 
 class TestCylinderProbability:
@@ -276,7 +289,7 @@ class TestRankTwoSquaredRun:
         part = Partition.atomic(N)
         U2 = unitary_power(hadamard_walk(N), 2)
         for branch in run.branches:
-            evolved = U2 @ branch.conditional_op @ U2.conj().T
+            evolved = U2 @ _scattered(branch, t, part) @ U2.conj().T
             ws = []
             for block in part.blocks:
                 w = float(np.real(np.trace(apply_instrument(t, block, evolved))))
@@ -516,7 +529,7 @@ class TestChunkedDepths:
         rng = np.random.default_rng(8)
         t = make(rng)
         part = _atomic_for(t)
-        supports = [t.support_index(block) for block in part.blocks]
+        supports = _squares(t, part)
         evolved = np.stack([random_density(rng, 10).matrix for _ in range(4)])
         evolved[1] = 0.0  # every child of this parent weighs 0.0
         evolved[2] *= 1e-15  # every child of this parent is pruned
@@ -539,9 +552,9 @@ class TestChunkedDepths:
             if not ref_w > opts.prune_eps:
                 assert child is None and key is None
                 continue
-            assert np.array_equal(child, ref)
-            flat = supports[bi]
-            entries = ref.take(flat)
+            # The child is its block on its support, one array of its own.
+            assert np.array_equal(child, ref.take(supports[bi])) and child.base is None
+            entries = ref.take(supports[bi].ravel())
             scaled = (entries / ref_w).view(np.float64) / opts.merge_tol
             assert key == np.round(scaled).astype(np.int64).tobytes()
         assert any(m[2] is None for m in measured) and any(m[2] is not None for m in measured)
@@ -568,19 +581,32 @@ class TestChunkedDepths:
 
 
 def _flat(s, d):
-    """The flat S×S index of a support S of a d×d operator."""
-    return (np.array(s)[:, None] * d + np.array(s)).ravel()
+    """The flat S×S index of a support S of a d×d operator, laid out |S|×|S|."""
+    return np.array(s)[:, None] * d + np.array(s)
 
 
-def _on_support(rng, flat, d):
-    """A random d×d operator that is zero outside the support of the flat index `flat`."""
-    op = np.zeros(d * d, dtype=complex)
-    op[flat] = random_density(rng, math.isqrt(flat.size)).matrix.ravel()
-    return op.reshape(d, d)
+def _dense(op, flat, d):
+    """The d×d operator of the block `op` on the flat S×S index `flat`."""
+    out = np.zeros(d * d, dtype=complex)
+    out[flat.ravel()] = op.ravel()
+    return out.reshape(d, d)
+
+
+def _block_kraus(rng):
+    """A non-projective Kraus family on C^6: two outcomes on {0,1,2} and two on {3,4,5}, each
+    a random unitary block scaled so that each pair completes its half."""
+    kraus = []
+    for first, scale in ((0, 0.6), (3, 0.8)):
+        for c in (scale, math.sqrt(1.0 - scale ** 2)):
+            k = np.zeros((6, 6), dtype=complex)
+            k[first:first + 3, first:first + 3] = c * random_unitary(rng, 3)
+            kraus.append(k)
+    return general_instrument(kraus)
 
 
 def _evolved(u, supports, blocks, ops):
-    return sz._evolve(ops, blocks, *sz._columns(u, supports))
+    """`_evolve` on blocks `ops`, each a random density on the support of its block."""
+    return sz._evolve(ops, blocks, supports, *sz._columns(u, supports))
 
 
 class TestSupportEvolution:
@@ -596,23 +622,25 @@ class TestSupportEvolution:
         u = random_unitary(rng, d)
         supports = [_flat(s, d) for s in sets]
         blocks = [int(b) for b in rng.integers(0, len(sets), 9)]
-        ops = [_on_support(rng, supports[b], d) for b in blocks]
+        ops = [random_density(rng, len(sets[b])).matrix for b in blocks]
+        dense = [_dense(op, supports[b], d) for op, b in zip(ops, blocks)]
         evolved = _evolved(u, supports, blocks, ops)
         assert evolved.shape == (len(ops), d, d)
-        for op, e in zip(ops, evolved):
+        for op, e in zip(dense, evolved):
             assert np.abs(e - u @ op @ u.conj().T).max() <= 1e-14 * np.linalg.norm(op)
         if any(len(s) == d for s in sets):  # a whole-space block: the dense engine's product
-            assert np.array_equal(evolved, u @ np.stack(ops) @ u.conj().T)
+            assert np.array_equal(evolved, u @ np.stack(dense) @ u.conj().T)
 
     @pytest.mark.parametrize("power", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["rank2", "coin-vertex"])
     def test_bitwise_the_dense_product_for_hadamard_powers(self, power, kind):
         u, t, _, part = _hadamard_setup(5, power, kind)
-        supports = [t.support_index(block) for block in part.blocks]
+        supports = _squares(t, part)
         rng = np.random.default_rng(power)
         blocks = [int(b) for b in rng.integers(0, len(supports), 12)]
-        ops = [_on_support(rng, supports[b], 10) for b in blocks]
-        assert np.array_equal(_evolved(u, supports, blocks, ops), u @ np.stack(ops) @ u.conj().T)
+        ops = [random_density(rng, len(supports[b])).matrix for b in blocks]
+        dense = np.stack([_dense(op, supports[b], 10) for op, b in zip(ops, blocks)])
+        assert np.array_equal(_evolved(u, supports, blocks, ops), u @ dense @ u.conj().T)
 
     @pytest.mark.parametrize("case", ["position", "lvn-atomic", "lvn-whole-space-block"])
     def test_random_coin_walk_matches_the_dense_bruteforce(self, case):
@@ -641,14 +669,80 @@ class TestSupportEvolution:
     @pytest.mark.parametrize("case", KERNEL_CASES)
     @pytest.mark.parametrize("merge", [True, False])
     def test_every_branch_is_zero_outside_its_block_support(self, case, merge):
+        """A branch holds only its block on its support S: one |S|×|S| array of its own (a
+        whole-space branch is the kernel's product itself), whose trace is its weight."""
         args, opts = _kernel_case(case)
         run = sz_entropy_run(*args, replace(opts, n_max=4, merge=merge))
         t, part = args[1], args[3]
+        sizes = {math.isqrt(t.support_index(block).size) for block in part.blocks}
+        assert (sizes == {t.dim}) == (case == "random-kraus")
         for branch in run.branches:
-            on = np.zeros(t.dim * t.dim, dtype=bool)
-            on[t.support_index(part.blocks[branch.block])] = True
-            assert not branch.conditional_op.ravel()[~on].any()
+            k = math.isqrt(t.support_index(part.blocks[branch.block]).size)
+            op = branch.conditional_op
+            assert op.shape == (k, k) and op.base is None and op.flags.c_contiguous
+            assert abs(op.trace().real - branch.weight) <= 1e-12 * branch.weight
             assert (branch.stats is None) == (not opts.classify)  # no history unless classified
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["rank2", "coin-vertex"])
+    def test_scattered_blocks_are_the_dense_engine_bitwise_for_hadamard_powers(self, power,
+                                                                                kind):
+        u, t, _, part = _hadamard_setup(5, power, kind)
+        rho = random_density(np.random.default_rng(power), 10)
+        self._check_against_the_dense_tree(u, t, rho, part, depth=4, tol=0.0)
+
+    @pytest.mark.parametrize("case", ["position", "lvn-atomic", "block-kraus"])
+    def test_scattered_blocks_match_the_dense_engine_on_a_random_coin_walk(self, case):
+        N = 3
+        rng = np.random.default_rng(22)
+        walk = coined_walk(integer_shift(N), [random_unitary(rng, 2) for _ in range(N)])
+        t = {"position": lambda: position_instrument(N),
+             "lvn-atomic": lambda: random_lvn(np.random.default_rng(3), 2 * N, 4,
+                                              [[0, 4, 2], [1, 5], [3]]),
+             "block-kraus": lambda: _block_kraus(np.random.default_rng(3))}[case]()
+        self._check_against_the_dense_tree(walk.unitary, t, random_density(rng, 2 * N),
+                                           _atomic_for(t), depth=4, tol=1e-14)
+
+    def test_identity_dynamics_measures_each_parent_as_the_dense_engine_held_it(self):
+        """The measurement run scatters each parent's block back to dim×dim, bitwise."""
+        t = _block_kraus(np.random.default_rng(4))
+        rho = random_density(np.random.default_rng(5), 6)
+        self._check_against_the_dense_tree(None, t, rho, _atomic_for(t), depth=4, tol=0.0)
+
+    @staticmethod
+    def _check_against_the_dense_tree(u, t, rho, part, depth, tol):
+        """Each live branch of an unmerged run, put back on its block's S×S, is the operator
+        the dense engine held: U·ρ·U† of the whole dim×dim parent, then the kernel, children
+        of weight exactly 0.0 or at most `prune_eps` left out, in (parent, block) order. Equal
+        within `tol`·‖ρ‖_F, ρ the start state, and bitwise at 0."""
+        opts = RunOptions(n_max=depth, min_steps=depth, merge=False)
+        ops = [rho.matrix]
+        for n in range(depth + 1):
+            evolved = ops if n == 0 or u is None else [u @ op @ u.conj().T for op in ops]
+            ops = [child for op in evolved for block in part.blocks
+                   if (w := max(float((child := apply_instrument(t, block, op)).trace().real),
+                                0.0)) != 0.0 and w > opts.prune_eps]
+        run = sz_entropy_run(u, t, rho, part, opts)
+        assert run.depth == depth and len(run.branches) == len(ops) > len(part.blocks)
+        for branch, op in zip(run.branches, ops):
+            scattered = _scattered(branch, t, part)
+            if tol == 0.0:
+                assert scattered.tobytes() == op.tobytes()
+            else:
+                assert np.abs(scattered - op).max() <= tol * np.linalg.norm(rho.matrix)
+
+    def test_one_rank2_run_allocates_no_dense_branches(self):
+        """Rank-2 U², N = 25: 125 live branches held as 2×2 blocks, not as 50×50 operators
+        (5.8 MiB of them at the peak when each branch was dense)."""
+        args = _hadamard_setup(25, 2, "rank2")
+        tracemalloc.start()
+        try:
+            run = sz_entropy_run(*args, RunOptions(n_max=25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.stop_reason == "closed" and max(r.branch_count for r in run.records) == 125
+        assert peak < 2 * 2 ** 20
 
     def test_run_stats_follow_the_parent_block(self):
         root = sz.RunStats(True, 0, None)

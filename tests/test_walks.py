@@ -74,6 +74,20 @@ class TestCoinedWalk:
         with pytest.raises(ValidationError, match="not unitary"):
             coined_walk(integer_shift(3), [np.eye(2) * 0.5] * 3)
 
+    def test_the_first_non_unitary_coin_is_named(self):
+        coins = [np.eye(2), np.eye(2) * 0.5, 2 * hadamard_coin(), np.eye(2)]
+        with pytest.raises(ValidationError, match=r"^coin at vertex 1 not unitary: residual 7\.5"):
+            coined_walk(integer_shift(4), coins)
+
+    def test_coin_layer_puts_each_coin_on_its_vertex(self):
+        rng = np.random.default_rng(4)
+        coins = [random_unitary(rng, 2) for _ in range(3)]
+        expected = np.zeros((6, 6), dtype=complex)
+        for v, c in enumerate(coins):
+            expected[np.ix_([v, 3 + v], [v, 3 + v])] = c
+        walk = coined_walk(integer_shift(3), coins)
+        assert np.array_equal(walk.unitary, integer_shift(3).operator() @ expected)
+
     def test_wrong_coin_count_rejected(self):
         with pytest.raises(ValidationError):
             coined_walk(integer_shift(3), [np.eye(2)] * 2)

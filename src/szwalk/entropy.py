@@ -93,6 +93,8 @@ class Partition:
         require(size is None or is_kind(size, numbers.Integral),
                 f"partition size must be an integer, got {size!r}")
         raw = [tuple(sorted(int(i) for i in b)) for b in blocks]
+        if not raw:
+            raise ValidationError("partition needs at least one block")
         if any(len(b) == 0 for b in raw):
             raise ValidationError("partition blocks must be non-empty")
         if labels is None:
@@ -149,13 +151,15 @@ def limit_estimate(seq: Sequence[float], tol: float, window: int) -> Convergence
     """Estimate the limit of `seq` from its tail.
 
     Convergence is declared when the last `window` successive differences are
-    all below `tol`; the reported value is then the final entry. The Cesaro
-    (running-mean) sequence is always returned alongside.
+    all below `tol`, a finite real number > 0 (not a bool); the reported value is
+    then the final entry. The Cesaro (running-mean) sequence is always returned
+    alongside.
     """
     values = [float(x) for x in seq]
     if not values:
         raise ValidationError("limit estimate of an empty sequence")
-    require(tol > 0, f"tolerance must be positive, got {tol}")
+    require(is_kind(tol, numbers.Real) and 0 < tol < math.inf,
+            f"tolerance must be positive and finite, got {tol!r}")
     require(is_kind(window, numbers.Integral) and window >= 1,
             f"window must be an integer >= 1, got {window!r}")
     cesaro = np.cumsum(values) / np.arange(1, len(values) + 1)

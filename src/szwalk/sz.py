@@ -23,34 +23,41 @@ Three exact reductions keep the tree small or end it:
   chains) is π Π h with Π the eigenvalue-1 projector of M. The run stops
   there with that limit.
 
-A depth takes its live parents in fixed chunks whose operators in flight stay near
-`CHUNK_BYTES`. The budget is checked on each new key, so the children made before it raises
-stay within one chunk's `CHUNK_BYTES`. A branch carries the block b it was last measured in
-(None at the root) and is zero outside S_b×S_b, S_b that block's support, so it holds only its
-block ρ[S_b,S_b], in the order of S_b (a whole-space branch is its dim×dim operator; the root
-is the start state). It is evolved on S_b alone: U·ρ·U† = V_b·ρ[S,S]·V_b†, V_b = U[:, S_b],
-which costs d·k(k+d) complex multiply-adds for |S_b| = k against 2d³ for the dense product.
-Every S_b is padded to the largest support size k by indices outside it; V_b and V_b† are built
-once per run, and a chunk's blocks, zero-padded to k×k, are evolved by one stacked product.
-When k is the dimension, every V_b is U, each smaller block is scattered by its flat index, and
-the chunk takes the one U·stack·U† of the dense engine. Each matrix of a stacked product is
-bitwise the product of that matrix alone. For the Hadamard walk and its powers V_b·ρ[S,S]·V_b†
-is also bitwise U·ρ·U†; for a generic unitary it agrees only within round-off (the tests ask
-1e-14·‖ρ‖), and the restricted product is then the engine's definition of the evolution. With
-identity dynamics a parent is only scattered back to dim×dim. The kernel `apply_instrument`
-runs once per (parent, block) on the dim×dim evolved parent: that call is the unit a test swaps
-for its dense oracle and a profile counts. A child whose terms the kernel skips as exactly zero
-is its read-only `shared_zero`, which the engine recognizes by identity and leaves out
-unweighed. The chunk's other children are weighed from one stack of their diagonals; those of
-weight exactly 0.0 are left out too (each would add +0 to every sum and is never kept). Each
-kept child is then cut to its block by one `take` (a whole-space child stays the kernel's own
-array), and the blocks are keyed in one vector pass per support size. The bookkeeping then
-makes one pass over the rest in (parent, block) order, so every sum (a_n, h, pruned mass,
-merged blocks and weights) adds in the same order as when each child is made and booked alone.
-A fresh zero buffer in place of the shared one weighs 0.0 too, so the run does not depend on
-it. While closure is tracked (merging on, at most `LIFT_MAX_STATES` parents), the pass also
-records each kept child's (parent position, key, ratio) and each parent's next-block entropy;
-after the depth the tree is closed iff every live key is a parent's key.
+A depth takes its live parents in fixed chunks sized by the bytes they hold: a chunk's r×r
+evolved parents, each child's block and dim-long diagonal, and the dim×dim staging buffer and
+the one dense child alive at a time stay near `CHUNK_BYTES`. The budget is checked on each new
+key, so the children made before it raises stay within one chunk. A branch carries the block b
+it was last measured in (None at the root) and is zero outside S_b×S_b, S_b that block's
+support, so it holds only its block ρ[S_b,S_b], in the order of S_b (a whole-space branch is
+its dim×dim operator; the root is the start state). U·ρ·U† is then zero outside R_b×R_b, R_b
+the nonzero rows of V_b = U[:, S_b], and a branch is evolved onto those rows alone:
+W_b·ρ[S,S]·W_b†, W_b = U[R_b, S_b], which costs r·k(k+r) complex multiply-adds for |S_b| = k
+and |R_b| = r against 2d³ for the dense product. Every S_b is padded to the largest support
+size k and every R_b to the largest r by indices outside them; W_b and W_b† are built once per
+run, and a chunk's blocks, zero-padded to k×k, are evolved by one stacked product into r×r
+blocks. When r is the dimension every R_b is all rows; when k is, every W_b is U, each smaller
+block is scattered by its flat index, and the chunk takes the one U·stack·U† of the dense
+engine. Each matrix of a stacked product is bitwise the product of that matrix alone. For the
+Hadamard walk and its powers W_b·ρ[S,S]·W_b† is also bitwise U·ρ·U† on R_b×R_b; for a generic
+unitary it agrees only within round-off (the tests ask 1e-14·‖ρ‖), and the restricted product
+is then the engine's definition of the evolution. With identity dynamics R_b = S_b and a parent
+is its own evolved block. The kernel `apply_instrument` runs once per (parent, block) on a
+dim×dim operator: a parent smaller than that is scattered by its flat R×R index into one +0
+buffer held for the run, measured there by every block, and its entries are cleared again. That
+call is the unit a test swaps for its dense oracle and a profile counts. A child whose terms
+the kernel skips as exactly zero is its read-only `shared_zero`, which the engine recognizes by
+identity and leaves out unweighed. Any other child is cut on return to its block by one `take`,
+after a copy of its diagonal (a whole-space child stays the kernel's own array). The chunk's
+children are weighed from one stack of those dim-long diagonals, so each weight adds as `trace`
+adds that child; those of weight exactly 0.0 are left out too (each would add +0 to every sum
+and is never kept). The kept blocks are keyed in one vector pass per support size. The
+bookkeeping then makes one pass over the rest in (parent, block) order, so every sum (a_n, h,
+pruned mass, merged blocks and weights) adds in the same order as when each child is made and
+booked alone. A fresh zero array in place of the kernel's shared one weighs 0.0 too, so the run
+does not depend on it. While closure is tracked (merging on, at most `LIFT_MAX_STATES`
+parents), the pass also records each kept child's (parent position, key, ratio) and each
+parent's next-block entropy; after the depth the tree is closed iff every live key is a
+parent's key.
 """
 
 from __future__ import annotations
@@ -68,14 +75,14 @@ from .entropy import ConvergenceReport, Partition, ProbVector, eta, limit_estima
 from .errors import (AccuracyError, NumericError, ResourceLimitError,
                      UnsupportedConfigurationError, ValidationError, is_kind, require)
 from .quantum import (DensityState, Instrument, Operator, as_operator, apply_instrument,
-                      identity_residual, index_support, orthonormal_columns,
+                      flat_index, identity_residual, orthonormal_columns,
                       outcome_pmf, shared_zero)
 
 NORMALIZATION_TOL = 1e-8
 PRUNED_MASS_LIMIT = 1e-6
 RANK1_TOL = 1e-8
 LIFT_MAX_STATES = 1000  # closure is tracked only while at most this many branches are live
-CHUNK_BYTES = 256 * 1024  # bound on the operators in flight per chunk of parents
+CHUNK_BYTES = 256 * 1024  # bound on the bytes a chunk of parents holds in flight
 MERGE_TOL_MIN = 1e-18  # merge keys count merge_tol units of entries |x| <= 1 in int64 (< 2**63)
 
 
@@ -258,73 +265,108 @@ def cylinder_probability(walk_unitary: Operator | None, t: Instrument, rho: Dens
     return float(np.real(np.trace(op)))
 
 
+def _padded(sets: list[np.ndarray], size: int, dim: int) -> np.ndarray:
+    """The index sets `sets` as the rows of one array, each padded to `size` by the first
+    indices in range(dim) outside it."""
+    return np.array([s if s.size == size else
+                     np.concatenate((s, np.delete(np.arange(dim), s)[:size - s.size]))
+                     for s in sets])
+
+
 def _columns(u: Operator, supports: list[np.ndarray]) -> tuple:
-    """(V, V†) for `_evolve`, k the largest |S_b| over the blocks' flat indices `supports`.
-    Each S_b is padded to k by the first indices outside it; V and V† stack V_b = U[:, S_b]
-    (blocks × dim × k) and its adjoint, so a block ρ[S_b,S_b] padded by zeros to k×k is
-    evolved by V_b·ρ·V_b†. With k = dim: (U, U†)."""
+    """(W, W†, places) for `_evolve` and `_measure`, from the blocks' flat S×S indices
+    `supports`. Each S_b is padded to the largest size k by the first indices outside it, and
+    R_b, the nonzero rows of U[:, S_b], to the largest size r the same way. W stacks
+    W_b = U[R_b, S_b] (blocks × r × k) and W† its adjoints, so that a block ρ[S_b,S_b]
+    zero-padded to k×k evolves to W_b·ρ·W_b†, the r×r block of U·ρ·U† on R_b×R_b; `places`
+    lists the flat R_b×R_b indices, each laid out r×r. When r = dim every R_b is all rows in
+    order and `places` is None; when k = dim, W is U itself."""
     d = u.shape[0]
-    sets = [index_support(flat.ravel(), d) for flat in supports]
-    k = max(s.size for s in sets)
+    sets = [flat[0] % d for flat in supports]  # the first row of S×S is s_0·d + S
+    sizes = [s.size for s in sets]
+    k = max(sizes)
     if k == d:
-        return u, u.conj().T
-    for b, s in enumerate(sets):
-        if s.size < k:
-            sets[b] = np.concatenate((s, np.delete(np.arange(d), s)[:k - s.size]))
-    v = np.ascontiguousarray(u[:, np.array(sets)].transpose(1, 0, 2))
-    return v, np.ascontiguousarray(v.conj().transpose(0, 2, 1))
-
-
-def _dense(ops: list[np.ndarray], blocks: list[int], supports: list[np.ndarray],
-           dim: int) -> list[np.ndarray]:
-    """The dim×dim operator of each parent, where parent s is held as its block `ops[s]` on the
-    flat S×S index `supports[blocks[s]]`: the block itself when S is the whole space, else the
-    block scattered into zeros."""
-    dense = []
-    for op, b in zip(ops, blocks):
-        if op.shape[0] < dim:
-            full = np.zeros(dim * dim, dtype=complex)
-            full[supports[b]] = op
-            op = full.reshape(dim, dim)
-        dense.append(op)
-    return dense
+        return u, u.conj().T, None
+    padded = _padded(sets, k, d)
+    nonzero = (u != 0)[:, padded]  # dim × blocks × k
+    if min(sizes) < k:  # a padding column is not in S_b
+        nonzero &= np.arange(k) < np.array(sizes)[:, None]
+    reached = nonzero.any(axis=2).T  # blocks × dim
+    r = int(reached.sum(axis=1).max())
+    if r == d:
+        v = np.ascontiguousarray(u[:, padded].transpose(1, 0, 2))
+        return v, np.ascontiguousarray(v.conj().transpose(0, 2, 1)), None
+    rows = _padded([np.flatnonzero(row) for row in reached], r, d)
+    w = u[rows[:, :, None], padded[:, None, :]]
+    return (w, np.ascontiguousarray(w.conj().transpose(0, 2, 1)),
+            list(flat_index(rows, d).reshape(len(sets), r, r)))
 
 
 def _evolve(ops: list[np.ndarray], blocks: list[int], supports: list[np.ndarray],
-            v: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """U·ρ·U† of each parent of a chunk, stacked in chunk order, where parent s is held as its
-    block `ops[s]` on the support of block `blocks[s]` (`v` and `vh` from `_columns`): one
-    stacked V·ρ·V† of the blocks zero-padded to k, or, when k = dim, the dense U·stack·U† with
-    each smaller block scattered by its flat index (`supports`)."""
-    if v.ndim == 2:
-        return v @ np.stack(_dense(ops, blocks, supports, v.shape[0])) @ vh
-    k = v.shape[2]
+            w: np.ndarray, wh: np.ndarray) -> np.ndarray:
+    """The evolved parents of a chunk, stacked in chunk order, where parent s is held as its
+    block `ops[s]` on the support of block `blocks[s]` (`w` and `wh` from `_columns`): one
+    stacked W·ρ·W† of the blocks zero-padded to k, parent s on the rows R of its block (r×r,
+    dim×dim when r = dim), or, when k = dim, the dense U·stack·U† with each smaller block
+    scattered by its flat index (`supports`)."""
+    if w.ndim == 2:
+        d = w.shape[0]
+        dense = []
+        for op, b in zip(ops, blocks):
+            if op.shape[0] < d:
+                full = np.zeros(d * d, dtype=complex)
+                full[supports[b]] = op
+                op = full.reshape(d, d)
+            dense.append(op)
+        return w @ np.stack(dense) @ wh
+    k = w.shape[2]
     sub = np.zeros((len(ops), k, k), dtype=complex)
     for s, op in enumerate(ops):
         sub[s, :op.shape[0], :op.shape[0]] = op
     rows = np.array(blocks)
-    return v.take(rows, 0) @ sub @ vh.take(rows, 0)
+    return w.take(rows, 0) @ sub @ wh.take(rows, 0)
 
 
 def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[np.ndarray],
-             evolved: Sequence[np.ndarray], opts: RunOptions) -> list[tuple]:
+             evolved: Sequence[np.ndarray], places: Sequence[np.ndarray] | None,
+             buffer: np.ndarray, opts: RunOptions) -> list[tuple]:
     """(parent position, block, child, weight, merge key) of each child of a chunk whose
     weight is not exactly 0.0, in (parent, block) order.
 
-    Each child is one `apply_instrument` call on its evolved parent. The kernel's `shared_zero`
-    is left out by identity. The others are weighed from one stack of their diagonals (the
-    trace clipped at 0, summed as `trace` sums each one; a NaN stays). A child at or below
-    `prune_eps` gets child and key None. A kept child is its block on its support: one `take`
-    by `supports[block]`, the flat S×S index laid out |S|×|S|, or the kernel's own array when S
-    is the whole space. Its key comes from `_merge_keys`.
+    Each child is one `apply_instrument` call on its evolved parent, dim×dim. A parent held
+    smaller is first scattered by its flat index `places[s]` into `buffer`, the run's flat
+    dim×dim +0 buffer, and those entries are cleared again after its children are made. The
+    kernel's `shared_zero` is left out by identity. Any other child is cut on return to its
+    block on its support, one `take` by `supports[block]` (the flat S×S index laid out
+    |S|×|S|), keeping a copy of its diagonal, so that its dense array is freed at once; a
+    whole-space child stays the kernel's own array. The children are weighed from one stack of their dim-long diagonals (the trace
+    clipped at 0, summed as `trace` sums each one; a NaN stays). A child at or below
+    `prune_eps` gets child and key None. A kept child's key comes from `_merge_keys`.
     """
     zero = shared_zero(t.dim)
-    made = [(s, bi, child) for s, op in enumerate(evolved) for bi, block in enumerate(blocks)
-            if (child := apply_instrument(t, block, op)) is not zero]
-    diagonals = np.array([child.diagonal() for _, _, child in made]).reshape(len(made), t.dim)
-    weights = np.maximum(diagonals.sum(axis=1).real, 0.0).tolist()
-    weighed = [(s, bi, None if not w > opts.prune_eps else
-                child if supports[bi].size == child.size else child.take(supports[bi]), w)
+    made, diagonals = [], []
+    stage = buffer.reshape(t.dim, t.dim)
+    for s, op in enumerate(evolved):
+        staged = op.shape[0] < t.dim
+        if staged:
+            buffer[places[s]] = op
+            op = stage
+        for bi, block in enumerate(blocks):
+            child = apply_instrument(t, block, op)
+            if child is zero:
+                continue
+            index = supports[bi]
+            if index.size == child.size:  # whole space
+                diagonals.append(child.diagonal())
+            else:
+                diagonals.append(child.diagonal().copy())
+                child = child.take(index)
+            made.append((s, bi, child))
+        if staged:
+            buffer[places[s]] = 0
+    weights = np.maximum(np.array(diagonals).reshape(len(made), t.dim).sum(axis=1).real,
+                         0.0).tolist()
+    weighed = [(s, bi, None if not w > opts.prune_eps else child, w)
                for (s, bi, child), w in zip(made, weights) if w != 0.0]
     keys = _merge_keys(weighed, opts.merge_tol) if opts.merge else [None] * len(weighed)
     return [(s, bi, child, w, key) for (s, bi, child, w), key in zip(weighed, keys)]
@@ -406,19 +448,27 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
 
     # A child is zero outside its block's support S×S and is held as its block there: its merge
     # key covers only that, and its evolution acts on that alone. supports[b] is block b's flat
-    # S×S index laid out |S|×|S|, so one `take` by it gives the block.
-    supports = [flat.reshape(math.isqrt(flat.size), -1)
-                for flat in map(t.support_index, partition.blocks)]
-    on_support = None if u is None else _columns(u, supports)
+    # S×S index laid out |S|×|S|, so one `take` by it gives the block; a one-outcome block's is
+    # the index its outcome already holds.
+    supports = [t.supports[block[0]][0] if len(block) == 1 else t.support_index(block)
+                for block in partition.blocks]
+    supports = [flat.reshape(math.isqrt(flat.size), -1) for flat in supports]
+    k = max(index.shape[0] for index in supports)
+    if u is None:  # identity dynamics: a parent is measured on its own block's S×S
+        evolution, places, r = None, supports, k
+    else:
+        *evolution, places = _columns(u, supports)
+        r = t.dim if places is None else places[0].shape[0]
+    buffer = np.zeros(t.dim * t.dim, dtype=complex)
 
     # Depth 0 measures rho itself: the root is the one parent that is not evolved.
     branches = [TrajectoryBranch(1.0, rho.matrix, None,
                                  RunStats(True, 0, None) if opts.classify else None)]
     blocks = partition.blocks
-    # A chunk's parents (each at most dim×dim), evolved copies and children (one per block)
-    # stay near CHUNK_BYTES.
-    chunk_size = max(1, CHUNK_BYTES // (np.dtype(complex).itemsize * t.dim * t.dim
-                                        * (2 + len(blocks))))
+    # A chunk's evolved parents (r×r each) and its children's blocks and diagonals, plus the
+    # staging buffer and the one dense child alive at a time, stay near CHUNK_BYTES.
+    chunk_size = max(1, (CHUNK_BYTES // np.dtype(complex).itemsize - t.dim * t.dim)
+                     // (r * r + len(blocks) * (k * k + t.dim)))
     pruned_mass = 0.0
     a_seq: list[float] = []
     records: list[DepthRecord] = []
@@ -439,13 +489,14 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
             chunk = branches[start:start + chunk_size]
             branches[start:start + chunk_size] = [None] * len(chunk)  # a spent parent is freed
             ops = [parent.conditional_op for parent in chunk]
-            if depth == 0:
+            owners = [parent.block for parent in chunk]
+            if depth == 0 or evolution is None:
                 evolved = ops
-            elif on_support is None:  # identity dynamics: each parent is only made dim×dim
-                evolved = _dense(ops, [p.block for p in chunk], supports, t.dim)
             else:
-                evolved = _evolve(ops, [p.block for p in chunk], supports, *on_support)
-            for s, bi, op, w, fingerprint in _measure(t, blocks, supports, evolved, opts):
+                evolved = _evolve(ops, owners, supports, *evolution)
+            homes = None if places is None or depth == 0 else [places[b] for b in owners]
+            for s, bi, op, w, fingerprint in _measure(t, blocks, supports, evolved, homes,
+                                                      buffer, opts):
                 parent = chunk[s]
                 ratio = min(w / parent.weight, 1.0)
                 e = eta(ratio)

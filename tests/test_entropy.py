@@ -84,6 +84,12 @@ class TestPartition:
         with pytest.raises(ValidationError):
             Partition([[0], [2]])
 
+    def test_partition_without_blocks_rejected(self):
+        # A loop rather than parameters, so the test keeps one name.
+        for size in (None, 0, 3):
+            with pytest.raises(ValidationError, match="at least one block"):
+                Partition([], size=size)
+
     def test_blocks_sorted_by_smallest_member(self):
         p = Partition([[3, 2], [1, 0]], labels=["hi", "lo"])
         assert p.blocks == ((0, 1), (2, 3))
@@ -125,6 +131,19 @@ class TestLimitEstimate:
     def test_nan_tolerance_rejected(self):
         with pytest.raises(ValidationError, match="tolerance must be positive"):
             limit_estimate([1.0, 1.0, 1.0, 1.0], tol=math.nan, window=3)
+
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, -1e-6, True, "1e-6", None])
+    def test_tolerance_must_be_a_finite_positive_real(self, tol):
+        with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
+            limit_estimate([1.0, 5.0, 9.0], tol=tol, window=2)
+
+    def test_infinite_tolerance_rejected_through_entropy_rate(self):
+        with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
+            entropy_rate(cycle_walk(3), ProbVector.uniform(3), n_max=4, tol=math.inf)
+
+    def test_numpy_real_tolerance_accepted(self):
+        assert limit_estimate([1.0] * 4, tol=np.float64(1e-6), window=3).converged
+        assert limit_estimate([1.0] * 4, tol=1, window=3).converged
 
     @pytest.mark.parametrize("window", [math.nan, 2.5, True])
     def test_non_integer_window_rejected(self, window):

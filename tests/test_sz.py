@@ -519,6 +519,20 @@ class TestChunkedDepths:
         parents = 1 + sum(r.branch_count for r in run.records[:run.depth])
         assert len(calls) == len(args[3].blocks) * parents
 
+    def test_a_rank2_chunk_holds_several_parents(self, monkeypatch):
+        """Rank-2 U², N = 25: a chunk is sized by the bytes it holds (r×r evolved parents, cut
+        children and their diagonals), so `_measure` gets several parents at once. Budgeted
+        as dense 50×50 operators, every chunk held one parent."""
+        sizes = []
+        measure = sz._measure
+        monkeypatch.setattr(sz, "_measure", lambda t, blocks, supports, evolved, *rest:
+                            sizes.append(len(evolved)) or measure(t, blocks, supports, evolved,
+                                                                  *rest))
+        run = sz_entropy_run(*_hadamard_setup(25, 2, "rank2"), RunOptions(n_max=25))
+        parents = 1 + sum(r.branch_count for r in run.records[:run.depth])
+        assert run.stop_reason == "closed" and sum(sizes) == parents > 100
+        assert sizes[0] == 1 and max(sizes) > 1 and 2 * len(sizes) < parents
+
     @pytest.mark.parametrize("make", [lambda rng: random_general(rng, 10, 2),
                                       lambda rng: position_instrument(5)])
     @pytest.mark.parametrize("group", [1, 3, 1000])
@@ -537,7 +551,8 @@ class TestChunkedDepths:
         measured = [(start + s, *rest)
                     for start in range(0, len(evolved), group)
                     for s, *rest in sz._measure(t, part.blocks, supports,
-                                                evolved[start:start + group], opts)]
+                                                evolved[start:start + group], None,
+                                                np.zeros(100, dtype=complex), opts)]
         expected = []
         for s, op in enumerate(evolved):
             for bi, block in enumerate(part.blocks):
@@ -605,8 +620,31 @@ def _block_kraus(rng):
 
 
 def _evolved(u, supports, blocks, ops):
-    """`_evolve` on blocks `ops`, each a random density on the support of its block."""
-    return sz._evolve(ops, blocks, supports, *sz._columns(u, supports))
+    """`_evolve` on blocks `ops`, each a random density on the support of its block: the
+    (parents, r, r) stack and each parent's evolved operator put back on d×d by its block's
+    flat R×R index (as it is when r = d)."""
+    w, wh, places = sz._columns(u, supports)
+    evolved = sz._evolve(ops, blocks, supports, w, wh)
+    d = u.shape[0]
+    if places is None:
+        return evolved, evolved
+    assert all(evolved.shape[1:] == place.shape for place in places)
+    return evolved, np.stack([_dense(op, places[b], d) for op, b in zip(evolved, blocks)])
+
+
+def _dense_tree(u, t, rho, part, depth, opts):
+    """The dense engine's unmerged tree: for each depth 0..depth its evolved dim×dim parents
+    (ρ itself at depth 0, U·ρ·U† of each parent after), then the children of the last depth,
+    each the kernel's output on its evolved parent, children of weight exactly 0.0 or at most
+    `prune_eps` left out, in (parent, block) order."""
+    levels, ops = [], [rho.matrix]
+    for n in range(depth + 1):
+        evolved = ops if n == 0 or u is None else [u @ op @ u.conj().T for op in ops]
+        levels.append(evolved)
+        ops = [child for op in evolved for block in part.blocks
+               if (w := max(float((child := apply_instrument(t, block, op)).trace().real),
+                            0.0)) != 0.0 and w > opts.prune_eps]
+    return levels + [ops]
 
 
 class TestSupportEvolution:
@@ -617,30 +655,39 @@ class TestSupportEvolution:
                                       [range(8)],  # the whole space
                                       [[2], [1, 6], [0, 3, 5]]])  # sizes 1, 2, 3: padded to 3
     def test_matches_the_dense_product_for_random_unitaries(self, sets):
+        """A dense random unitary reaches every row (r = d); a random-coin walk on the 4-cycle
+        moves each basis state onto two rows, so a support smaller than the space reaches
+        fewer than d rows (r < d)."""
         d = 8
         rng = np.random.default_rng(len(sets))
-        u = random_unitary(rng, d)
-        supports = [_flat(s, d) for s in sets]
-        blocks = [int(b) for b in rng.integers(0, len(sets), 9)]
-        ops = [random_density(rng, len(sets[b])).matrix for b in blocks]
-        dense = [_dense(op, supports[b], d) for op, b in zip(ops, blocks)]
-        evolved = _evolved(u, supports, blocks, ops)
-        assert evolved.shape == (len(ops), d, d)
-        for op, e in zip(dense, evolved):
-            assert np.abs(e - u @ op @ u.conj().T).max() <= 1e-14 * np.linalg.norm(op)
-        if any(len(s) == d for s in sets):  # a whole-space block: the dense engine's product
-            assert np.array_equal(evolved, u @ np.stack(dense) @ u.conj().T)
+        walk = coined_walk(integer_shift(4), [random_unitary(rng, 2) for _ in range(4)])
+        for u in (random_unitary(rng, d), walk.unitary):
+            supports = [_flat(s, d) for s in sets]
+            blocks = [int(b) for b in rng.integers(0, len(sets), 9)]
+            ops = [random_density(rng, len(sets[b])).matrix for b in blocks]
+            dense = [_dense(op, supports[b], d) for op, b in zip(ops, blocks)]
+            evolved, scattered = _evolved(u, supports, blocks, ops)
+            reached = max(np.count_nonzero(np.abs(u[:, list(s)]).sum(axis=1)) for s in sets)
+            assert evolved.shape == (len(ops), reached, reached)
+            for op, e in zip(dense, scattered):
+                assert np.abs(e - u @ op @ u.conj().T).max() <= 1e-14 * np.linalg.norm(op)
+            if any(len(s) == d for s in sets):  # a whole-space block: the dense engine's product
+                assert np.array_equal(evolved, u @ np.stack(dense) @ u.conj().T)
 
     @pytest.mark.parametrize("power", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["rank2", "coin-vertex"])
     def test_bitwise_the_dense_product_for_hadamard_powers(self, power, kind):
+        """U^power moves a vertex's coin pair onto 2·power rows: each parent evolves to that
+        r×r block, bitwise the dense product there, and the dense product is 0 elsewhere."""
         u, t, _, part = _hadamard_setup(5, power, kind)
         supports = _squares(t, part)
         rng = np.random.default_rng(power)
         blocks = [int(b) for b in rng.integers(0, len(supports), 12)]
         ops = [random_density(rng, len(supports[b])).matrix for b in blocks]
         dense = np.stack([_dense(op, supports[b], 10) for op, b in zip(ops, blocks)])
-        assert np.array_equal(_evolved(u, supports, blocks, ops), u @ dense @ u.conj().T)
+        evolved, scattered = _evolved(u, supports, blocks, ops)
+        assert evolved.shape == (len(ops), 2 * power, 2 * power)
+        assert np.array_equal(scattered, u @ dense @ u.conj().T)
 
     @pytest.mark.parametrize("case", ["position", "lvn-atomic", "lvn-whole-space-block"])
     def test_random_coin_walk_matches_the_dense_bruteforce(self, case):
@@ -709,6 +756,43 @@ class TestSupportEvolution:
         rho = random_density(np.random.default_rng(5), 6)
         self._check_against_the_dense_tree(None, t, rho, _atomic_for(t), depth=4, tol=0.0)
 
+    @pytest.mark.parametrize("case", ["hadamard-U2", "random-coin"])
+    def test_every_kernel_input_is_the_dense_evolved_parent(self, monkeypatch, case):
+        """A parent evolved onto its rows R is staged in the run's one dim×dim buffer by its
+        R×R index and cleared after its children: each kernel input is U·ρ·U† of its dense
+        parent, so nothing of an earlier parent with other rows is left in the buffer. Exact
+        for the Hadamard walk, within 1e-14·‖ρ‖_F for a random coin."""
+        if case == "hadamard-U2":
+            u, t, _, part = _hadamard_setup(5, 2, "rank2")
+            rho, tol = random_density(np.random.default_rng(9), 10), 0.0
+        else:
+            N, rng = 6, np.random.default_rng(23)
+            u = coined_walk(integer_shift(N), [random_unitary(rng, 2) for _ in range(N)]).unitary
+            # Each basis vector lies in one vertex's coin pair: an outcome's support is the
+            # coin pairs of its vertices.
+            t = random_lvn(np.random.default_rng(4), 2 * N, N, [[v, N + v] for v in range(N)])
+            part, rho, tol = _atomic_for(t), random_density(rng, 2 * N), 1e-14
+        places = sz._columns(u, _squares(t, part))[2]
+        assert places is not None and places[0].shape[0] < t.dim  # staged: r < dim
+        depth = 3
+        opts = RunOptions(n_max=depth, min_steps=depth, merge=False)
+        parents = [op for level in _dense_tree(u, t, rho, part, depth, opts)[:-1] for op in level]
+        inputs = []
+        monkeypatch.setattr(sz, "apply_instrument",
+                            lambda t, block, op: inputs.append(op.copy()) or
+                            apply_instrument(t, block, op))
+        sz_entropy_run(u, t, rho, part, opts)
+        assert len(inputs) == len(parents) * len(part.blocks)
+        # Consecutive parents whose blocks have other rows R share the buffer.
+        rows = [frozenset(np.flatnonzero(np.abs(op).sum(axis=0))) for op in parents[1:]]
+        assert any(a != b for a, b in zip(rows, rows[1:]))
+        for n, op in enumerate(inputs):
+            dense = parents[n // len(part.blocks)]
+            if tol == 0.0:
+                assert np.array_equal(op, dense)
+            else:
+                assert np.abs(op - dense).max() <= tol * np.linalg.norm(rho.matrix)
+
     @staticmethod
     def _check_against_the_dense_tree(u, t, rho, part, depth, tol):
         """Each live branch of an unmerged run, put back on its block's S×S, is the operator
@@ -716,12 +800,7 @@ class TestSupportEvolution:
         of weight exactly 0.0 or at most `prune_eps` left out, in (parent, block) order. Equal
         within `tol`·‖ρ‖_F, ρ the start state, and bitwise at 0."""
         opts = RunOptions(n_max=depth, min_steps=depth, merge=False)
-        ops = [rho.matrix]
-        for n in range(depth + 1):
-            evolved = ops if n == 0 or u is None else [u @ op @ u.conj().T for op in ops]
-            ops = [child for op in evolved for block in part.blocks
-                   if (w := max(float((child := apply_instrument(t, block, op)).trace().real),
-                                0.0)) != 0.0 and w > opts.prune_eps]
+        ops = _dense_tree(u, t, rho, part, depth, opts)[-1]
         run = sz_entropy_run(u, t, rho, part, opts)
         assert run.depth == depth and len(run.branches) == len(ops) > len(part.blocks)
         for branch, op in zip(run.branches, ops):

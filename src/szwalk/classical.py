@@ -13,7 +13,8 @@ import numbers
 import numpy as np
 
 from .entropy import ConvergenceReport, ProbVector, eta, limit_estimate
-from .errors import NumericError, ValidationError, is_kind, require
+from .errors import NumericError, ResourceLimitError, ValidationError, is_kind, require
+from .walks import MAX_DIM
 
 COLUMN_SUM_TOL = 1e-12
 # Singular values of m - 1 up to this span m's eigenvalue-1 space, and the projector built on
@@ -51,6 +52,8 @@ def cycle_walk(N: int) -> TransitionMatrix:
     """Unbiased random walk on the N-cycle: p_{v+1,v} = p_{v-1,v} = 1/2 (mod N)."""
     require(is_kind(N, numbers.Integral) and N >= 3,
             f"cycle walk needs an integer N >= 3, got {N!r}")
+    require(N <= MAX_DIM, f"a cycle walk on N={N} vertices has an N×N transition matrix, over "
+            f"the dimension budget of {MAX_DIM}", ResourceLimitError)
     P = np.zeros((N, N))
     for v in range(N):
         P[(v + 1) % N, v] += 0.5

@@ -28,31 +28,24 @@ evolved parents, each child's block and dim-long diagonal, and the dim×dim stag
 the one dense child alive at a time stay near `CHUNK_BYTES`. The budget is checked on each new
 key, so the children made before it raises stay within one chunk. A branch carries the block b
 it was last measured in (None at the root) and is zero outside S_b×S_b, S_b that block's
-support, so it holds only its block ρ[S_b,S_b], in the order of S_b (a whole-space branch is
-its dim×dim operator; the root is the start state). U·ρ·U† is then zero outside R_b×R_b, R_b
-the nonzero rows of V_b = U[:, S_b], and a branch is evolved onto those rows alone:
-W_b·ρ[S,S]·W_b†, W_b = U[R_b, S_b], which costs r·k(k+r) complex multiply-adds for |S_b| = k
-and |R_b| = r against 2d³ for the dense product. Every S_b is padded to the largest support
-size k and every R_b to the largest r by indices outside them; W_b and W_b† are built once per
-run, and a chunk's blocks, zero-padded to k×k, are evolved by one stacked product into r×r
-blocks. When r is the dimension every R_b is all rows; when k is, every W_b is U, each smaller
-block is scattered by its flat index, and the chunk takes the one U·stack·U† of the dense
-engine. Each matrix of a stacked product is bitwise the product of that matrix alone. For the
-Hadamard walk and its powers W_b·ρ[S,S]·W_b† is also bitwise U·ρ·U† on R_b×R_b; for a generic
-unitary it agrees only within round-off (the tests ask 1e-14·‖ρ‖), and the restricted product
-is then the engine's definition of the evolution. With identity dynamics R_b = S_b and a parent
-is its own evolved block. The kernel `apply_instrument` runs once per (parent, block) on a
-dim×dim operator: a parent smaller than that is scattered by its flat R×R index into one +0
-buffer held for the run, measured there by every block, and its entries are cleared again. That
-call is the unit a test swaps for its dense oracle and a profile counts. A child whose terms
-the kernel skips as exactly zero is its read-only `shared_zero`, which the engine recognizes by
-identity and leaves out unweighed. Any other child is cut on return to its block by one `take`,
-after a copy of its diagonal (a whole-space child stays the kernel's own array). The chunk's
-children are weighed from one stack of those dim-long diagonals, so each weight adds as `trace`
-adds that child; those of weight exactly 0.0 are left out too (each would add +0 to every sum
-and is never kept). The kept blocks are keyed in one vector pass per support size. The
-bookkeeping then makes one pass over the rest in (parent, block) order, so every sum (a_n, h,
-pruned mass, merged blocks and weights) adds in the same order as when each child is made and
+support. After the root it is one k×k array on P_b, S_b padded to the run's largest support
+size k by the first indices outside it, in increasing order. U·ρ·U† is then zero outside
+R_b×R_b, R_b the nonzero rows of U[:, S_b] padded to the largest size r the same way, and a
+chunk evolves by one stacked product W_b·ρ·W_b†, W_b = U[R_b, P_b]: r·k(k+r) complex
+multiply-adds per parent, not 2d³. Each of its matrices is bitwise that product alone, and for
+the Hadamard walk and its powers bitwise U·ρ·U† on R_b×R_b; for a generic unitary it agrees
+within round-off (the tests ask 1e-14·‖ρ‖) and is the engine's definition of the evolution.
+With identity dynamics a parent is its own evolved block on P_b. The kernel `apply_instrument`
+runs once per (parent, block) on a dim×dim operator: a smaller parent is scattered by its flat
+index into one +0 buffer held for the run, measured there by every block, and cleared again.
+That call is the unit a test swaps for its dense oracle and a profile counts. A child whose
+terms the kernel skips as exactly zero is its read-only `shared_zero`, which the engine
+recognizes by identity and leaves out unweighed. Any other child is cut on return to its block
+on P_b by one `take`, after a copy of its diagonal. The chunk's children are weighed from one
+stack of those diagonals, so each weight adds as `trace` adds that child; those of weight
+exactly 0.0 are left out too (each would add +0 to every sum and is never kept), and the kept
+blocks are keyed in one stacked pass. The bookkeeping then makes one pass in (parent, block)
+order, so every sum (a_n, h, pruned mass, merged blocks and weights) adds as when each child is
 booked alone. A fresh zero array in place of the kernel's shared one weighs 0.0 too, so the run
 does not depend on it. While closure is tracked (merging on, at most `LIFT_MAX_STATES`
 parents), the pass also records each kept child's (parent position, key, ratio) and each
@@ -75,7 +68,7 @@ from .entropy import ConvergenceReport, Partition, ProbVector, eta, limit_estima
 from .errors import (AccuracyError, NumericError, ResourceLimitError,
                      UnsupportedConfigurationError, ValidationError, is_kind, require)
 from .quantum import (DensityState, Instrument, Operator, as_operator, apply_instrument,
-                      flat_index, identity_residual, orthonormal_columns,
+                      flat_index, identity_residual, index_support, orthonormal_columns,
                       outcome_pmf, shared_zero)
 
 NORMALIZATION_TOL = 1e-8
@@ -149,8 +142,9 @@ class RunStats:
 class TrajectoryBranch:
     """One live node of the trajectory tree: `block` is the block it was last measured in (None
     at the root), so its operator is zero outside S×S, S that block's support. `conditional_op`
-    holds only the |S|×|S| block ρ[S,S], in the order of S: the dim×dim operator when S is the
-    whole space, and the start state at the root. `stats` only when the run classifies."""
+    holds the k×k block ρ[P,P], P being S padded to the run's largest support size k by the
+    first indices outside S, in increasing order: k×k for every block when support sizes
+    differ. The root holds the start state. `stats` only when the run classifies."""
 
     weight: float
     conditional_op: np.ndarray
@@ -200,8 +194,8 @@ class SZRun:
 
     `stop_reason` is "closed" (the live states closed; `lift` holds the chain whose limit is
     the report's value), "converged" (`limit_estimate` accepted a_n) or "n_max". `branches` are
-    the live branches of the last depth, each held as its block on its support (see
-    `TrajectoryBranch`).
+    the live branches of the last depth, each k×k on its padded support: with mixed support
+    sizes a small block is held at the largest size (see `TrajectoryBranch`).
     """
 
     branches: list[TrajectoryBranch]
@@ -265,66 +259,55 @@ def cylinder_probability(walk_unitary: Operator | None, t: Instrument, rho: Dens
     return float(np.real(np.trace(op)))
 
 
-def _padded(sets: list[np.ndarray], size: int, dim: int) -> np.ndarray:
-    """The index sets `sets` as the rows of one array, each padded to `size` by the first
-    indices in range(dim) outside it."""
-    return np.array([s if s.size == size else
-                     np.concatenate((s, np.delete(np.arange(dim), s)[:size - s.size]))
-                     for s in sets])
+def _padded(marks: np.ndarray, size: int) -> np.ndarray:
+    """Each row of the bool matrix `marks` as its marked indices, padded to `size` by the first
+    unmarked ones and kept in increasing order (a stable sort puts the marked ones first)."""
+    return np.sort(np.argsort(~marks, axis=1, kind="stable")[:, :size], axis=1)
 
 
-def _columns(u: Operator, supports: list[np.ndarray]) -> tuple:
-    """(W, W†, places) for `_evolve` and `_measure`, from the blocks' flat S×S indices
-    `supports`. Each S_b is padded to the largest size k by the first indices outside it, and
-    R_b, the nonzero rows of U[:, S_b], to the largest size r the same way. W stacks
-    W_b = U[R_b, S_b] (blocks × r × k) and W† its adjoints, so that a block ρ[S_b,S_b]
-    zero-padded to k×k evolves to W_b·ρ·W_b†, the r×r block of U·ρ·U† on R_b×R_b; `places`
-    lists the flat R_b×R_b indices, each laid out r×r. When r = dim every R_b is all rows in
-    order and `places` is None; when k = dim, W is U itself."""
+def _layout(dim: int, supports: list[np.ndarray]) -> tuple[list, np.ndarray | None]:
+    """(squares, inside) for the blocks' flat S×S indices `supports`: `squares[b]` is the flat
+    P_b×P_b index laid out k×k, P_b being S_b padded to the largest size k by the first indices
+    outside it, in increasing order; `inside[b]` marks S_b in P_b (None: every P_b = S_b)."""
+    k = math.isqrt(max(flat.size for flat in supports))
+    inside = None
+    if any(flat.size < k * k for flat in supports):
+        on = np.array([np.isin(np.arange(dim), index_support(flat, dim)) for flat in supports])
+        sets = _padded(on, k)
+        inside = np.take_along_axis(on, sets, axis=1)
+        supports = flat_index(sets, dim)
+    return [flat.reshape(k, k) for flat in supports], inside
+
+
+def _columns(u: Operator, supports: list[np.ndarray], inside: np.ndarray | None) -> tuple:
+    """(W, W†, pairs, places) for `_evolve` and `_measure`, from `_layout`'s P×P indices and
+    mask. R_b, the nonzero rows of U[:, S_b], is padded to the largest size r as S_b is to P_b.
+    W stacks W_b = U[R_b, P_b] and W† their adjoints once per distinct (R_b, P_b), `pairs[b]`
+    block b's position there, so that a branch ρ on P_b evolves to W_b·ρ·W_b†, the r×r block
+    of U·ρ·U† on R_b×R_b; `places[b]` is the flat R_b×R_b index laid out r×r. When k = dim, W
+    is the one U and each product is bitwise the dense one; when r = dim, nothing is staged."""
     d = u.shape[0]
-    sets = [flat[0] % d for flat in supports]  # the first row of S×S is s_0·d + S
-    sizes = [s.size for s in sets]
-    k = max(sizes)
-    if k == d:
-        return u, u.conj().T, None
-    padded = _padded(sets, k, d)
-    nonzero = (u != 0)[:, padded]  # dim × blocks × k
-    if min(sizes) < k:  # a padding column is not in S_b
-        nonzero &= np.arange(k) < np.array(sizes)[:, None]
+    sets = np.array([flat[0] for flat in supports]) % d  # row 0 of P×P is p_0·d + P
+    nonzero = (u != 0)[:, sets]  # dim × blocks × k
+    if inside is not None:  # a padding column is not in S_b
+        nonzero &= inside
     reached = nonzero.any(axis=2).T  # blocks × dim
-    r = int(reached.sum(axis=1).max())
-    if r == d:
-        v = np.ascontiguousarray(u[:, padded].transpose(1, 0, 2))
-        return v, np.ascontiguousarray(v.conj().transpose(0, 2, 1)), None
-    rows = _padded([np.flatnonzero(row) for row in reached], r, d)
-    w = u[rows[:, :, None], padded[:, None, :]]
-    return (w, np.ascontiguousarray(w.conj().transpose(0, 2, 1)),
-            list(flat_index(rows, d).reshape(len(sets), r, r)))
+    rows = _padded(reached, int(reached.sum(axis=1).max()))
+    keys = np.hstack((rows, sets))  # (R_b, P_b), each row viewed as one opaque item
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
+    found: dict = {}  # (R_b, P_b) → (its position in W, a block with it)
+    pairs = [found.setdefault(key, (len(found), b))[0] for b, key in enumerate(keys)]
+    chosen = [b for _, b in found.values()]
+    w = u[rows[chosen, :, None], sets[chosen, None, :]]
+    places = flat_index(rows[chosen], d).reshape(len(chosen), rows.shape[1], -1)
+    return w, np.ascontiguousarray(w.conj().transpose(0, 2, 1)), pairs, [places[i] for i in pairs]
 
 
-def _evolve(ops: list[np.ndarray], blocks: list[int], supports: list[np.ndarray],
-            w: np.ndarray, wh: np.ndarray) -> np.ndarray:
-    """The evolved parents of a chunk, stacked in chunk order, where parent s is held as its
-    block `ops[s]` on the support of block `blocks[s]` (`w` and `wh` from `_columns`): one
-    stacked W·ρ·W† of the blocks zero-padded to k, parent s on the rows R of its block (r×r,
-    dim×dim when r = dim), or, when k = dim, the dense U·stack·U† with each smaller block
-    scattered by its flat index (`supports`)."""
-    if w.ndim == 2:
-        d = w.shape[0]
-        dense = []
-        for op, b in zip(ops, blocks):
-            if op.shape[0] < d:
-                full = np.zeros(d * d, dtype=complex)
-                full[supports[b]] = op
-                op = full.reshape(d, d)
-            dense.append(op)
-        return w @ np.stack(dense) @ wh
-    k = w.shape[2]
-    sub = np.zeros((len(ops), k, k), dtype=complex)
-    for s, op in enumerate(ops):
-        sub[s, :op.shape[0], :op.shape[0]] = op
-    rows = np.array(blocks)
-    return w.take(rows, 0) @ sub @ wh.take(rows, 0)
+def _evolve(ops: list[np.ndarray], pairs: list[int], w: np.ndarray, wh: np.ndarray) -> np.ndarray:
+    """The evolved parents of a chunk, stacked in chunk order: parent s, held on P_b, evolves to
+    W_b·ρ·W_b† on R_b×R_b, `pairs[s]` its (R_b, P_b) in `w` and `wh` (see `_columns`). One
+    stacked product; each of its matrices is bitwise the product of that matrix alone."""
+    return w.take(pairs, 0) @ np.array(ops) @ wh.take(pairs, 0)
 
 
 def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[np.ndarray],
@@ -335,13 +318,13 @@ def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[np.n
 
     Each child is one `apply_instrument` call on its evolved parent, dim×dim. A parent held
     smaller is first scattered by its flat index `places[s]` into `buffer`, the run's flat
-    dim×dim +0 buffer, and those entries are cleared again after its children are made. The
-    kernel's `shared_zero` is left out by identity. Any other child is cut on return to its
-    block on its support, one `take` by `supports[block]` (the flat S×S index laid out
-    |S|×|S|), keeping a copy of its diagonal, so that its dense array is freed at once; a
-    whole-space child stays the kernel's own array. The children are weighed from one stack of their dim-long diagonals (the trace
-    clipped at 0, summed as `trace` sums each one; a NaN stays). A child at or below
-    `prune_eps` gets child and key None. A kept child's key comes from `_merge_keys`.
+    dim×dim +0 buffer, and cleared again after its children are made. The kernel's
+    `shared_zero` is left out by identity. Any other child is cut on return to its k×k block
+    on P, one `take` by `supports[block]`, after a copy of its diagonal, so that its dense
+    array is freed at once (a child whose P is the whole space stays the kernel's array). The
+    children are weighed from one stack of their diagonals (the trace clipped at 0, summed as
+    `trace` sums it; a NaN stays). A child at or below `prune_eps` gets child and key None; a
+    kept child's key comes from `_merge_keys`.
     """
     zero = shared_zero(t.dim)
     made, diagonals = [], []
@@ -375,26 +358,23 @@ def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[np.n
 def _merge_keys(weighed: list[tuple], merge_tol: float) -> list:
     """The merge key of each kept child of `weighed` (see `_measure`), None for a pruned one.
 
-    The key holds the entries of the child's block on its support over its weight, in
-    row-major order, in units of `merge_tol` and rounded, as interleaved (re, im) pairs: two
-    children share a key iff their real and imaginary parts do. One pass per support size over
-    the stacked entries does the same float operations as on each child alone.
+    The key holds the entries of the child's k×k block over its weight, in row-major order, in
+    units of `merge_tol` and rounded, as interleaved (re, im) pairs: two children share a key
+    iff their real and imaginary parts do. Every kept child has k² entries, so one pass over
+    them stacked does the same float operations as on each child alone.
     """
     keys = [None] * len(weighed)
-    buckets: dict[int, list[tuple[int, np.ndarray, float]]] = {}  # by support size
-    for i, (_, _, child, w) in enumerate(weighed):
-        if child is not None:
-            entries = child.ravel()
-            buckets.setdefault(entries.size, []).append((i, entries, w))
-    for bucket in buckets.values():
-        index, stacked, weights = zip(*bucket)
-        scaled = (np.array(stacked) / np.array(weights)[:, None]).view(np.float64)
-        scaled /= merge_tol
-        np.rint(scaled, out=scaled)
-        # Each child's entries viewed as one opaque item: `tolist` gives its bytes.
-        rows = scaled.astype(np.int64).view(np.dtype((np.void, 8 * scaled.shape[1])))
-        for i, key in zip(index, rows.ravel().tolist()):
-            keys[i] = key
+    kept = [(i, child, w) for i, (_, _, child, w) in enumerate(weighed) if child is not None]
+    if not kept:
+        return keys
+    index, children, weights = zip(*kept)
+    scaled = (np.array(children).reshape(len(kept), -1) / np.array(weights)[:, None]).view(float)
+    scaled /= merge_tol
+    np.rint(scaled, out=scaled)
+    # Each child's entries viewed as one opaque item: `tolist` gives its bytes.
+    rows = scaled.astype(np.int64).view(np.dtype((np.void, 8 * scaled.shape[1])))
+    for i, key in zip(index, rows.ravel().tolist()):
+        keys[i] = key
     return keys
 
 
@@ -446,19 +426,14 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
             f"partition covers {partition.size} outcomes, instrument has {t.n_outcomes}")
     u = _checked_unitary(walk_unitary, t, rho)
 
-    # A child is zero outside its block's support S×S and is held as its block there: its merge
-    # key covers only that, and its evolution acts on that alone. supports[b] is block b's flat
-    # S×S index laid out |S|×|S|, so one `take` by it gives the block; a one-outcome block's is
-    # the index its outcome already holds.
-    supports = [t.supports[block[0]][0] if len(block) == 1 else t.support_index(block)
-                for block in partition.blocks]
-    supports = [flat.reshape(math.isqrt(flat.size), -1) for flat in supports]
-    k = max(index.shape[0] for index in supports)
-    if u is None:  # identity dynamics: a parent is measured on its own block's S×S
-        evolution, places, r = None, supports, k
-    else:
-        *evolution, places = _columns(u, supports)
-        r = t.dim if places is None else places[0].shape[0]
+    # After the root a branch is held on P_b, block b's support padded to the run's largest
+    # support size k (see `_layout`); one `take` by supports[b] gives a child's block.
+    supports, inside = _layout(t.dim, [t.support_index(block) for block in partition.blocks])
+    k = supports[0].shape[0]
+    places = supports  # identity dynamics: a parent is measured on its own block's P×P
+    if u is not None:
+        ws, whs, pairs, places = _columns(u, supports, inside)
+    r = places[0].shape[0]
     buffer = np.zeros(t.dim * t.dim, dtype=complex)
 
     # Depth 0 measures rho itself: the root is the one parent that is not evolved.
@@ -490,11 +465,9 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
             branches[start:start + chunk_size] = [None] * len(chunk)  # a spent parent is freed
             ops = [parent.conditional_op for parent in chunk]
             owners = [parent.block for parent in chunk]
-            if depth == 0 or evolution is None:
-                evolved = ops
-            else:
-                evolved = _evolve(ops, owners, supports, *evolution)
-            homes = None if places is None or depth == 0 else [places[b] for b in owners]
+            evolved = (ops if depth == 0 or u is None
+                       else _evolve(ops, [pairs[b] for b in owners], ws, whs))
+            homes = None if depth == 0 else [places[b] for b in owners]
             for s, bi, op, w, fingerprint in _measure(t, blocks, supports, evolved, homes,
                                                       buffer, opts):
                 parent = chunk[s]

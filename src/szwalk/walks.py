@@ -22,7 +22,8 @@ UNITARY_TOL = 1e-10
 POWER_UNITARY_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-12
 # Dimension budget, checked before anything is allocated. Instruments hold only support blocks;
-# it bounds the dense dim×dim operators: U, its powers, the states and the engine's branches.
+# it bounds the dense dim×dim operators: U, its powers, the states and the engine's branches,
+# and the N×N transition matrix of `classical.cycle_walk`.
 MAX_DIM = 256
 
 COIN_R = 0

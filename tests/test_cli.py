@@ -339,6 +339,16 @@ class TestMarkovCommand:
     def test_power_zero_rejected(self):
         assert main(["markov", "--n", "5", "--power", "0"]) == 2
 
+    def test_cycle_length_within_the_dimension_budget(self, capsys):
+        """N is checked against `walks.MAX_DIM` before the N×N matrix is allocated: one over
+        the budget exits 3 with a one-line error naming it, the budget itself runs."""
+        n = walks.MAX_DIM
+        assert main(["markov", "--n", str(n + 1)]) == 3
+        assert capsys.readouterr().err == (f"error: a cycle walk on N={n + 1} vertices has an N×N "
+                                           f"transition matrix, over the dimension budget of {n}\n")
+        assert main(["markov", "--n", str(n)]) == 0
+        assert "converged to" in capsys.readouterr().out
+
 
 class TestPaperCheck:
     def test_all_rows_pass(self, capsys):

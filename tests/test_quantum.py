@@ -268,6 +268,16 @@ class TestBlocksMatchTheDenseConstruction:
                 assert isinstance(index, np.ndarray) and index.dtype.kind == "i"
         assert np.array_equal(families[0].supports[0][0], np.arange(4))
 
+    def test_one_outcome_support_index_is_the_held_index(self):
+        """A one-outcome set gives the flat index its outcome holds, not a copy; a larger set
+        gives the union's index."""
+        t = position_instrument(3)
+        index = t.support_index([1])
+        assert index is t.supports[1][0]
+        assert index.tolist() == [1 * 6 + 1, 1 * 6 + 4, 4 * 6 + 1, 4 * 6 + 4]
+        s = [0, 1, 3, 4]
+        assert t.support_index([1, 0]).tolist() == [i * 6 + j for i in s for j in s]
+
     def test_zero_operator_has_an_empty_block(self):
         t = general_instrument([np.eye(2), np.zeros((2, 2))])
         flat, b, bh = t.supports[1]

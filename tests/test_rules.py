@@ -311,3 +311,29 @@ def test_guard_flags_a_missing_hook():
     hooks = (("szwalk.sz", ("apply_instrument", "no_such_kernel"), "quantum.apply_instrument"),
              ("szwalk.walks", ("coherent_instrument",), "quantum.instrument_build"))
     assert _missing_hooks(hooks) == ["szwalk.sz.no_such_kernel"]
+
+
+MAX_LINE = 100
+
+
+def _long_lines(text: str) -> list[int]:
+    """Line numbers of the lines of `text` longer than `MAX_LINE` characters."""
+    return [n for n, line in enumerate(text.splitlines(), 1) if len(line) > MAX_LINE]
+
+
+def test_no_line_is_longer_than_the_limit():
+    """Every line of a `.py` file in the package, the tests and the benchmark fits in
+    `MAX_LINE` characters."""
+    root = SOURCE.parents[1]
+    paths = [p for folder in (SOURCE, root / "tests", root / "perfbench")
+             for p in sorted(folder.glob("*.py"))]
+    assert SOURCE / "sz.py" in paths and Path(__file__) in paths
+    found = {str(p.relative_to(root)): _long_lines(p.read_text(encoding="utf-8"))
+             for p in paths}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_guard_flags_the_long_lines():
+    src = ("x = 1\n" + "y" * MAX_LINE + "\n" + "z" * (MAX_LINE + 1) + "\n"
+           + "# " + "é" * (MAX_LINE - 2) + "\n" + "s = '" + "×" * MAX_LINE + "'\n")
+    assert _long_lines(src) == [3, 5]

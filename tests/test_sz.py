@@ -17,7 +17,7 @@ from szwalk import (AccuracyError, DensityState, Partition, ResourceLimitError, 
                     lvn_instrument, markov_reduction, maximally_mixed, measurement_entropy, sz,
                     sz_entropy_run, unitary_power)
 from szwalk.entropy import eta
-from szwalk.quantum import min_eigenvalue, shared_zero
+from szwalk.quantum import index_support, min_eigenvalue, shared_zero
 from szwalk.walks import (basis_index, coin_vertex_instrument, coined_walk, hadamard_eigenstate,
                           integer_shift, position_instrument, vertex_partition)
 
@@ -32,15 +32,21 @@ def _atomic_for(instrument):
     return Partition.atomic(instrument.n_outcomes, labels=instrument.outcome_labels)
 
 
+def _layout(t, part):
+    """(each block's flat P×P index laid out k×k, S's positions in P), as `sz_entropy_run`
+    lays out its branches."""
+    return sz._layout(t.dim, [t.support_index(block) for block in part.blocks])
+
+
 def _squares(t, part):
-    """Each block's flat S×S index laid out |S|×|S|, as `sz_entropy_run` passes it on."""
-    return [flat.reshape(math.isqrt(flat.size), -1) for flat in map(t.support_index, part.blocks)]
+    """Each block's flat P×P index laid out k×k, as `sz_entropy_run` passes it on."""
+    return _layout(t, part)[0]
 
 
 def _scattered(branch, t, part):
-    """The dim×dim operator of a live branch: its block put back on its block's S×S."""
+    """The dim×dim operator of a live branch: its block put back on its block's P×P."""
     op = np.zeros(t.dim * t.dim, dtype=complex)
-    op[t.support_index(part.blocks[branch.block])] = branch.conditional_op.ravel()
+    op[_squares(t, part)[branch.block].ravel()] = branch.conditional_op.ravel()
     return op.reshape(t.dim, t.dim)
 
 
@@ -620,14 +626,19 @@ def _block_kraus(rng):
 
 
 def _evolved(u, supports, blocks, ops):
-    """`_evolve` on blocks `ops`, each a random density on the support of its block: the
-    (parents, r, r) stack and each parent's evolved operator put back on d×d by its block's
-    flat R×R index (as it is when r = d)."""
-    w, wh, places = sz._columns(u, supports)
-    evolved = sz._evolve(ops, blocks, supports, w, wh)
+    """`_evolve` on blocks `ops`, each a random density on the support S of its block, held on
+    P as `sz_entropy_run` holds it: the (parents, r, r) stack and each parent's evolved
+    operator put back on d×d by its block's flat R×R index."""
     d = u.shape[0]
-    if places is None:
-        return evolved, evolved
+    squares, inside = sz._layout(d, [flat.ravel() for flat in supports])
+    w, wh, pairs, places = sz._columns(u, squares, inside)
+    held = []
+    for op, b in zip(ops, blocks):
+        on = np.flatnonzero(inside[b]) if inside is not None else np.arange(len(op))
+        padded = np.zeros(squares[b].shape, dtype=complex)
+        padded[on[:, None], on] = op
+        held.append(padded)
+    evolved = sz._evolve(held, [pairs[b] for b in blocks], w, wh)
     assert all(evolved.shape[1:] == place.shape for place in places)
     return evolved, np.stack([_dense(op, places[b], d) for op, b in zip(evolved, blocks)])
 
@@ -713,20 +724,35 @@ class TestSupportEvolution:
         for a, b in zip(run.report.direct_sequence, oracle):
             assert abs(a - b) <= 1e-12
 
-    @pytest.mark.parametrize("case", KERNEL_CASES)
+    @pytest.mark.parametrize("case", KERNEL_CASES + ["lvn-mixed-sizes"])
     @pytest.mark.parametrize("merge", [True, False])
     def test_every_branch_is_zero_outside_its_block_support(self, case, merge):
-        """A branch holds only its block on its support S: one |S|×|S| array of its own (a
-        whole-space branch is the kernel's product itself), whose trace is its weight."""
-        args, opts = _kernel_case(case)
+        """A branch holds only its block on P, its support S padded to the run's largest support
+        size k by the first indices outside S, in increasing order: one k×k array of its own (a
+        whole-space branch is the kernel's product itself), +0 outside S's positions in P,
+        whose trace is its weight."""
+        if case == "lvn-mixed-sizes":
+            rng = np.random.default_rng(24)
+            walk = coined_walk(integer_shift(3), [random_unitary(rng, 2) for _ in range(3)])
+            t = random_lvn(np.random.default_rng(3), 6, 4, [[0, 4, 2], [1, 5], [3]])
+            args, opts = (walk.unitary, t, random_density(rng, 6), _atomic_for(t)), RunOptions()
+        else:
+            args, opts = _kernel_case(case)
         run = sz_entropy_run(*args, replace(opts, n_max=4, merge=merge))
         t, part = args[1], args[3]
-        sizes = {math.isqrt(t.support_index(block).size) for block in part.blocks}
+        sets = [index_support(t.support_index(block), t.dim).tolist() for block in part.blocks]
+        sizes = {len(s) for s in sets}
         assert (sizes == {t.dim}) == (case == "random-kraus")
+        assert (sizes == {2, 3, 4, 5}) == (case == "lvn-mixed-sizes")
+        k = max(sizes)
         for branch in run.branches:
-            k = math.isqrt(t.support_index(part.blocks[branch.block]).size)
+            s = sets[branch.block]
+            p = sorted(s + [i for i in range(t.dim) if i not in s][:k - len(s)])
+            off = ~np.isin(p, s)
             op = branch.conditional_op
             assert op.shape == (k, k) and op.base is None and op.flags.c_contiguous
+            padding = op[off[:, None] | off[None, :]]
+            assert padding.view(np.float64).tobytes() == bytes(16 * padding.size)  # +0
             assert abs(op.trace().real - branch.weight) <= 1e-12 * branch.weight
             assert (branch.stats is None) == (not opts.classify)  # no history unless classified
 
@@ -772,7 +798,7 @@ class TestSupportEvolution:
             # coin pairs of its vertices.
             t = random_lvn(np.random.default_rng(4), 2 * N, N, [[v, N + v] for v in range(N)])
             part, rho, tol = _atomic_for(t), random_density(rng, 2 * N), 1e-14
-        places = sz._columns(u, _squares(t, part))[2]
+        places = sz._columns(u, *_layout(t, part))[3]
         assert places is not None and places[0].shape[0] < t.dim  # staged: r < dim
         depth = 3
         opts = RunOptions(n_max=depth, min_steps=depth, merge=False)
@@ -822,6 +848,22 @@ class TestSupportEvolution:
             tracemalloc.stop()
         assert run.stop_reason == "closed" and max(r.branch_count for r in run.records) == 125
         assert peak < 2 * 2 ** 20
+
+    def test_a_whole_space_family_holds_one_unitary(self):
+        """32 whole-space outcomes at dimension 64: every block has P = R = all indices, so the
+        run builds W, W† and the R×R index once, not once per block (about 5 MiB more)."""
+        t = random_general(np.random.default_rng(12), 64, 32)
+        args = (hadamard_walk(32).unitary, t, maximally_mixed(64), _atomic_for(t))
+        sz_entropy_run(*args, RunOptions(n_max=0))  # first-call caches do not count
+        tracemalloc.start()
+        try:
+            run = sz_entropy_run(*args, RunOptions(n_max=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(run.branches) == 32 and all(b.conditional_op.shape == (64, 64)
+                                               for b in run.branches)
+        assert peak < 10 * 2 ** 20
 
     def test_run_stats_follow_the_parent_block(self):
         root = sz.RunStats(True, 0, None)

@@ -421,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--bits", action="store_true", help="display entropies in bits")
 
     p_markov = sub.add_parser("markov", help="cycle-walk entropy rate table")
-    p_markov.add_argument("--n", type=int, required=True, help="cycle length N (>= 3)")
+    p_markov.add_argument("--n", type=int, required=True,
+                          help=f"cycle length N (3 <= N <= walks.MAX_DIM = {walks.MAX_DIM}; "
+                          "a larger N exits 3)")
     p_markov.add_argument("--power", type=int, default=1, help="matrix power M (default 1)")
     p_markov.add_argument("--start", default="uniform", help="'uniform' or 'point:K'")
     p_markov.add_argument("--bits", action="store_true", help="display entropies in bits")

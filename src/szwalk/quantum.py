@@ -202,15 +202,15 @@ class Instrument:
 
     def support_index(self, outcomes: Iterable[int]) -> np.ndarray:
         """`flat_index(S, dim)`, S the union of the outcomes' supports: each B_i ρ B_i† is
-        exactly zero outside S×S. One outcome gives the index it holds, not a copy: callers
-        must not write into it."""
+        exactly zero outside S×S. Built from the outcomes' held indices; the result is a fresh
+        array, so writing into it leaves the instrument as it is."""
         n, flats = len(self.supports), []
         for i in outcomes:
             if type(i) is not int or not 0 <= i < n:  # `_outcome` off the path of plain ints
                 i = _outcome(i, n, outcomes)
             flats.append(self.supports[i][0])
         if len(flats) == 1:
-            return flats[0]
+            return flats[0].copy()
         union = {s for flat in flats for s in index_support(flat, self.dim).tolist()}
         return flat_index(np.array(sorted(union), dtype=np.intp), self.dim)
 

@@ -68,8 +68,8 @@ from .entropy import ConvergenceReport, Partition, ProbVector, eta, limit_estima
 from .errors import (AccuracyError, NumericError, ResourceLimitError,
                      UnsupportedConfigurationError, ValidationError, is_kind, require)
 from .quantum import (DensityState, Instrument, Operator, as_operator, apply_instrument,
-                      flat_index, identity_residual, index_support, orthonormal_columns,
-                      outcome_pmf, shared_zero)
+                      flat_index, identity_residual, orthonormal_columns, outcome_pmf,
+                      shared_zero)
 
 NORMALIZATION_TOL = 1e-8
 PRUNED_MASS_LIMIT = 1e-6
@@ -265,21 +265,24 @@ def _padded(marks: np.ndarray, size: int) -> np.ndarray:
     return np.sort(np.argsort(~marks, axis=1, kind="stable")[:, :size], axis=1)
 
 
-def _layout(dim: int, supports: list[np.ndarray]) -> tuple[list, np.ndarray | None]:
+def _layout(dim: int, supports: list[np.ndarray]) -> tuple[list, np.ndarray]:
     """(squares, inside) for the blocks' flat S×S indices `supports`: `squares[b]` is the flat
     P_b×P_b index laid out k×k, P_b being S_b padded to the largest size k by the first indices
-    outside it, in increasing order; `inside[b]` marks S_b in P_b (None: every P_b = S_b)."""
-    k = math.isqrt(max(flat.size for flat in supports))
-    inside = None
-    if any(flat.size < k * k for flat in supports):
-        on = np.array([np.isin(np.arange(dim), index_support(flat, dim)) for flat in supports])
-        sets = _padded(on, k)
-        inside = np.take_along_axis(on, sets, axis=1)
-        supports = flat_index(sets, dim)
-    return [flat.reshape(k, k) for flat in supports], inside
+    outside it, in increasing order; `inside[b]` marks S_b in P_b. Where every support has size
+    k, P_b = S_b and its index is laid out as it is (the pad would give the same, ~20 µs later)."""
+    sizes = [math.isqrt(flat.size) for flat in supports]
+    k = max(sizes)
+    if min(sizes) == k:
+        return [flat.reshape(k, k) for flat in supports], np.ones((len(sizes), k), dtype=bool)
+    on = np.zeros((len(sizes), dim), dtype=bool)  # on[b] marks S_b; row 0 of S×S is s_0·d + S
+    on[np.repeat(np.arange(len(sizes)), sizes),
+       np.concatenate([flat[:n] for flat, n in zip(supports, sizes)]) % dim] = True
+    sets = _padded(on, k)
+    squares = flat_index(sets, dim).reshape(len(sizes), k, k)
+    return list(squares), on[np.arange(len(sizes))[:, None], sets]
 
 
-def _columns(u: Operator, supports: list[np.ndarray], inside: np.ndarray | None) -> tuple:
+def _columns(u: Operator, supports: list[np.ndarray], inside: np.ndarray) -> tuple:
     """(W, W†, pairs, places) for `_evolve` and `_measure`, from `_layout`'s P×P indices and
     mask. R_b, the nonzero rows of U[:, S_b], is padded to the largest size r as S_b is to P_b.
     W stacks W_b = U[R_b, P_b] and W† their adjoints once per distinct (R_b, P_b), `pairs[b]`
@@ -288,9 +291,7 @@ def _columns(u: Operator, supports: list[np.ndarray], inside: np.ndarray | None)
     is the one U and each product is bitwise the dense one; when r = dim, nothing is staged."""
     d = u.shape[0]
     sets = np.array([flat[0] for flat in supports]) % d  # row 0 of P×P is p_0·d + P
-    nonzero = (u != 0)[:, sets]  # dim × blocks × k
-    if inside is not None:  # a padding column is not in S_b
-        nonzero &= inside
+    nonzero = (u != 0)[:, sets] & inside  # dim × blocks × k; a padding column is not in S_b
     reached = nonzero.any(axis=2).T  # blocks × dim
     rows = _padded(reached, int(reached.sum(axis=1).max()))
     keys = np.hstack((rows, sets))  # (R_b, P_b), each row viewed as one opaque item

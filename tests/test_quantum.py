@@ -268,13 +268,18 @@ class TestBlocksMatchTheDenseConstruction:
                 assert isinstance(index, np.ndarray) and index.dtype.kind == "i"
         assert np.array_equal(families[0].supports[0][0], np.arange(4))
 
-    def test_one_outcome_support_index_is_the_held_index(self):
-        """A one-outcome set gives the flat index its outcome holds, not a copy; a larger set
-        gives the union's index."""
+    def test_one_outcome_support_index_is_a_copy_of_the_held_index(self):
+        """A one-outcome set gives the flat index its outcome holds, as a fresh array: writing
+        into it leaves the instrument's supports as they were. A larger set gives the union's
+        index."""
         t = position_instrument(3)
         index = t.support_index([1])
-        assert index is t.supports[1][0]
+        assert index is not t.supports[1][0] and np.array_equal(index, t.supports[1][0])
         assert index.tolist() == [1 * 6 + 1, 1 * 6 + 4, 4 * 6 + 1, 4 * 6 + 4]
+        held = [flat.copy() for flat, _, _ in t.supports]
+        t.support_index([0])[0] = 35
+        index[:] = 0
+        assert all(np.array_equal(flat, h) for (flat, _, _), h in zip(t.supports, held))
         s = [0, 1, 3, 4]
         assert t.support_index([1, 0]).tolist() == [i * 6 + j for i in s for j in s]
 

@@ -634,7 +634,7 @@ def _evolved(u, supports, blocks, ops):
     w, wh, pairs, places = sz._columns(u, squares, inside)
     held = []
     for op, b in zip(ops, blocks):
-        on = np.flatnonzero(inside[b]) if inside is not None else np.arange(len(op))
+        on = np.flatnonzero(inside[b])
         padded = np.zeros(squares[b].shape, dtype=complex)
         padded[on[:, None], on] = op
         held.append(padded)

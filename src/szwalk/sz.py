@@ -269,7 +269,7 @@ def _layout(dim: int, supports: list[np.ndarray]) -> tuple[list, np.ndarray]:
     """(squares, inside) for the blocks' flat S×S indices `supports`: `squares[b]` is the flat
     P_b×P_b index laid out k×k, P_b being S_b padded to the largest size k by the first indices
     outside it, in increasing order; `inside[b]` marks S_b in P_b. Where every support has size
-    k, P_b = S_b and its index is laid out as it is (the pad would give the same, ~20 µs later)."""
+    k, P_b = S_b and the pad is skipped: it gives the same P_b, about 20 µs later at dim 10."""
     sizes = [math.isqrt(flat.size) for flat in supports]
     k = max(sizes)
     if min(sizes) == k:

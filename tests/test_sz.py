@@ -849,6 +849,23 @@ class TestSupportEvolution:
         assert run.stop_reason == "closed" and max(r.branch_count for r in run.records) == 125
         assert peak < 2 * 2 ** 20
 
+    @pytest.mark.parametrize("sets", [[[0, 2, 4], [1, 5], [3]], [[0, 3], [1, 4], [2, 5]], None])
+    def test_layout_pads_each_support_in_increasing_order(self, sets):
+        """`_layout` lays block b out on P_b, S_b padded to the largest size k by the first
+        indices outside it, in increasing order, and marks S_b in P_b: for mixed sizes, for
+        equal sizes (where P_b = S_b) and for whole-space outcomes alike."""
+        t = (random_general(np.random.default_rng(5), 6, 2) if sets is None
+             else general_instrument([np.diag(np.isin(np.arange(6), s)) for s in sets]))
+        part = _atomic_for(t)
+        squares, inside = _layout(t, part)
+        supports = [index_support(t.support_index(block), 6).tolist() for block in part.blocks]
+        assert [len(s) for s in supports] == ([6, 6] if sets is None else list(map(len, sets)))
+        k = max(map(len, supports))
+        for b, s in enumerate(supports):
+            p = sorted(s + [i for i in range(6) if i not in s][:k - len(s)])
+            assert squares[b].tolist() == [[i * 6 + j for j in p] for i in p]
+            assert inside[b].tolist() == [i in s for i in p]
+
     def test_a_whole_space_family_holds_one_unitary(self):
         """32 whole-space outcomes at dimension 64: every block has P = R = all indices, so the
         run builds W, W† and the R×R index once, not once per block (about 5 MiB more)."""

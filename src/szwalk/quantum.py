@@ -5,7 +5,7 @@ is a finite Kraus family {B_i} with sum B_i† B_i = 1, held as each B_i's block
 support S_i: B[S,S], its adjoint and the flat index of S×S (`flat_index`, row-major
 positions in a dim×dim operator; the whole space is `arange(dim²)`, an index like any
 other). Every check runs on the blocks, once, when the instrument is built, as one stack per
-block size; the kernel gathers with `take` and scatters back by the same index, and returns
+block size; the kernel gathers by that index and scatters back by the same index, and returns
 one shared read-only zero (`shared_zero`) for a child whose terms are all exactly zero. Dense
 operators are only an input format (`general_instrument`) and a view (`Instrument.kraus`).
 """
@@ -296,57 +296,68 @@ def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> O
     When every term is skipped, the empty outcome set included, the result is
     `shared_zero(dim)`, the same read-only object on every such call: callers must not
     write into a result. A single outcome whose support is the whole space returns its
-    product B rho B† itself. A one-outcome tuple, as the engine passes each partition block,
-    skips the term loop; a whole-space term of a larger set is read through `ravel` and added
-    by a plain `+=`.
+    product B rho B† itself. A whole-space term of a larger set is read through `ravel` and
+    added by a plain `+=`.
     `outcomes` must be distinct integers (a bool is not one) in range(n_outcomes).
+    Every form checks rho's shape first, then each index's type and range (a plain int in
+    range without a call to `_outcome`), and raises the same `ValidationError` for the same
+    fault; an ndarray rho is used as it is, without `np.asarray`. A one-outcome tuple, as
+    the engine passes each partition block, takes the lean path: no term list and no repeat
+    check, straight to its one product.
     The products are `ndarray.dot`: the same BLAS calls as `@`, without its per-call ufunc
     dispatch. rho is checked for shape only, not re-scanned for non-finite entries: it
     comes from a validated state or the engine's own products.
     """
-    rho = np.asarray(rho)
-    if rho.shape != (t.dim, t.dim):
+    if type(rho) is not np.ndarray:
+        rho = np.asarray(rho)
+    dim, supports = t.dim, t.supports
+    if rho.shape != (dim, dim):
         raise ValidationError(
-            f"state of shape {rho.shape} does not match instrument dimension {t.dim}")
-    supports = t.supports
+            f"state of shape {rho.shape} does not match instrument dimension {dim}")
     n = len(supports)
-    if type(outcomes) is tuple and len(outcomes) == 1:  # the engine's sets: no term loop
+    if type(outcomes) is tuple and len(outcomes) == 1:  # the engine's sets: the lean path
         i = outcomes[0]
-        terms = [supports[i if type(i) is int and 0 <= i < n else _outcome(i, n, outcomes)]]
+        if type(i) is not int or not 0 <= i < n:  # `_outcome` off the path of plain ints
+            i = _outcome(i, n, outcomes)
+        flat, b, bh = supports[i]
     else:
         terms = []
         for i in outcomes:
-            if type(i) is not int or not 0 <= i < n:  # `_outcome` off the path of plain ints
+            if type(i) is not int or not 0 <= i < n:
                 i = _outcome(i, n, outcomes)
             terms.append(supports[i])
-        # Each outcome's term is its own tuple, so a repeated outcome repeats an object.
-        if len(terms) > 1 and len(set(map(id, terms))) < len(terms):
-            raise ValidationError(f"outcome set {outcomes!r} repeats an outcome")
-    if len(terms) == 1:
+        if len(terms) != 1:
+            # Each outcome's term is its own tuple, so a repeated outcome repeats an object.
+            if len(set(map(id, terms))) < len(terms):
+                raise ValidationError(f"outcome set {outcomes!r} repeats an outcome")
+            out, entries = None, rho.ravel()
+            for flat, b, bh in terms:
+                # A whole-space term reads all the entries and is added by a plain `+=`: the
+                # same values as the gather and scatter by the full index, without the fancy
+                # indexing.
+                whole = flat.size == rho.size
+                sub = entries if whole else entries[flat]
+                if np.count_nonzero(sub):
+                    if out is None:
+                        out = np.zeros(rho.size, dtype=complex)
+                    product = b.dot(sub.reshape(b.shape)).dot(bh).ravel()
+                    if whole:
+                        out += product
+                    else:
+                        out[flat] += product
+            return shared_zero(dim) if out is None else out.reshape(rho.shape)
         flat, b, bh = terms[0]
-        if b.shape[0] == t.dim:  # whole space
-            return b.dot(rho).dot(bh)
-        sub = rho.take(flat)
-        if not np.count_nonzero(sub):
-            return shared_zero(t.dim)
-        out = np.zeros(rho.size, dtype=complex)
-        out[flat] += b.dot(sub.reshape(b.shape)).dot(bh).ravel()
-        return out.reshape(rho.shape)
-    out = None
-    for flat, b, bh in terms:
-        # A whole-space term is read through `ravel` and added by a plain `+=`: the same
-        # values as the gather and scatter by the full index, without the fancy indexing.
-        whole = flat.size == rho.size
-        sub = rho.ravel() if whole else rho.take(flat)
-        if np.count_nonzero(sub):
-            if out is None:
-                out = np.zeros(rho.size, dtype=complex)
-            product = b.dot(sub.reshape(b.shape)).dot(bh).ravel()
-            if whole:
-                out += product
-            else:
-                out[flat] += product
-    return shared_zero(t.dim) if out is None else out.reshape(rho.shape)
+    if b.shape[0] == dim:  # whole space
+        return b.dot(rho).dot(bh)
+    sub = rho.ravel()[flat]  # on a contiguous rho a view, indexed faster than by `take`
+    # `nonzero` counts as `count_nonzero` does (-0.0 is zero, a NaN is not), without its
+    # Python-level dispatch: this test runs on every call the engine makes.
+    if not sub.nonzero()[0].size:
+        zero = _ZEROS.get(dim)  # `shared_zero` without a call, once it is made
+        return shared_zero(dim) if zero is None else zero
+    out = np.zeros(rho.size, dtype=complex)
+    out[flat] += b.dot(sub.reshape(b.shape)).dot(bh).ravel()
+    return out.reshape(rho.shape)
 
 
 def outcome_pmf(t: Instrument, rho: DensityState) -> ProbVector:

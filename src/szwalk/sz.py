@@ -25,32 +25,38 @@ Three exact reductions keep the tree small or end it:
 
 A depth takes its live parents in fixed chunks sized by the bytes they hold: a chunk's r×r
 evolved parents, each child's block and dim-long diagonal, and the dim×dim staging buffer and
-the one dense child alive at a time stay near `CHUNK_BYTES`. The budget is checked on each new
-key, so the children made before it raises stay within one chunk. A branch carries the block b
-it was last measured in (None at the root) and is zero outside S_b×S_b, S_b that block's
-support. After the root it is one k×k array on P_b, S_b padded to the run's largest support
-size k by the first indices outside it, in increasing order. U·ρ·U† is then zero outside
-R_b×R_b, R_b the nonzero rows of U[:, S_b] padded to the largest size r the same way, and a
-chunk evolves by one stacked product W_b·ρ·W_b†, W_b = U[R_b, P_b]: r·k(k+r) complex
-multiply-adds per parent, not 2d³. Each of its matrices is bitwise that product alone, and for
-the Hadamard walk and its powers bitwise U·ρ·U† on R_b×R_b; for a generic unitary it agrees
-within round-off (the tests ask 1e-14·‖ρ‖) and is the engine's definition of the evolution.
-With identity dynamics a parent is its own evolved block on P_b. The kernel `apply_instrument`
-runs once per (parent, block) on a dim×dim operator: a smaller parent is scattered by its flat
-index into one +0 buffer held for the run, measured there by every block, and cleared again.
-That call is the unit a test swaps for its dense oracle and a profile counts. A child whose
-terms the kernel skips as exactly zero is its read-only `shared_zero`, which the engine
-recognizes by identity and leaves out unweighed. Any other child is cut on return to its block
-on P_b by one `take`, after a copy of its diagonal. The chunk's children are weighed from one
-stack of those diagonals, so each weight adds as `trace` adds that child; those of weight
-exactly 0.0 are left out too (each would add +0 to every sum and is never kept), and the kept
-blocks are keyed in one stacked pass. The bookkeeping then makes one pass in (parent, block)
-order, so every sum (a_n, h, pruned mass, merged blocks and weights) adds as when each child is
-booked alone. A fresh zero array in place of the kernel's shared one weighs 0.0 too, so the run
-does not depend on it. While closure is tracked (merging on, at most `LIFT_MAX_STATES`
-parents), the pass also records each kept child's (parent position, key, ratio) and each
-parent's next-block entropy; after the depth the tree is closed iff every live key is a
-parent's key.
+the one dense child alive at a time stay near `CHUNK_BYTES`. A parent of block b has children
+only in the blocks whose support meets R_b, the rows it is evolved onto (below; S_b under
+identity dynamics): any other block's child is the kernel's shared zero, which holds nothing.
+So a chunk reserves children for the most blocks one parent reaches, not for every block of the
+partition: rank-2 U² reaches 3, and a chunk holds 78 parents at N = 25 and 21 at N = 49. The
+budget is checked on each new key, so the children made before it raises stay within one chunk.
+A branch carries the block b it was last measured in (None at the root) and is zero outside
+S_b×S_b, S_b that block's support. After the root it is one k×k array on P_b, S_b padded to the
+run's largest support size k by the first indices outside it, in increasing order. U·ρ·U† is
+then zero outside R_b×R_b, R_b the nonzero rows of U[:, S_b] padded to the largest size r the
+same way, and a chunk evolves by one stacked product W_b·ρ·W_b†, W_b = U[R_b, P_b]: r·k(k+r)
+complex multiply-adds per parent, not 2d³. Each of its matrices is bitwise that product alone,
+and for the Hadamard walk and its powers bitwise U·ρ·U† on R_b×R_b; for a generic unitary it
+agrees within round-off (the tests ask 1e-14·‖ρ‖) and is the engine's definition of the
+evolution. With identity dynamics a parent is its own evolved block on P_b. The kernel
+`apply_instrument` runs once per (parent, block) on a dim×dim operator: a smaller parent is
+scattered by its flat index into one +0 buffer held for the run, measured there by every block,
+and cleared again. That call is the unit a test swaps for its dense oracle and a profile
+counts. A child whose terms the kernel skips as exactly zero is its read-only `shared_zero`,
+which the engine recognizes by identity and leaves out unweighed. Any other child is cut on
+return to its block on P_b by one `take`, after a copy of its diagonal. The chunk's children
+are weighed from one stack of those diagonals, so each weight adds as `trace` adds that child;
+those of weight exactly 0.0 are left out too (each would add +0 to every sum and is never
+kept), and the kept blocks are keyed in one stacked pass. `_measure` hands the chunk back as
+parallel lists, and each child's share min(w / parent weight, 1) comes for the whole chunk from
+one vector pass, bitwise the scalar division. `eta` stays one scalar call per child: `np.log`
+is not `math.log` bit for bit. The bookkeeping then makes one pass in (parent, block) order, so
+every sum (a_n, h, pruned mass, merged blocks and weights) adds as when each child is booked
+alone. A fresh zero array in place of the kernel's shared one weighs 0.0 too, so the run does
+not depend on it. While closure is tracked (merging on, at most `LIFT_MAX_STATES` parents), the
+pass also records each kept child's (parent position, key, ratio) and each parent's next-block
+entropy; after the depth the tree is closed iff every live key is a parent's key.
 """
 
 from __future__ import annotations
@@ -266,42 +272,45 @@ def _padded(marks: np.ndarray, size: int) -> np.ndarray:
 
 
 def _layout(dim: int, supports: list[np.ndarray]) -> tuple[list, np.ndarray]:
-    """(squares, inside) for the blocks' flat S×S indices `supports`: `squares[b]` is the flat
+    """(squares, held) for the blocks' flat S×S indices `supports`: `squares[b]` is the flat
     P_b×P_b index laid out k×k, P_b being S_b padded to the largest size k by the first indices
-    outside it, in increasing order; `inside[b]` marks S_b in P_b. Where every support has size
-    k, P_b = S_b and the pad is skipped: it gives the same P_b, about 20 µs later at dim 10."""
+    outside it, in increasing order; `held[b]` marks S_b in range(dim). Where every support has
+    size k, P_b = S_b and the pad is skipped: it gives the same P_b, about 20 µs later at dim 10."""
     sizes = [math.isqrt(flat.size) for flat in supports]
     k = max(sizes)
+    held = np.zeros((len(sizes), dim), dtype=bool)  # row 0 of S×S is s_0·d + S
+    held[np.repeat(np.arange(len(sizes)), sizes),
+         np.concatenate([flat[:n] for flat, n in zip(supports, sizes)]) % dim] = True
     if min(sizes) == k:
-        return [flat.reshape(k, k) for flat in supports], np.ones((len(sizes), k), dtype=bool)
-    on = np.zeros((len(sizes), dim), dtype=bool)  # on[b] marks S_b; row 0 of S×S is s_0·d + S
-    on[np.repeat(np.arange(len(sizes)), sizes),
-       np.concatenate([flat[:n] for flat, n in zip(supports, sizes)]) % dim] = True
-    sets = _padded(on, k)
-    squares = flat_index(sets, dim).reshape(len(sizes), k, k)
-    return list(squares), on[np.arange(len(sizes))[:, None], sets]
+        return [flat.reshape(k, k) for flat in supports], held
+    squares = flat_index(_padded(held, k), dim).reshape(len(sizes), k, k)
+    return list(squares), held
 
 
-def _columns(u: Operator, supports: list[np.ndarray], inside: np.ndarray) -> tuple:
-    """(W, W†, pairs, places) for `_evolve` and `_measure`, from `_layout`'s P×P indices and
-    mask. R_b, the nonzero rows of U[:, S_b], is padded to the largest size r as S_b is to P_b.
-    W stacks W_b = U[R_b, P_b] and W† their adjoints once per distinct (R_b, P_b), `pairs[b]`
+def _columns(u: Operator, supports: list[np.ndarray], held: np.ndarray) -> tuple:
+    """(W, W†, pairs, places, reached) for `_evolve` and `_measure`, from `_layout`'s P×P
+    indices and S marks. `reached[b]` marks R_b, the nonzero rows of U[:, S_b]; each R_b is
+    padded to the largest size r as S_b is to P_b (skipped where every R_b has r rows). W
+    stacks W_b = U[R_b, P_b] and W† their adjoints once per distinct (R_b, P_b), `pairs[b]`
     block b's position there, so that a branch ρ on P_b evolves to W_b·ρ·W_b†, the r×r block
     of U·ρ·U† on R_b×R_b; `places[b]` is the flat R_b×R_b index laid out r×r. When k = dim, W
     is the one U and each product is bitwise the dense one; when r = dim, nothing is staged."""
     d = u.shape[0]
     sets = np.array([flat[0] for flat in supports]) % d  # row 0 of P×P is p_0·d + P
-    nonzero = (u != 0)[:, sets] & inside  # dim × blocks × k; a padding column is not in S_b
-    reached = nonzero.any(axis=2).T  # blocks × dim
-    rows = _padded(reached, int(reached.sum(axis=1).max()))
+    inside = held[np.arange(len(sets))[:, None], sets]  # a padding column is not in S_b
+    reached = ((u != 0)[:, sets] & inside).any(axis=2).T  # blocks × dim
+    counts = reached.sum(axis=1)
+    r = int(counts.max())
+    rows = np.nonzero(reached)[1].reshape(-1, r) if counts.min() == r else _padded(reached, r)
     keys = np.hstack((rows, sets))  # (R_b, P_b), each row viewed as one opaque item
     keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
     found: dict = {}  # (R_b, P_b) → (its position in W, a block with it)
     pairs = [found.setdefault(key, (len(found), b))[0] for b, key in enumerate(keys)]
     chosen = [b for _, b in found.values()]
     w = u[rows[chosen, :, None], sets[chosen, None, :]]
-    places = flat_index(rows[chosen], d).reshape(len(chosen), rows.shape[1], -1)
-    return w, np.ascontiguousarray(w.conj().transpose(0, 2, 1)), pairs, [places[i] for i in pairs]
+    places = flat_index(rows[chosen], d).reshape(len(chosen), r, -1)
+    return (w, np.ascontiguousarray(w.conj().transpose(0, 2, 1)), pairs,
+            [places[i] for i in pairs], reached)
 
 
 def _evolve(ops: list[np.ndarray], pairs: list[int], w: np.ndarray, wh: np.ndarray) -> np.ndarray:
@@ -313,9 +322,9 @@ def _evolve(ops: list[np.ndarray], pairs: list[int], w: np.ndarray, wh: np.ndarr
 
 def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[np.ndarray],
              evolved: Sequence[np.ndarray], places: Sequence[np.ndarray] | None,
-             buffer: np.ndarray, opts: RunOptions) -> list[tuple]:
-    """(parent position, block, child, weight, merge key) of each child of a chunk whose
-    weight is not exactly 0.0, in (parent, block) order.
+             buffer: np.ndarray, opts: RunOptions) -> tuple[list, list, list, list, list]:
+    """Parallel lists (parent positions, blocks, children, weights, merge keys) of the children
+    of a chunk whose weight is not exactly 0.0, in (parent, block) order.
 
     Each child is one `apply_instrument` call on its evolved parent, dim×dim. A parent held
     smaller is first scattered by its flat index `places[s]` into `buffer`, the run's flat
@@ -328,7 +337,7 @@ def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[np.n
     kept child's key comes from `_merge_keys`.
     """
     zero = shared_zero(t.dim)
-    made, diagonals = [], []
+    positions, chosen, children, diagonals = [], [], [], []
     stage = buffer.reshape(t.dim, t.dim)
     for s, op in enumerate(evolved):
         staged = op.shape[0] < t.dim
@@ -345,31 +354,38 @@ def _measure(t: Instrument, blocks: Sequence[Sequence[int]], supports: list[np.n
             else:
                 diagonals.append(child.diagonal().copy())
                 child = child.take(index)
-            made.append((s, bi, child))
+            positions.append(s)
+            chosen.append(bi)
+            children.append(child)
         if staged:
             buffer[places[s]] = 0
-    weights = np.maximum(np.array(diagonals).reshape(len(made), t.dim).sum(axis=1).real,
+    weights = np.maximum(np.array(diagonals).reshape(len(children), t.dim).sum(axis=1).real,
                          0.0).tolist()
-    weighed = [(s, bi, None if not w > opts.prune_eps else child, w)
-               for (s, bi, child), w in zip(made, weights) if w != 0.0]
-    keys = _merge_keys(weighed, opts.merge_tol) if opts.merge else [None] * len(weighed)
-    return [(s, bi, child, w, key) for (s, bi, child, w), key in zip(weighed, keys)]
+    if 0.0 in weights:  # a NaN weight is not 0.0 and stays
+        kept = [i for i, w in enumerate(weights) if w != 0.0]
+        positions, chosen, children, weights = ([items[i] for i in kept] for items in
+                                                (positions, chosen, children, weights))
+    eps = opts.prune_eps
+    children = [child if w > eps else None for child, w in zip(children, weights)]
+    keys = _merge_keys(children, weights, opts.merge_tol) if opts.merge else [None] * len(weights)
+    return positions, chosen, children, weights, keys
 
 
-def _merge_keys(weighed: list[tuple], merge_tol: float) -> list:
-    """The merge key of each kept child of `weighed` (see `_measure`), None for a pruned one.
+def _merge_keys(children: list, weights: list[float], merge_tol: float) -> list:
+    """The merge key of each child of `children` over its weight (see `_measure`), None where
+    the child is None (pruned).
 
     The key holds the entries of the child's k×k block over its weight, in row-major order, in
     units of `merge_tol` and rounded, as interleaved (re, im) pairs: two children share a key
     iff their real and imaginary parts do. Every kept child has k² entries, so one pass over
     them stacked does the same float operations as on each child alone.
     """
-    keys = [None] * len(weighed)
-    kept = [(i, child, w) for i, (_, _, child, w) in enumerate(weighed) if child is not None]
-    if not kept:
+    keys = [None] * len(children)
+    index = [i for i, child in enumerate(children) if child is not None]
+    if not index:
         return keys
-    index, children, weights = zip(*kept)
-    scaled = (np.array(children).reshape(len(kept), -1) / np.array(weights)[:, None]).view(float)
+    scaled = (np.array([children[i] for i in index]).reshape(len(index), -1)
+              / np.array([weights[i] for i in index])[:, None]).view(float)
     scaled /= merge_tol
     np.rint(scaled, out=scaled)
     # Each child's entries viewed as one opaque item: `tolist` gives its bytes.
@@ -429,11 +445,11 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
 
     # After the root a branch is held on P_b, block b's support padded to the run's largest
     # support size k (see `_layout`); one `take` by supports[b] gives a child's block.
-    supports, inside = _layout(t.dim, [t.support_index(block) for block in partition.blocks])
+    supports, held = _layout(t.dim, [t.support_index(block) for block in partition.blocks])
     k = supports[0].shape[0]
-    places = supports  # identity dynamics: a parent is measured on its own block's P×P
+    places, reached = supports, held  # identity dynamics: a parent stays on its block's P×P
     if u is not None:
-        ws, whs, pairs, places = _columns(u, supports, inside)
+        ws, whs, pairs, places, reached = _columns(u, supports, held)
     r = places[0].shape[0]
     buffer = np.zeros(t.dim * t.dim, dtype=complex)
 
@@ -442,9 +458,12 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
                                  RunStats(True, 0, None) if opts.classify else None)]
     blocks = partition.blocks
     # A chunk's evolved parents (r×r each) and its children's blocks and diagonals, plus the
-    # staging buffer and the one dense child alive at a time, stay near CHUNK_BYTES.
+    # staging buffer and the one dense child alive at a time, stay near CHUNK_BYTES. A parent
+    # of block b has children only in the blocks whose support meets R_b (the kernel returns
+    # its shared zero for the others): children are reserved for the most blocks one reaches.
+    fan_out = int(np.count_nonzero(reached.astype(float) @ held.T.astype(float), axis=1).max())
     chunk_size = max(1, (CHUNK_BYTES // np.dtype(complex).itemsize - t.dim * t.dim)
-                     // (r * r + len(blocks) * (k * k + t.dim)))
+                     // (r * r + fan_out * (k * k + t.dim)))
     pruned_mass = 0.0
     a_seq: list[float] = []
     records: list[DepthRecord] = []
@@ -469,10 +488,14 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
             evolved = (ops if depth == 0 or u is None
                        else _evolve(ops, [pairs[b] for b in owners], ws, whs))
             homes = None if depth == 0 else [places[b] for b in owners]
-            for s, bi, op, w, fingerprint in _measure(t, blocks, supports, evolved, homes,
-                                                      buffer, opts):
+            positions, chosen, children, weights, keys = _measure(t, blocks, supports, evolved,
+                                                                  homes, buffer, opts)
+            # Each child's share of its parent, for the whole chunk in one vector pass.
+            ratios = np.minimum(np.array(weights) / np.array([p.weight for p in chunk])[positions],
+                                1.0).tolist()
+            for s, bi, op, w, fingerprint, ratio in zip(positions, chosen, children, weights,
+                                                         keys, ratios):
                 parent = chunk[s]
-                ratio = min(w / parent.weight, 1.0)
                 e = eta(ratio)
                 a_n += parent.weight * e
                 if entropies is not None:

@@ -456,6 +456,8 @@ class TestFlatIndexKernel:
 
     @pytest.mark.parametrize("name", KERNEL_INSTRUMENTS)
     def test_matches_the_ix_kernel_bitwise(self, name):
+        """Each outcome set as a list and as a tuple: a one-outcome tuple is the engine's form,
+        which takes the kernel's lean path."""
         rng = np.random.default_rng(17)
         t = KERNEL_INSTRUMENTS[name](rng)
         n = t.n_outcomes
@@ -464,7 +466,26 @@ class TestFlatIndexKernel:
             outcome_sets += [[v, v + 5] for v in range(5)]  # vertex blocks
         for rho in kernel_states(rng, t).values():
             for outcomes in outcome_sets:
-                assert bits(apply_instrument(t, outcomes, rho)) == bits(ix_apply(t, outcomes, rho))
+                expected = bits(ix_apply(t, outcomes, rho))
+                for form in (list, tuple):
+                    assert bits(apply_instrument(t, form(outcomes), rho)) == expected
+
+    @pytest.mark.parametrize("name", ["position", "whole-space"])
+    def test_the_tuple_form_rejects_what_the_list_form_rejects(self, name):
+        """A one-outcome tuple is checked as the list: rho's shape first, then the index's type
+        and range, each with the same `ValidationError` (the message names the set as given)."""
+        t = KERNEL_INSTRUMENTS[name](np.random.default_rng(41))
+        n, rho = t.n_outcomes, random_density(np.random.default_rng(43), t.dim).matrix
+        cases = [(i, rho) for i in (True, -1, n, 1.0, np.float64(0.0), "0", None)]
+        cases += [(0, rho[:-1]), (0, rho[:, :, None]), (0, rho[0]), (True, rho[:-1])]
+        for i, op in cases:
+            messages = []
+            for outcomes in ([i], (i,)):
+                with pytest.raises(ValidationError) as caught:
+                    apply_instrument(t, outcomes, op)
+                messages.append(str(caught.value).replace(repr(outcomes), "<set>"))
+            assert messages[0] == messages[1]
+            assert messages[0].startswith("state of shape" if op is not rho else "outcome set")
 
     def test_minus_zero_never_reaches_the_buffer(self):
         """B_S rho[S,S] B_S† holds a -0.0 here; added into the +0 buffer it reads +0.0."""

@@ -33,8 +33,8 @@ def _atomic_for(instrument):
 
 
 def _layout(t, part):
-    """(each block's flat P×P index laid out k×k, S's positions in P), as `sz_entropy_run`
-    lays out its branches."""
+    """(each block's flat P×P index laid out k×k, S's marks in range(dim)), as
+    `sz_entropy_run` lays out its branches."""
     return sz._layout(t.dim, [t.support_index(block) for block in part.blocks])
 
 
@@ -222,6 +222,9 @@ class TestSZEntropyRun:
         calls = []
         monkeypatch.setattr(sz, "apply_instrument",
                             lambda *a: calls.append(1) or apply_instrument(*a))
+        # 30 parents per chunk: the 320 parents of the depth that passes the budget span
+        # several chunks (at the default size they fit in two).
+        monkeypatch.setattr(sz, "CHUNK_BYTES", 40_000)
         message = f"live branch count {budget + 1} exceeds the budget of {budget}"
         with pytest.raises(ResourceLimitError, match=message):
             sz_entropy_run(*args, RunOptions(branch_budget=budget))
@@ -539,6 +542,20 @@ class TestChunkedDepths:
         assert run.stop_reason == "closed" and sum(sizes) == parents > 100
         assert sizes[0] == 1 and max(sizes) > 1 and 2 * len(sizes) < parents
 
+    def test_a_rank2_chunk_at_n49_holds_several_parents(self, monkeypatch):
+        """Rank-2 U², N = 49: a chunk reserves a child only for each block a parent reaches
+        (3 of the 49), so `_measure` gets several parents at once. Reserving one for every
+        block of the partition left one parent per chunk at this size."""
+        sizes = []
+        measure = sz._measure
+        monkeypatch.setattr(sz, "_measure", lambda t, blocks, supports, evolved, *rest:
+                            sizes.append(len(evolved)) or measure(t, blocks, supports, evolved,
+                                                                  *rest))
+        run = sz_entropy_run(*_hadamard_setup(49, 2, "rank2"), RunOptions(n_max=25))
+        parents = 1 + sum(r.branch_count for r in run.records[:run.depth])
+        assert run.stop_reason == "closed" and sum(sizes) == parents > 200
+        assert sizes[0] == 1 and max(sizes) >= 20 and 4 * len(sizes) < parents
+
     @pytest.mark.parametrize("make", [lambda rng: random_general(rng, 10, 2),
                                       lambda rng: position_instrument(5)])
     @pytest.mark.parametrize("group", [1, 3, 1000])
@@ -556,9 +573,9 @@ class TestChunkedDepths:
         opts = RunOptions(merge_tol=1e-6)
         measured = [(start + s, *rest)
                     for start in range(0, len(evolved), group)
-                    for s, *rest in sz._measure(t, part.blocks, supports,
-                                                evolved[start:start + group], None,
-                                                np.zeros(100, dtype=complex), opts)]
+                    for s, *rest in zip(*sz._measure(t, part.blocks, supports,
+                                                     evolved[start:start + group], None,
+                                                     np.zeros(100, dtype=complex), opts))]
         expected = []
         for s, op in enumerate(evolved):
             for bi, block in enumerate(part.blocks):
@@ -630,11 +647,11 @@ def _evolved(u, supports, blocks, ops):
     P as `sz_entropy_run` holds it: the (parents, r, r) stack and each parent's evolved
     operator put back on d×d by its block's flat R×R index."""
     d = u.shape[0]
-    squares, inside = sz._layout(d, [flat.ravel() for flat in supports])
-    w, wh, pairs, places = sz._columns(u, squares, inside)
+    squares, marks = sz._layout(d, [flat.ravel() for flat in supports])
+    w, wh, pairs, places, _ = sz._columns(u, squares, marks)
     held = []
     for op, b in zip(ops, blocks):
-        on = np.flatnonzero(inside[b])
+        on = np.flatnonzero(marks[b][squares[b][0] % d])  # S's positions in P
         padded = np.zeros(squares[b].shape, dtype=complex)
         padded[on[:, None], on] = op
         held.append(padded)
@@ -852,19 +869,19 @@ class TestSupportEvolution:
     @pytest.mark.parametrize("sets", [[[0, 2, 4], [1, 5], [3]], [[0, 3], [1, 4], [2, 5]], None])
     def test_layout_pads_each_support_in_increasing_order(self, sets):
         """`_layout` lays block b out on P_b, S_b padded to the largest size k by the first
-        indices outside it, in increasing order, and marks S_b in P_b: for mixed sizes, for
-        equal sizes (where P_b = S_b) and for whole-space outcomes alike."""
+        indices outside it, in increasing order, and marks S_b in range(dim): for mixed sizes,
+        for equal sizes (where P_b = S_b) and for whole-space outcomes alike."""
         t = (random_general(np.random.default_rng(5), 6, 2) if sets is None
              else general_instrument([np.diag(np.isin(np.arange(6), s)) for s in sets]))
         part = _atomic_for(t)
-        squares, inside = _layout(t, part)
+        squares, held = _layout(t, part)
         supports = [index_support(t.support_index(block), 6).tolist() for block in part.blocks]
         assert [len(s) for s in supports] == ([6, 6] if sets is None else list(map(len, sets)))
         k = max(map(len, supports))
         for b, s in enumerate(supports):
             p = sorted(s + [i for i in range(6) if i not in s][:k - len(s)])
             assert squares[b].tolist() == [[i * 6 + j for j in p] for i in p]
-            assert inside[b].tolist() == [i in s for i in p]
+            assert held[b].tolist() == [i in s for i in range(6)]
 
     def test_a_whole_space_family_holds_one_unitary(self):
         """32 whole-space outcomes at dimension 64: every block has P = R = all indices, so the

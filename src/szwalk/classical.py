@@ -13,13 +13,10 @@ import numbers
 import numpy as np
 
 from .entropy import ConvergenceReport, ProbVector, eta, limit_estimate
-from .errors import NumericError, ResourceLimitError, ValidationError, is_kind, require
+from .errors import ResourceLimitError, ValidationError, is_kind, require
 from .walks import MAX_DIM
 
 COLUMN_SUM_TOL = 1e-12
-# Singular values of m - 1 up to this span m's eigenvalue-1 space, and the projector built on
-# it must satisfy mΠ = Πm = Π to this.
-PROJECTOR_TOL = 1e-9
 
 
 class TransitionMatrix:
@@ -68,32 +65,36 @@ def matrix_power(P: TransitionMatrix, m: int) -> TransitionMatrix:
     return TransitionMatrix(np.linalg.matrix_power(P.entries, m))
 
 
-def cesaro_projector(m: np.ndarray) -> np.ndarray | None:
-    """Π = lim (1/n) Σ_{k<n} mᵏ, the projector onto m's eigenvalue-1 space, for any period.
+def cesaro_limit(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w·Π, Π = lim (1/n) Σ_{k<n} mᵏ, for m[s, t] the probability that s moves to t.
 
-    Π = R (L R)⁻¹ L, with R and L the right and left null spaces of m - 1. None when Π is
-    not resolved: it must satisfy mΠ = Πm = Π to PROJECTOR_TOL.
+    Π keeps, in each closed class of m's support graph, the mass that w puts there or sends
+    there through the transient states, spread by the class's stationary vector (for a periodic
+    class its Cesàro limit). What a closed class's rows lose returns to its first state.
     """
-    u, sv, vh = np.linalg.svd(m - np.eye(m.shape[0]))
-    null = sv <= PROJECTOR_TOL
-    right, left = vh[null].T, u[:, null].T
-    projector = right @ np.linalg.pinv(left @ right) @ left
-    residual = max(np.abs(m @ projector - projector).max(initial=0.0),
-                   np.abs(projector @ m - projector).max(initial=0.0))
-    return projector if residual <= PROJECTOR_TOL else None
+    reach = m > 0  # reach[s, t]: s leads to t in one or more steps; squaring doubles the steps
+    for _ in range((len(w) - 1).bit_length()):
+        f = reach.astype(np.float32)  # path counts up to n are exact
+        reach |= f @ f > 0
+    # Recurrent: on a cycle, and reaching only states that reach it back (its closed class).
+    recurrent = reach.diagonal() & ~(reach & ~reach.T).any(axis=1)
+    t, r = np.flatnonzero(~recurrent), np.flatnonzero(recurrent)
+    # The mass of w on each recurrent state once the transient states have emptied.
+    mass = w[r] + np.linalg.solve(np.eye(len(t)) - m[t][:, t].T, w[t]) @ m[t][:, r]
+    # One stacked solve of x = x·m on them, each class's first row set to its total.
+    heads = reach[r].argmax(axis=1)  # each recurrent state's class, by its first state
+    a = np.eye(len(r)) - m[r][:, r].T
+    first = np.flatnonzero(heads == r)
+    a[first] = heads == r[first, None]
+    limit = np.zeros_like(w)
+    limit[r] = np.linalg.solve(a, np.bincount(heads, mass, minlength=len(w))[r])
+    return limit
 
 
 def stationary_distribution(P: TransitionMatrix) -> ProbVector:
-    """The Cesàro limit of Pⁿ·uniform, a distribution mu with P mu = mu, for any period.
-
-    It is Π·uniform with Π from `cesaro_projector`. A reducible chain keeps, in each closed
-    class, the mass that the uniform start sends there. Raises NumericError when Π is not
-    resolved.
-    """
-    projector = cesaro_projector(P.entries)
-    require(projector is not None, "eigenvalue-1 projector of the chain not resolved to "
-            f"{PROJECTOR_TOL:g}", NumericError)
-    return ProbVector(projector @ np.full(P.size, 1.0 / P.size), tol=1e-9)
+    """The Cesàro limit of Pⁿ·uniform, a distribution mu with P mu = mu, for any period: a
+    reducible chain keeps, in each closed class, the mass that the uniform start sends there."""
+    return ProbVector(cesaro_limit(P.entries.T, np.full(P.size, 1.0 / P.size)), tol=1e-9)
 
 
 def _column_entropies(P: TransitionMatrix) -> np.ndarray:

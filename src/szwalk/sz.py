@@ -20,8 +20,9 @@ Three exact reductions keep the tree small or end it:
   the state-to-state transition matrix, h the per-state entropy of the
   next block and π the children's weights, a_{n+1+k} = π M^k h exactly,
   and the limit of a_n (in the Cesàro sense, which covers periodic
-  chains) is π Π h with Π the eigenvalue-1 projector of M. The run stops
-  there with that limit.
+  chains) is π Π h with Π = lim (1/n) Σ_{k<n} M^k, which
+  `classical.cesaro_limit` takes from M's closed classes by two linear
+  solves. The run stops there with that limit.
 
 A depth takes its live parents in fixed chunks sized by the bytes they hold: a chunk's r×r
 evolved parents, each child's block and dim-long diagonal, and the dim×dim staging buffer and
@@ -69,7 +70,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import TransitionMatrix, cesaro_projector
+from .classical import TransitionMatrix, cesaro_limit
 from .entropy import ConvergenceReport, Partition, ProbVector, eta, limit_estimate
 from .errors import (AccuracyError, NumericError, ResourceLimitError,
                      UnsupportedConfigurationError, ValidationError, is_kind, require)
@@ -185,7 +186,9 @@ class BeliefLift:
     State s is the s-th live branch before the closing depth d. `transitions[s, t]` is the
     probability that s moves to state t, `entropies[s]` the entropy of s's next outcome
     block and `weights[t]` the mass on t after depth d, so that
-    a_{d+1+k} = weights · transitions^k · entropies. `limit` is the Cesàro limit of a_n.
+    a_{d+1+k} = weights · transitions^k · entropies. `limit` is the Cesàro limit of a_n,
+    weights · Π · entropies with weights · Π from `classical.cesaro_limit`. Where pruning
+    leaves a closed class's rows short of 1, a_n decays but `limit` keeps that class's mass.
     """
 
     transitions: np.ndarray
@@ -396,9 +399,9 @@ def _merge_keys(children: list, weights: list[float], merge_tol: float) -> list:
 
 
 def _belief_lift(moves: list[tuple[int, object, float]], entropies: list[float],
-                 parents: dict, live: dict) -> BeliefLift | None:
-    """The lift of a closed depth (every `live` key is a key of `parents`, which maps it to
-    its state), or None where M's eigenvalue-1 projector is not resolved."""
+                 parents: dict, live: dict) -> BeliefLift:
+    """The lift of a closed depth: every `live` key is a key of `parents`, which maps it to
+    its state."""
     n = len(entropies)
     m = np.zeros((n, n))
     for s, key, p in moves:
@@ -406,12 +409,9 @@ def _belief_lift(moves: list[tuple[int, object, float]], entropies: list[float],
     weights = np.zeros(n)
     for key, b in live.items():
         weights[parents[key]] = b.weight
-    projector = cesaro_projector(m)
-    if projector is None:
-        return None
     h = np.array(entropies)
     # π Π h as the next a_n plus the part of π that Π removes: exact already at the limit.
-    limit = float(weights @ h + (weights @ projector - weights) @ h)
+    limit = float(weights @ h + (cesaro_limit(m, weights) - weights) @ h)
     return BeliefLift(transitions=m, entropies=h, weights=weights, limit=limit)
 
 
@@ -531,9 +531,7 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
         if depth >= opts.min_steps:
             # Closed: every child landed on a parent's key, so the depth is a chain on them.
             if parents is not None and live.keys() <= parents.keys():
-                lift = _belief_lift(moves, entropies, parents, live)
-            if lift is not None:
-                stop_reason = "closed"
+                stop_reason, lift = "closed", _belief_lift(moves, entropies, parents, live)
                 report = replace(report, converged=True, converged_value=lift.limit)
                 break
             if report.converged:

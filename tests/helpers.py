@@ -167,6 +167,23 @@ def eigencheck(u: np.ndarray, v) -> complex:
     return lam
 
 
+def svd_cesaro_projector(m: np.ndarray) -> np.ndarray:
+    """Π = lim (1/n) Σ_{k<n} mᵏ as R (L R)⁺ L, R and L the right and left null spaces of m - 1
+    from its SVD (singular values up to 1e-9): the oracle for `classical.cesaro_limit`.
+
+    Raises NumericError unless mΠ = Πm = Π to 1e-9.
+    """
+    u, sv, vh = np.linalg.svd(m - np.eye(m.shape[0]))
+    null = sv <= 1e-9
+    right, left = vh[null].T, u[:, null].T
+    projector = right @ np.linalg.pinv(left @ right) @ left
+    residual = max(np.abs(m @ projector - projector).max(initial=0.0),
+                   np.abs(projector @ m - projector).max(initial=0.0))
+    if not residual <= 1e-9:
+        raise NumericError(f"Cesàro projector not resolved: residual {residual:.3e}")
+    return projector
+
+
 def process_joint_entropy(P: TransitionMatrix, mu0: ProbVector, n: int) -> float:
     """H(X_0,...,X_n) of the chain started at mu0, by exact enumeration of its nonzero paths:
     the oracle for `entropy_rate`, whose first n entries sum to it after H(X_0).

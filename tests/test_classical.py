@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from szwalk import (NumericError, ProbVector, TransitionMatrix, ValidationError, classical,
-                    cycle_walk, entropy_rate, eta, markov_entropy, matrix_power,
-                    stationary_distribution)
+from szwalk import (ProbVector, TransitionMatrix, ValidationError, classical, cycle_walk,
+                    entropy_rate, eta, markov_entropy, matrix_power, stationary_distribution)
 
-from helpers import process_joint_entropy
+from helpers import process_joint_entropy, svd_cesaro_projector
 
 LN2 = math.log(2.0)
 # Column-stochastic: 0 -> 1 (0.3) or 2 (0.7), 1 -> 3, 2 -> 3, 3 -> 0.
@@ -113,11 +112,6 @@ class TestStationaryDistribution:
                                    2 / 6 * np.array([3 / 7, 4 / 7])])
         assert np.allclose(mu.entries, expected, rtol=0, atol=1e-12)
 
-    def test_unresolved_projector_raises(self, monkeypatch):
-        monkeypatch.setattr(classical, "PROJECTOR_TOL", -1.0)
-        with pytest.raises(NumericError, match="not resolved"):
-            stationary_distribution(cycle_walk(5))
-
     def test_stationarity_residual_on_random_chains(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
@@ -125,6 +119,87 @@ class TestStationaryDistribution:
             P = TransitionMatrix(np.array([w / w.sum() for w in rng.random((n, n)).T + 1e-3]).T)
             mu = stationary_distribution(P)
             assert np.abs(P.entries @ mu.entries - mu.entries).max() < 1e-10
+
+
+def _reducible_chain(rng: np.random.Generator) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A row-stochastic m (m[s, t] the probability that s moves to t) in shuffled state order,
+    and its closed classes: two dense aperiodic ones, one of period 3 and a fixed state, fed by
+    transient states that also move among themselves."""
+    sizes = [int(rng.integers(1, 4)) for _ in range(3)]  # the period-3 class's three groups
+    a, b, k = int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(2, 6))
+    n = a + b + sum(sizes) + 1 + k
+    m = np.zeros((n, n))
+    m[:a, :a] = rng.random((a, a)) + 0.05
+    m[a:a + b, a:a + b] = rng.random((b, b)) + 0.05
+    starts = np.cumsum([a + b, *sizes])
+    groups = [np.arange(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
+    for g, h in zip(groups, groups[1:] + groups[:1]):
+        m[g[:, None], h] = rng.random((len(g), len(h))) + 0.05
+    m[n - k - 1, n - k - 1] = 1.0
+    m[n - k:] = rng.random((k, n)) * (rng.random((k, n)) < 0.6)
+    m[n - k:, 0] += 0.05  # every transient state leaks into the first class
+    m /= m.sum(axis=1, keepdims=True)
+    classes = [np.arange(a), np.arange(a, a + b), np.concatenate(groups), np.array([n - k - 1])]
+    order = rng.permutation(n)
+    position = np.argsort(order)
+    return m[order][:, order], [np.sort(position[c]) for c in classes]
+
+
+class TestCesaroLimit:
+    """`cesaro_limit` against the SVD projector of m - 1 (`helpers.svd_cesaro_projector`)."""
+
+    def test_matches_the_svd_projector_on_random_reducible_chains(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            m, classes = _reducible_chain(rng)
+            w = rng.random(len(m))
+            w /= w.sum()
+            limit = classical.cesaro_limit(m, w)
+            assert np.abs(limit - w @ svd_cesaro_projector(m)).max() <= 1e-12
+            kept = np.concatenate(classes)
+            assert np.all(np.delete(limit, kept) == 0.0)
+            assert limit[kept].sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_transient_state_whose_row_is_empty_loses_its_mass(self):
+        # State 1's children were all pruned: it lies on no cycle, so it is transient, and
+        # the mass that reaches it is gone, as in the exact limit.
+        m = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        w = np.array([0.2, 0.3, 0.5])
+        limit = classical.cesaro_limit(m, w)
+        assert np.abs(limit - w @ svd_cesaro_projector(m)).max() <= 1e-15
+        assert limit.tolist() == [0.0, 0.0, 0.5]
+
+    def test_a_chain_with_no_closed_class_keeps_nothing(self):
+        # Every child of state 0 was pruned and state 1 leads only there: no state recurs.
+        m = np.array([[0.0, 0.0], [1.0, 0.0]])
+        assert classical.cesaro_limit(m, np.array([0.5, 0.5])).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("loss", [1e-13, 1e-3])
+    def test_a_closed_class_whose_rows_lose_mass_keeps_it(self, loss):
+        """Pruned children leave a closed class's rows short of 1. The exact Cesàro limit of
+        such a class is 0 (its mass decays like (1 - loss)ⁿ), and the SVD oracle agrees once the
+        loss exceeds its tolerance. `cesaro_limit` keeps the mass that reaches the class and
+        returns what its rows lose to the class's first state: for a pruning loss at round-off
+        level both give the same limit, and for any loss it is the stationary vector of the
+        class with the loss put back on that state."""
+        m = np.array([[0.0, 0.5, 0.5, 0.0],
+                      [0.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.3, 0.0, 0.7],
+                      [0.0, 0.6, 0.4, 0.0]])
+        m[2, 3] -= loss
+        m[3, 2] -= loss
+        w = np.array([0.4, 0.1, 0.2, 0.3])
+        limit = classical.cesaro_limit(m, w)
+        restored = m.copy()
+        restored[1:, 1] += 1.0 - restored[1:].sum(axis=1)
+        assert np.abs(limit - classical.cesaro_limit(restored, w)).max() <= 1e-15
+        assert limit[0] == 0.0 and limit.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(limit @ restored - limit).max() <= 1e-15
+        oracle = w @ svd_cesaro_projector(m)
+        if loss < 1e-9:
+            assert np.abs(limit - oracle).max() <= 1e-12
+        else:
+            assert np.abs(oracle).max() <= 1e-12
 
 
 class TestMarkovEntropy:

@@ -112,7 +112,8 @@ def test_guard_flags_the_untyped_count_checks():
 
 
 def test_no_iteration_caps():
-    """Limits come in closed form (e.g. `classical.cesaro_projector`), not from capped loops."""
+    """Limits come in closed form (e.g. `classical.cesaro_limit`, by linear solves), not from
+    capped loops."""
     found = {path.name: _iteration_caps(ast.parse(path.read_text()))
              for path in sorted(SOURCE.glob("*.py"))}
     assert "classical.py" in found

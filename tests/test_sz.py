@@ -12,7 +12,7 @@ import pytest
 
 from szwalk import (AccuracyError, DensityState, Partition, ResourceLimitError, RunOptions,
                     UnsupportedConfigurationError, ValidationError, apply_instrument,
-                    classical, coherent_instrument, cylinder_probability,
+                    coherent_instrument, cylinder_probability,
                     dynamical_entropy, entropy_rate, general_instrument, hadamard_walk,
                     lvn_instrument, markov_reduction, maximally_mixed, measurement_entropy, sz,
                     sz_entropy_run, unitary_power)
@@ -487,12 +487,23 @@ class TestClosure:
         assert run.stop_reason == "n_max" and run.depth == 8 and run.lift is None
         assert not run.report.converged
 
-    def test_unresolved_projector_keeps_the_tree_growing(self, monkeypatch):
-        monkeypatch.setattr(classical, "PROJECTOR_TOL", -1.0)  # no projector passes the check
-        args = _hadamard_setup(5, 2, "rank2")
-        run = sz_entropy_run(*args, RunOptions(n_max=25))
-        assert run.stop_reason == "converged" and run.lift is None
-        assert run.depth == 24
+    @pytest.mark.parametrize("N", [5, 9, 15, 25])
+    @pytest.mark.parametrize("power, exact", [(1, LN2), (2, 4.0 / 3.0 * LN2)], ids=["U", "U2"])
+    def test_rank2_lift_limit_is_exact_to_round_off(self, N, power, exact):
+        # The rank-2 atomic limits are ln 2 and (4/3) ln 2 exactly; the lift reports them to
+        # round-off, which no looser check (paper-check rows, the benchmark) would notice.
+        run = sz_entropy_run(*_hadamard_setup(N, power, "rank2"), RunOptions(n_max=25))
+        assert run.stop_reason == "closed"
+        assert abs(run.lift.limit - exact) <= 2e-15
+
+    def test_a_depth_that_prunes_every_child_closes_on_no_state(self):
+        # At prune_eps 0.1 every depth-1 child (weight 0.1) is pruned: no live key is new, the
+        # chain has no closed class, and its limit is 0.
+        with pytest.warns(UserWarning, match="pruned mass"):
+            run = sz_entropy_run(*_hadamard_setup(5, 1, "rank2"),
+                                 RunOptions(n_max=6, prune_eps=0.1, min_steps=1))
+        assert run.stop_reason == "closed" and run.depth == 1
+        assert run.lift.limit == 0.0 and run.pruned_mass == pytest.approx(1.0)
 
     def test_above_the_state_bound_closure_is_not_tracked(self, monkeypatch):
         monkeypatch.setattr(sz, "LIFT_MAX_STATES", 24)  # rank-2 U^2 at N=5 lives on 25

@@ -134,12 +134,12 @@ class Instrument:
 
     Outcome i comes as (S, B[S,S]), S the increasing indices (None: all) outside which B_i is
     zero, and is held as `supports[i]` = (`flat_index(S, dim)`, B[S,S], B[S,S]†), rows of one
-    stack per support size, in which the outcomes of that size are checked. Absent or
-    empty labels default to "0", "1", ...; constructors that promise more structure
-    (projections, rank-1 projections) check it themselves.
+    stack per support size, kept as `stacks` (one (outcomes, S, B, B†) per size), on which the
+    outcomes of that size are checked. Absent or empty labels default to "0", "1", ...;
+    constructors that promise more structure (projections, rank-1 projections) check it too.
     """
 
-    __slots__ = ("dim", "supports", "outcome_labels")
+    __slots__ = ("dim", "supports", "stacks", "outcome_labels")
 
     def __init__(self, dim: int, blocks: Iterable[tuple], labels: Sequence[str] | None = None):
         require(is_kind(dim, numbers.Integral) and dim >= 1,
@@ -162,25 +162,24 @@ class Instrument:
             b = np.array([given[i][1] for i in index]).reshape(len(index), k, k)
             ok[index] = ((s[:, 1:] > s[:, :-1]).all(axis=1) & (s >= 0).all(axis=1)
                          & (s < dim).all(axis=1) & np.isfinite(b).all(axis=(1, 2)))
-            stacks.append((index, s, b))
+            stacks.append((np.array(index, np.intp), s, b, b.conj().transpose(0, 2, 1).copy()))
         i = int(np.argmin(ok))  # the first outcome that fails, if any
         require(ok[i], lambda: f"outcome {i}: need increasing S in range({dim}) and a finite "
                 f"|S|×|S| block, got S = {given[i][0].tolist()}, {given[i][1].shape}")
         supports = [None] * len(given)
         total = np.zeros(dim * dim, dtype=complex)  # sum B†B, scattered by flat index
-        for index, s, b in stacks:
+        for index, s, b, bh in stacks:
             flat = flat_index(s, dim)
-            bh = np.ascontiguousarray(b.conj().transpose(0, 2, 1))
             np.add.at(total, flat.ravel(), (bh @ b).ravel())  # supports may overlap
-            for j, i in enumerate(index):
+            for j, i in enumerate(index.tolist()):
                 supports[i] = (flat[j], b[j], bh[j])
-        labels = tuple(str(x) for x in labels or range(len(supports)))
+        self.outcome_labels = labels = tuple(str(x) for x in labels or range(len(supports)))
         if len(labels) != len(supports):
             raise ValidationError(f"{len(labels)} labels for {len(supports)} outcomes")
         res = identity_residual(total.reshape(dim, dim))
         require(res <= COMPLETENESS_TOL, f"Kraus completeness fails: max |sum B†B - 1| = "
                 f"{res:.3e} (tol {COMPLETENESS_TOL:g})")
-        self.dim, self.supports, self.outcome_labels = dim, tuple(supports), labels
+        self.dim, self.supports, self.stacks = dim, tuple(supports), tuple(stacks)
 
     @property
     def n_outcomes(self) -> int:
@@ -200,19 +199,25 @@ class Instrument:
         range(n_outcomes), as in `apply_instrument`."""
         return index_support(self.supports[_outcome(i, len(self.supports), [i])][0], self.dim)
 
+    def marks(self, outcome_sets: Iterable[Iterable[int]]) -> np.ndarray:
+        """One bool row over range(dim) per outcome set, marking S, the union of its outcomes'
+        supports: each B_i ρ B_i† of the set is exactly zero outside S×S. An empty set marks
+        nothing. Each index is checked as `apply_instrument` checks it."""
+        n = len(self.supports)
+        sets = [[i if type(i) is int and 0 <= i < n else _outcome(i, n, outcomes)
+                 for i in outcomes] for outcomes in outcome_sets]
+        # member[j, i] = 1 for i in set j and on[i, x] = 1 for x in S_i: one float product.
+        member, on = np.zeros((len(sets), n)), np.zeros((n, self.dim))
+        member[np.repeat(np.arange(len(sets)), [len(x) for x in sets]),
+               np.fromiter((i for x in sets for i in x), np.intp)] = 1.0
+        for index, s, _, _ in self.stacks:
+            on[index[:, None], s] = 1.0
+        return member @ on > 0
+
     def support_index(self, outcomes: Iterable[int]) -> np.ndarray:
-        """`flat_index(S, dim)`, S the union of the outcomes' supports: each B_i ρ B_i† is
-        exactly zero outside S×S. Built from the outcomes' held indices; the result is a fresh
+        """`flat_index(S, dim)` of S, the set's marked row (`marks`). The result is a fresh
         array, so writing into it leaves the instrument as it is."""
-        n, flats = len(self.supports), []
-        for i in outcomes:
-            if type(i) is not int or not 0 <= i < n:  # `_outcome` off the path of plain ints
-                i = _outcome(i, n, outcomes)
-            flats.append(self.supports[i][0])
-        if len(flats) == 1:
-            return flats[0].copy()
-        union = {s for flat in flats for s in index_support(flat, self.dim).tolist()}
-        return flat_index(np.array(sorted(union), dtype=np.intp), self.dim)
+        return flat_index(np.flatnonzero(self.marks([outcomes])[0]), self.dim)
 
 
 def general_instrument(kraus: Sequence, labels: Sequence[str] | None = None) -> Instrument:
@@ -232,26 +237,20 @@ def lvn_instrument(projections: Instrument | Sequence,
     matrices (with `labels`) or as an `Instrument`; every check runs on the blocks."""
     t = (projections if isinstance(projections, Instrument)
          else general_instrument(projections, labels))
-    on = np.zeros((t.n_outcomes, t.dim), dtype=bool)  # on[i] marks S_i, outcome i's support
     herm, idem = np.zeros(t.n_outcomes), np.zeros(t.n_outcomes)  # |B-B†| and |B²-B|
-    by_size: dict[int, list[int]] = {}
-    for i, (_, b, _) in enumerate(t.supports):
-        by_size.setdefault(b.shape[0], []).append(i)
-    for k, index in by_size.items():  # one stack per support size
-        flat, b, bh = (np.array([t.supports[i][j] for i in index]) for j in range(3))
-        b, bh = b.reshape(len(index), k, k), bh.reshape(len(index), k, k)
+    for index, _, b, bh in t.stacks:  # one stack per support size
         herm[index] = np.abs(b - bh).max(axis=(1, 2), initial=0.0)
         idem[index] = np.abs(b @ b - b).max(axis=(1, 2), initial=0.0)
-        on[np.array(index)[:, None], flat[:, :k] % t.dim] = True
     ok = (herm <= PROJECTION_TOL) & (idem <= PROJECTION_TOL)
     i = int(np.argmin(ok))  # the first outcome that fails, if any
     require(ok[i], lambda: f"outcome {i}: not a projection "
             f"(|B-B†|={herm[i]:.3e}, |B²-B|={idem[i]:.3e})")
+    on = t.marks([i] for i in range(t.n_outcomes))  # on[i] marks S_i, outcome i's support
     # Disjoint supports give P_iP_j = 0 exactly; the others multiply over S_i ∩ S_j only.
     for i, j in zip(*np.nonzero(np.triu(on @ on.T, 1))):
         common = on[i] & on[j]
-        res = float(np.abs(t.supports[i][1][:, common[t.support(i)]]
-                           @ t.supports[j][1][common[t.support(j)]]).max())
+        res = float(np.abs(t.supports[i][1][:, common[on[i]]]
+                           @ t.supports[j][1][common[on[j]]]).max())
         require(res <= PROJECTION_TOL,
                 lambda: f"projections {i} and {j} overlap: max |P_iP_j| = {res:.3e}")
     return t
@@ -296,8 +295,7 @@ def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> O
     When every term is skipped, the empty outcome set included, the result is
     `shared_zero(dim)`, the same read-only object on every such call: callers must not
     write into a result. A single outcome whose support is the whole space returns its
-    product B rho B† itself. A whole-space term of a larger set is read through `ravel` and
-    added by a plain `+=`.
+    product B rho B† itself.
     `outcomes` must be distinct integers (a bool is not one) in range(n_outcomes).
     Every form checks rho's shape first, then each index's type and range (a plain int in
     range without a call to `_outcome`), and raises the same `ValidationError` for the same
@@ -332,19 +330,11 @@ def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> O
                 raise ValidationError(f"outcome set {outcomes!r} repeats an outcome")
             out, entries = None, rho.ravel()
             for flat, b, bh in terms:
-                # A whole-space term reads all the entries and is added by a plain `+=`: the
-                # same values as the gather and scatter by the full index, without the fancy
-                # indexing.
-                whole = flat.size == rho.size
-                sub = entries if whole else entries[flat]
-                if np.count_nonzero(sub):
+                sub = entries[flat]
+                if sub.nonzero()[0].size:
                     if out is None:
                         out = np.zeros(rho.size, dtype=complex)
-                    product = b.dot(sub.reshape(b.shape)).dot(bh).ravel()
-                    if whole:
-                        out += product
-                    else:
-                        out[flat] += product
+                    out[flat] += b.dot(sub.reshape(b.shape)).dot(bh).ravel()
             return shared_zero(dim) if out is None else out.reshape(rho.shape)
         flat, b, bh = terms[0]
     if b.shape[0] == dim:  # whole space

@@ -33,26 +33,26 @@ So a chunk reserves children for the most blocks one parent reaches, not for eve
 partition: rank-2 U² reaches 3, and a chunk holds 78 parents at N = 25 and 21 at N = 49. The
 budget is checked on each new key, so the children made before it raises stay within one chunk.
 A branch carries the block b it was last measured in (None at the root) and is zero outside
-S_b×S_b, S_b that block's support. After the root it is one k×k array on P_b, S_b padded to the
-run's largest support size k by the first indices outside it, in increasing order. U·ρ·U† is
-then zero outside R_b×R_b, R_b the nonzero rows of U[:, S_b] padded to the largest size r the
-same way, and a chunk evolves by one stacked product W_b·ρ·W_b†, W_b = U[R_b, P_b]: r·k(k+r)
-complex multiply-adds per parent, not 2d³. Each of its matrices is bitwise that product alone,
-and for the Hadamard walk and its powers bitwise U·ρ·U† on R_b×R_b; for a generic unitary it
-agrees within round-off (the tests ask 1e-14·‖ρ‖) and is the engine's definition of the
-evolution. With identity dynamics a parent is its own evolved block on P_b. The kernel
-`apply_instrument` runs once per (parent, block) on a dim×dim operator: a smaller parent is
-scattered by its flat index into one +0 buffer held for the run, measured there by every block,
-and cleared again. That call is the unit a test swaps for its dense oracle and a profile
-counts. A child whose terms the kernel skips as exactly zero is its read-only `shared_zero`,
-which the engine recognizes by identity and leaves out unweighed. Any other child is cut on
-return to its block on P_b by one `take`, after a copy of its diagonal. The chunk's children
-are weighed from one stack of those diagonals, so each weight adds as `trace` adds that child;
-those of weight exactly 0.0 are left out too (each would add +0 to every sum and is never
+S_b×S_b, S_b that block's support as `Instrument.marks` marks it. After the root it is one k×k
+array on P_b, S_b padded by `_padded` to the run's largest support size k by the first indices
+outside it, in increasing order. U·ρ·U† is then zero outside R_b×R_b, R_b the nonzero rows of
+U[:, S_b] padded by `_padded` to the largest size r, and a chunk evolves by one stacked product
+W_b·ρ·W_b†, W_b = U[R_b, P_b]: r·k(k+r) complex multiply-adds per parent, not 2d³. Each of its
+matrices is bitwise that product alone, and for the Hadamard walk and its powers bitwise U·ρ·U†
+on R_b×R_b; for a generic unitary it agrees within round-off (the tests ask 1e-14·‖ρ‖) and is
+the engine's definition of the evolution. With identity dynamics a parent is its own evolved
+block on P_b. The kernel `apply_instrument` runs once per (parent, block) on a dim×dim operator:
+a smaller parent is scattered by its flat index into one +0 buffer held for the run, measured
+there by every block, and cleared again. That call is the unit a test swaps for its dense oracle
+and a profile counts. A child whose terms the kernel skips as exactly zero is its read-only
+`shared_zero`, which the engine recognizes by identity and leaves out unweighed. Any other child
+is cut on return to its block on P_b by one `take`, after a copy of its diagonal. The chunk's
+children are weighed from one stack of those diagonals, so each weight adds as `trace` adds that
+child; those of weight exactly 0.0 are left out too (each would add +0 to every sum and is never
 kept), and the kept blocks are keyed in one stacked pass. `_measure` hands the chunk back as
 parallel lists, and each child's share min(w / parent weight, 1) comes for the whole chunk from
-one vector pass, bitwise the scalar division. `eta` stays one scalar call per child: `np.log`
-is not `math.log` bit for bit. The bookkeeping then makes one pass in (parent, block) order, so
+one vector pass, bitwise the scalar division. `eta` stays one scalar call per child: `np.log` is
+not `math.log` bit for bit. The bookkeeping then makes one pass in (parent, block) order, so
 every sum (a_n, h, pruned mass, merged blocks and weights) adds as when each child is booked
 alone. A fresh zero array in place of the kernel's shared one weighs 0.0 too, so the run does
 not depend on it. While closure is tracked (merging on, at most `LIFT_MAX_STATES` parents), the
@@ -62,7 +62,6 @@ entropy; after the depth the tree is closed iff every live key is a parent's key
 
 from __future__ import annotations
 
-import math
 import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -268,50 +267,37 @@ def cylinder_probability(walk_unitary: Operator | None, t: Instrument, rho: Dens
     return float(np.real(np.trace(op)))
 
 
-def _padded(marks: np.ndarray, size: int) -> np.ndarray:
-    """Each row of the bool matrix `marks` as its marked indices, padded to `size` by the first
-    unmarked ones and kept in increasing order (a stable sort puts the marked ones first)."""
+def _padded(marks: np.ndarray) -> np.ndarray:
+    """Each row of the bool matrix `marks` as its marked indices in increasing order, padded to
+    the largest count by the first unmarked ones (a stable sort puts the marked ones first).
+    Where no row is short the sort is skipped: it gives the same rows, about 20 µs later at
+    dim 10, and mapping numpy's sort code adds about 0.4 MiB to the peak resident set."""
+    counts = marks.sum(axis=1)
+    size = int(counts.max())
+    if counts.min() == size:
+        return np.nonzero(marks)[1].reshape(len(marks), size)
     return np.sort(np.argsort(~marks, axis=1, kind="stable")[:, :size], axis=1)
 
 
-def _layout(dim: int, supports: list[np.ndarray]) -> tuple[list, np.ndarray]:
-    """(squares, held) for the blocks' flat S×S indices `supports`: `squares[b]` is the flat
-    P_b×P_b index laid out k×k, P_b being S_b padded to the largest size k by the first indices
-    outside it, in increasing order; `held[b]` marks S_b in range(dim). Where every support has
-    size k, P_b = S_b and the pad is skipped: it gives the same P_b, about 20 µs later at dim 10."""
-    sizes = [math.isqrt(flat.size) for flat in supports]
-    k = max(sizes)
-    held = np.zeros((len(sizes), dim), dtype=bool)  # row 0 of S×S is s_0·d + S
-    held[np.repeat(np.arange(len(sizes)), sizes),
-         np.concatenate([flat[:n] for flat, n in zip(supports, sizes)]) % dim] = True
-    if min(sizes) == k:
-        return [flat.reshape(k, k) for flat in supports], held
-    squares = flat_index(_padded(held, k), dim).reshape(len(sizes), k, k)
-    return list(squares), held
-
-
-def _columns(u: Operator, supports: list[np.ndarray], held: np.ndarray) -> tuple:
-    """(W, W†, pairs, places, reached) for `_evolve` and `_measure`, from `_layout`'s P×P
-    indices and S marks. `reached[b]` marks R_b, the nonzero rows of U[:, S_b]; each R_b is
-    padded to the largest size r as S_b is to P_b (skipped where every R_b has r rows). W
+def _columns(u: Operator, sets: np.ndarray, held: np.ndarray) -> tuple:
+    """(W, W†, pairs, places, reached) for `_evolve` and `_measure`, from the P sets `sets`
+    (row b is P_b) and S marks `held` (row b marks S_b). `reached[b]` marks R_b, the nonzero
+    rows of U[:, S_b]; the R_b are padded by `_padded` as the S_b are to the P_b. W
     stacks W_b = U[R_b, P_b] and W† their adjoints once per distinct (R_b, P_b), `pairs[b]`
     block b's position there, so that a branch ρ on P_b evolves to W_b·ρ·W_b†, the r×r block
     of U·ρ·U† on R_b×R_b; `places[b]` is the flat R_b×R_b index laid out r×r. When k = dim, W
     is the one U and each product is bitwise the dense one; when r = dim, nothing is staged."""
     d = u.shape[0]
-    sets = np.array([flat[0] for flat in supports]) % d  # row 0 of P×P is p_0·d + P
     inside = held[np.arange(len(sets))[:, None], sets]  # a padding column is not in S_b
     reached = ((u != 0)[:, sets] & inside).any(axis=2).T  # blocks × dim
-    counts = reached.sum(axis=1)
-    r = int(counts.max())
-    rows = np.nonzero(reached)[1].reshape(-1, r) if counts.min() == r else _padded(reached, r)
+    rows = _padded(reached)
     keys = np.hstack((rows, sets))  # (R_b, P_b), each row viewed as one opaque item
     keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
     found: dict = {}  # (R_b, P_b) → (its position in W, a block with it)
     pairs = [found.setdefault(key, (len(found), b))[0] for b, key in enumerate(keys)]
     chosen = [b for _, b in found.values()]
     w = u[rows[chosen, :, None], sets[chosen, None, :]]
-    places = flat_index(rows[chosen], d).reshape(len(chosen), r, -1)
+    places = flat_index(rows[chosen], d).reshape(len(chosen), rows.shape[1], -1)
     return (w, np.ascontiguousarray(w.conj().transpose(0, 2, 1)), pairs,
             [places[i] for i in pairs], reached)
 
@@ -443,13 +429,15 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
             f"partition covers {partition.size} outcomes, instrument has {t.n_outcomes}")
     u = _checked_unitary(walk_unitary, t, rho)
 
-    # After the root a branch is held on P_b, block b's support padded to the run's largest
-    # support size k (see `_layout`); one `take` by supports[b] gives a child's block.
-    supports, held = _layout(t.dim, [t.support_index(block) for block in partition.blocks])
-    k = supports[0].shape[0]
+    # After the root a branch is held on P_b (`_padded`); one `take` by supports[b], the flat
+    # P_b×P_b index laid out k×k, gives a child's block.
+    held = t.marks(partition.blocks)  # held[b] marks S_b
+    sets = _padded(held)
+    k = sets.shape[1]
+    supports = list(flat_index(sets, t.dim).reshape(len(sets), k, k))
     places, reached = supports, held  # identity dynamics: a parent stays on its block's P×P
     if u is not None:
-        ws, whs, pairs, places, reached = _columns(u, supports, held)
+        ws, whs, pairs, places, reached = _columns(u, sets, held)
     r = places[0].shape[0]
     buffer = np.zeros(t.dim * t.dim, dtype=complex)
 

@@ -45,13 +45,20 @@ def basis_label(index: int, N: int) -> str:
 
 @dataclass(frozen=True)
 class ShiftPermutation:
-    """A permutation sigma of the coin-vertex indices, acting as |e> -> |sigma(e)>."""
+    """A permutation sigma of the coin-vertex indices, acting as |e> -> |sigma(e)>. Both counts
+    are integers >= 1 and every sigma entry an integer, under the number rule (`is_kind`)."""
 
     sigma: tuple[int, ...]
     coin_count: int
     vertex_count: int
 
     def __post_init__(self):
+        for name in ("coin_count", "vertex_count"):
+            count = getattr(self, name)
+            require(is_kind(count, numbers.Integral) and count >= 1,
+                    f"{name} must be an integer >= 1, got {count!r}")
+        require(all(is_kind(e, numbers.Integral) for e in self.sigma),
+                lambda: f"sigma entries must be integers, got {self.sigma!r}")
         n = self.coin_count * self.vertex_count
         if len(self.sigma) != n or sorted(self.sigma) != list(range(n)):
             raise ValidationError(

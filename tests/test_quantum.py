@@ -283,6 +283,26 @@ class TestBlocksMatchTheDenseConstruction:
         s = [0, 1, 3, 4]
         assert t.support_index([1, 0]).tolist() == [i * 6 + j for i in s for j in s]
 
+    def test_marks_are_the_union_of_the_supports(self):
+        """Row j of `marks` marks the union of `support(i)` over the j-th set, for sets of every
+        size and supports of every size, the whole space and the empty one included; an empty
+        set marks nothing, and no sets give no rows."""
+        rng = np.random.default_rng(47)
+        families = [position_instrument(4), coin_vertex_instrument(3), block_lvn(rng),
+                    random_lvn(rng, 6, 3), random_general(rng, 5, 2),
+                    general_instrument([np.eye(2), np.zeros((2, 2))]),
+                    Instrument(4, [([0, 3], np.eye(2)), ([1], [[1.0]]), ([2], [[1.0]])])]
+        for t in families:
+            n = t.n_outcomes
+            sets = [[], [0], [n - 1, 0], list(range(0, n, 2)), range(n), [n - 1]]
+            marks = t.marks(sets)
+            assert marks.dtype == bool and marks.shape == (len(sets), t.dim)
+            for row, outcomes in zip(marks, sets):
+                union = {s for i in outcomes for s in t.support(i).tolist()}
+                assert row.tolist() == [j in union for j in range(t.dim)]
+            assert not marks[0].any()
+            assert t.marks([]).shape == (0, t.dim)
+
     def test_zero_operator_has_an_empty_block(self):
         t = general_instrument([np.eye(2), np.zeros((2, 2))])
         flat, b, bh = t.supports[1]
@@ -360,6 +380,7 @@ class TestApplyInstrument:
         an outcome."""
         t = position_instrument(3)
         calls = (lambda: t.support(i), lambda: t.support_index([0, i]),
+                 lambda: t.marks([[0], [0, i]]),
                  lambda: apply_instrument(t, [i], maximally_mixed(6).matrix))
         for call in calls:
             with pytest.raises(ValidationError, match=r"^outcome set .*: index .* "
@@ -405,7 +426,8 @@ class TestApplyInstrument:
 
 
     def test_whole_space_terms_in_one_set_match_dense_products(self):
-        """A whole-space outcome beside others is read through `ravel` and added by `+=`."""
+        """A whole-space outcome beside others is gathered and scattered by its full index,
+        as any other term is, and matches the dense products."""
         rng = np.random.default_rng(15)
         dense = random_general(rng, 6, 2)
         assert all(b.shape == (6, 6) for _, b, _ in dense.supports)

@@ -212,21 +212,22 @@ def test_guard_flags_a_leftover_helper():
     assert _unreferenced({"m": module}, [other]) == ["m.Run", "m._ZEROS", "m._weigh"]
 
 
-def _ix_uses(tree: ast.AST) -> list[int]:
-    """Lines that reach `ix_` (as `np.ix_`, `numpy.ix_` or an imported name): a support held as
-    an open-mesh index tuple beside the flat index of `Instrument.supports`."""
+def _uses(tree: ast.AST, wanted: set[str]) -> list[int]:
+    """Lines that reach a name of `wanted`, as an attribute (`np.ix_`, `math.isqrt`), a bare
+    name or an imported name."""
     lines = []
     for node in ast.walk(tree):
         names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
                  else [node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)])
-        if "ix_" in names:
+        if wanted & set(names):
             lines.append(node.lineno)
     return sorted(lines)
 
 
 def test_one_support_representation():
-    """A support is one flat index of S×S: no `np.ix_` tuples anywhere in the package."""
-    found = {path.name: _ix_uses(ast.parse(path.read_text()))
+    """A support is one flat index of S×S: no `np.ix_` tuples anywhere in the package, an
+    open-mesh index tuple beside the flat index of `Instrument.supports`."""
+    found = {path.name: _uses(ast.parse(path.read_text()), {"ix_"})
              for path in sorted(SOURCE.glob("*.py"))}
     assert "quantum.py" in found
     assert {name: lines for name, lines in found.items() if lines} == {}
@@ -241,7 +242,32 @@ def test_guard_flags_the_ix_uses():
            "d = 'np.ix_ in a string'\n"
            "e = numpy.ix_\n"
            "f = self.ix\n")
-    assert _ix_uses(ast.parse(src)) == [2, 3, 4, 7]
+    assert _uses(ast.parse(src), {"ix_"}) == [2, 3, 4, 7]
+
+
+FLAT_DECODES = {"isqrt", "index_support"}  # S back from a flat S×S index
+
+
+def test_only_quantum_decodes_a_flat_index():
+    """Only `quantum.py` turns a flat S×S index back into S: every other module reads support
+    sets and marks from the instrument (`Instrument.marks`, `Instrument.support`)."""
+    found = {path.name: _uses(ast.parse(path.read_text()), FLAT_DECODES)
+             for path in sorted(SOURCE.glob("*.py")) if path.name != "quantum.py"}
+    assert "sz.py" in found
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_guard_flags_the_flat_decodes():
+    src = ("import math\n"
+           "k = math.isqrt(flat.size)\n"
+           "from math import isqrt\n"
+           "from .quantum import flat_index, index_support\n"
+           "s = index_support(flat, d)\n"
+           "t = quantum.index_support\n"
+           "u = 'math.isqrt in a string'\n"
+           "v = flat[:n] % d\n"
+           "w = t.support(i)\n")
+    assert _uses(ast.parse(src), FLAT_DECODES) == [2, 3, 4, 5, 6]
 
 
 def _kraus_reads(tree: ast.AST) -> list[int]:

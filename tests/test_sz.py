@@ -17,13 +17,13 @@ from szwalk import (AccuracyError, DensityState, Partition, ResourceLimitError, 
                     lvn_instrument, markov_reduction, maximally_mixed, measurement_entropy, sz,
                     sz_entropy_run, unitary_power)
 from szwalk.entropy import eta
-from szwalk.quantum import index_support, min_eigenvalue, shared_zero
+from szwalk.quantum import flat_index, min_eigenvalue, shared_zero
 from szwalk.walks import (basis_index, coin_vertex_instrument, coined_walk, hadamard_eigenstate,
                           integer_shift, position_instrument, vertex_partition)
 
 from helpers import (conditional_sequence_from_levels, cylinder_level_joints, dense_apply,
-                     random_coherent, random_density, random_general, random_lvn,
-                     random_unitary)
+                     dense_kraus_tree_family, random_coherent, random_density, random_general,
+                     random_lvn, random_unitary)
 
 LN2 = math.log(2.0)
 
@@ -33,14 +33,16 @@ def _atomic_for(instrument):
 
 
 def _layout(t, part):
-    """(each block's flat P×P index laid out k×k, S's marks in range(dim)), as
-    `sz_entropy_run` lays out its branches."""
-    return sz._layout(t.dim, [t.support_index(block) for block in part.blocks])
+    """(each block's P set, S's marks in range(dim)), as `sz_entropy_run` lays out its
+    branches: P_b is row b of `_padded` of the marks."""
+    held = t.marks(part.blocks)
+    return sz._padded(held), held
 
 
 def _squares(t, part):
     """Each block's flat P×P index laid out k×k, as `sz_entropy_run` passes it on."""
-    return _layout(t, part)[0]
+    sets = _layout(t, part)[0]
+    return list(flat_index(sets, t.dim).reshape(len(sets), sets.shape[1], -1))
 
 
 def _scattered(branch, t, part):
@@ -425,6 +427,18 @@ class TestClosure:
         assert closed.report.converged_value == lift.limit
         assert lift.limit == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("N", [5, 9])
+    @pytest.mark.parametrize("power, depth, states", [(1, 2, 2), (2, 3, 5)])
+    def test_rank2_closes_at_the_exact_depth_with_the_exact_state_count(self, N, power, depth,
+                                                                        states):
+        """From I/2N with the rank-2 position instrument and the atomic partition, U closes at
+        depth 2 on 2N lift states and U² at depth 3 on 5N: the counts of the exact-rational
+        lift. A coarse `merge_tol` alone cannot reach them; they hang on the branch layout
+        and the merge keys it feeds."""
+        run = sz_entropy_run(*_hadamard_setup(N, power, "rank2"), RunOptions(n_max=12))
+        assert run.stop_reason == "closed" and run.depth == depth
+        assert len(run.lift.entropies) == run.lift.transitions.shape[0] == states * N
+
     def test_lift_predicts_the_unmerged_tree_on_random_coherent_runs(self):
         # A rank-1 outcome fixes the state, so these close at once whatever U and rho are.
         rng = np.random.default_rng(131)
@@ -653,17 +667,17 @@ def _block_kraus(rng):
     return general_instrument(kraus)
 
 
-def _evolved(u, supports, blocks, ops):
-    """`_evolve` on blocks `ops`, each a random density on the support S of its block, held on
-    P as `sz_entropy_run` holds it: the (parents, r, r) stack and each parent's evolved
-    operator put back on d×d by its block's flat R×R index."""
+def _evolved(u, marks, blocks, ops):
+    """`_evolve` on blocks `ops`, each a random density on the support S of its block (row b of
+    `marks` marks S_b), held on P as `sz_entropy_run` holds it: the (parents, r, r) stack and
+    each parent's evolved operator put back on d×d by its block's flat R×R index."""
     d = u.shape[0]
-    squares, marks = sz._layout(d, [flat.ravel() for flat in supports])
-    w, wh, pairs, places, _ = sz._columns(u, squares, marks)
+    sets = sz._padded(marks)
+    w, wh, pairs, places, _ = sz._columns(u, sets, marks)
     held = []
     for op, b in zip(ops, blocks):
-        on = np.flatnonzero(marks[b][squares[b][0] % d])  # S's positions in P
-        padded = np.zeros(squares[b].shape, dtype=complex)
+        on = np.flatnonzero(marks[b][sets[b]])  # S's positions in P
+        padded = np.zeros((sets.shape[1],) * 2, dtype=complex)
         padded[on[:, None], on] = op
         held.append(padded)
     evolved = sz._evolve(held, [pairs[b] for b in blocks], w, wh)
@@ -705,7 +719,8 @@ class TestSupportEvolution:
             blocks = [int(b) for b in rng.integers(0, len(sets), 9)]
             ops = [random_density(rng, len(sets[b])).matrix for b in blocks]
             dense = [_dense(op, supports[b], d) for op, b in zip(ops, blocks)]
-            evolved, scattered = _evolved(u, supports, blocks, ops)
+            marks = np.array([np.isin(np.arange(d), list(s)) for s in sets])
+            evolved, scattered = _evolved(u, marks, blocks, ops)
             reached = max(np.count_nonzero(np.abs(u[:, list(s)]).sum(axis=1)) for s in sets)
             assert evolved.shape == (len(ops), reached, reached)
             for op, e in zip(dense, scattered):
@@ -724,7 +739,7 @@ class TestSupportEvolution:
         blocks = [int(b) for b in rng.integers(0, len(supports), 12)]
         ops = [random_density(rng, len(supports[b])).matrix for b in blocks]
         dense = np.stack([_dense(op, supports[b], 10) for op, b in zip(ops, blocks)])
-        evolved, scattered = _evolved(u, supports, blocks, ops)
+        evolved, scattered = _evolved(u, t.marks(part.blocks), blocks, ops)
         assert evolved.shape == (len(ops), 2 * power, 2 * power)
         assert np.array_equal(scattered, u @ dense @ u.conj().T)
 
@@ -741,7 +756,7 @@ class TestSupportEvolution:
             t = random_lvn(np.random.default_rng(3), 2 * N, 4, [[0, 4, 2], [1, 5], [3]])
             part = (Partition.atomic(4) if case == "lvn-atomic"
                     else Partition([[0, 1], [2], [3]], size=4))
-        sizes = {math.isqrt(t.support_index(block).size) for block in part.blocks}
+        sizes = set(t.marks(part.blocks).sum(axis=1).tolist())
         # Several support sizes, and a whole-space block beside partial ones.
         assert sizes == {"position": {2}, "lvn-atomic": {2, 3, 4, 5},
                          "lvn-whole-space-block": {3, 5, 6}}[case]
@@ -768,7 +783,7 @@ class TestSupportEvolution:
             args, opts = _kernel_case(case)
         run = sz_entropy_run(*args, replace(opts, n_max=4, merge=merge))
         t, part = args[1], args[3]
-        sets = [index_support(t.support_index(block), t.dim).tolist() for block in part.blocks]
+        sets = [np.flatnonzero(row).tolist() for row in t.marks(part.blocks)]
         sizes = {len(s) for s in sets}
         assert (sizes == {t.dim}) == (case == "random-kraus")
         assert (sizes == {2, 3, 4, 5}) == (case == "lvn-mixed-sizes")
@@ -879,20 +894,54 @@ class TestSupportEvolution:
 
     @pytest.mark.parametrize("sets", [[[0, 2, 4], [1, 5], [3]], [[0, 3], [1, 4], [2, 5]], None])
     def test_layout_pads_each_support_in_increasing_order(self, sets):
-        """`_layout` lays block b out on P_b, S_b padded to the largest size k by the first
-        indices outside it, in increasing order, and marks S_b in range(dim): for mixed sizes,
-        for equal sizes (where P_b = S_b) and for whole-space outcomes alike."""
+        """`_padded` of the blocks' marks lays block b out on P_b, S_b padded to the largest
+        size k by the first indices outside it, in increasing order, and the marks are S_b in
+        range(dim): for mixed sizes, for equal sizes (where P_b = S_b) and for whole-space
+        outcomes alike."""
         t = (random_general(np.random.default_rng(5), 6, 2) if sets is None
              else general_instrument([np.diag(np.isin(np.arange(6), s)) for s in sets]))
         part = _atomic_for(t)
-        squares, held = _layout(t, part)
-        supports = [index_support(t.support_index(block), 6).tolist() for block in part.blocks]
+        squares, held = _squares(t, part), _layout(t, part)[1]
+        supports = [sorted({s for i in block for s in t.support(i).tolist()})
+                    for block in part.blocks]
         assert [len(s) for s in supports] == ([6, 6] if sets is None else list(map(len, sets)))
         k = max(map(len, supports))
         for b, s in enumerate(supports):
             p = sorted(s + [i for i in range(6) if i not in s][:k - len(s)])
             assert squares[b].tolist() == [[i * 6 + j for j in p] for i in p]
             assert held[b].tolist() == [i in s for i in range(6)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("count", [1, 3, 6])
+    def test_padded_skips_the_sort_only_where_it_gives_the_same_rows(self, seed, count):
+        """Where every row has the same count `_padded` takes its no-pad shortcut: those rows
+        are exactly the rows the sort path gives them once one short row forces it."""
+        rng = np.random.default_rng(seed)
+        marks = np.array([rng.permutation(np.arange(8) < count) for _ in range(5)])
+        forced = sz._padded(np.vstack((marks, np.zeros(8, dtype=bool))))
+        shortcut = sz._padded(marks)
+        assert shortcut.shape == (5, count) and shortcut.dtype == forced.dtype
+        assert np.array_equal(shortcut, forced[:-1])
+        assert shortcut.tolist() == [np.flatnonzero(row).tolist() for row in marks]
+
+    @pytest.mark.parametrize("setup", [
+        lambda: _hadamard_setup(25, 2, "rank2"),
+        lambda: _hadamard_setup(15, 2, "coin-vertex"),
+        lambda: (hadamard_walk(4).unitary,
+                 general_instrument(dense_kraus_tree_family(np.random.default_rng(0), 8)),
+                 maximally_mixed(8), Partition.atomic(2))])
+    def test_the_benchmark_layouts_never_sort(self, monkeypatch, setup):
+        """Rank-2 U² at N = 25, coin-vertex U² at N = 15 on vertex blocks, and two random
+        whole-space Kraus operators: every P_b and R_b has one size, so `_padded` never sorts
+        (mapping numpy's sort code would add about 0.4 MiB to the peak resident set)."""
+        args = setup()
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("sorted")
+        monkeypatch.setattr(np, "sort", refuse)
+        monkeypatch.setattr(np, "argsort", refuse)
+        sz_entropy_run(*args, RunOptions(n_max=2))
+        sz_entropy_run(None, *args[1:], RunOptions(n_max=2))
 
     def test_a_whole_space_family_holds_one_unitary(self):
         """32 whole-space outcomes at dimension 64: every block has P = R = all indices, so the

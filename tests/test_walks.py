@@ -49,6 +49,31 @@ class TestIntegerShift:
         with pytest.raises(ValidationError):
             ShiftPermutation((0, 0, 1, 2), coin_count=2, vertex_count=2)
 
+    @pytest.mark.parametrize("sigma, coin_count, vertex_count, field", [
+        ((0, 1.0, 2, 3), 2, 2, "sigma"),  # once a raw IndexError in `coined_walk`
+        ((False, True, 2, 3), 2, 2, "sigma"),  # once "assembled walk not unitary"
+        ((0, 1, 2, 3), 2.0, 2, "coin_count"),  # once a raw TypeError
+        ((0, 1), True, 2, "coin_count"),
+        ((0, 1), 2, True, "vertex_count"),
+        ((0, 1, 2, 3), 2, np.float64(2.0), "vertex_count"),
+        ((), 0, 2, "coin_count"),
+        ((), 2, 0, "vertex_count")])
+    def test_number_rule(self, sigma, coin_count, vertex_count, field):
+        """Every sigma entry and both counts are integers (a bool is not one), the counts >= 1;
+        anything else is a `ValidationError` naming the field."""
+        with pytest.raises(ValidationError, match=f"^{field} "):
+            ShiftPermutation(sigma, coin_count, vertex_count)
+
+    def test_valid_permutations_are_unchanged(self):
+        shift = ShiftPermutation((1, 0, 3, 2), coin_count=2, vertex_count=2)
+        assert shift.sigma == (1, 0, 3, 2) and shift.dim == 4
+        entries = tuple(np.int64(e) for e in (1, 0, 3, 2))
+        numpy_ints = ShiftPermutation(entries, np.int64(2), np.int32(2))
+        assert numpy_ints.sigma is entries and np.array_equal(numpy_ints.operator(),
+                                                              shift.operator())
+        assert coined_walk(shift, [np.eye(2)] * 2).unitary.shape == (4, 4)
+        assert integer_shift(3).sigma == (1, 2, 0, 5, 3, 4)
+
 
 class TestCoinedWalk:
     def test_identity_coins_give_permutation(self):

@@ -246,8 +246,10 @@ def lvn_instrument(projections: Instrument | Sequence,
     require(ok[i], lambda: f"outcome {i}: not a projection "
             f"(|B-B†|={herm[i]:.3e}, |B²-B|={idem[i]:.3e})")
     on = t.marks([i] for i in range(t.n_outcomes))  # on[i] marks S_i, outcome i's support
-    # Disjoint supports give P_iP_j = 0 exactly; the others multiply over S_i ∩ S_j only.
-    for i, j in zip(*np.nonzero(np.triu(on @ on.T, 1))):
+    # Disjoint supports give P_iP_j = 0 exactly; the others multiply over S_i ∩ S_j only. The
+    # overlaps are counted in floats, whose product runs in BLAS (a bool product does not).
+    count = on.astype(float)
+    for i, j in zip(*np.nonzero(np.triu(count @ count.T, 1))):
         common = on[i] & on[j]
         res = float(np.abs(t.supports[i][1][:, common[on[i]]]
                            @ t.supports[j][1][common[on[j]]]).max())

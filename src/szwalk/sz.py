@@ -11,7 +11,8 @@ Three exact reductions keep the tree small or end it:
 
 * branches landing in the same block whose trace-normalized conditional
   operators agree are merged (the normalized operator determines every
-  future conditional distribution, so a_n is unchanged);
+  future conditional distribution, so a_n is unchanged; a classified run sums
+  their `ClassMasses`, which stay outside the key);
 * branches below `prune_eps` (numerically zero) are dropped, with their
   mass tracked in `pruned_mass`;
 * when every child of a depth merges into a key of the previous depth's
@@ -123,25 +124,23 @@ class RunOptions:
 
 
 @dataclass(frozen=True)
-class RunStats:
-    """Terminal-run bookkeeping for one branch.
+class ClassMasses:
+    """Probability mass by terminal-run class: constant / even / odd (see `child`)."""
 
-    `constant` marks an all-one-block sequence; `parity` is the length of the
-    terminal constant run mod 2; `entry_block` is the block visited just
-    before that run started (None while constant).
-    """
+    constant: float
+    even: float
+    odd: float
 
-    constant: bool
-    parity: int
-    entry_block: int | None
+    def __add__(self, other: ClassMasses) -> ClassMasses:
+        return ClassMasses(self.constant + other.constant, self.even + other.even,
+                           self.odd + other.odd)
 
-    def extend(self, last: int | None, block: int) -> "RunStats":
-        """The stats once `block` follows a branch last measured in `last` (None: the root)."""
-        if last is None:
-            return RunStats(True, 0, None)
-        if block == last:
-            return RunStats(self.constant, self.parity ^ 1, self.entry_block)
-        return RunStats(False, 0, last)
+    def child(self, p: float, w: float, repeated: bool) -> ClassMasses:
+        """A child's masses, `w` of a branch's `p`: a repeated block keeps a run constant or flips
+        its parity, a new one starts it even. Divided first, so one class passes on exactly `w`."""
+        if not repeated:
+            return ClassMasses(0.0, w, 0.0)
+        return ClassMasses(w * (self.constant / p), w * (self.odd / p), w * (self.even / p))
 
 
 @dataclass(slots=True)
@@ -150,21 +149,13 @@ class TrajectoryBranch:
     at the root), so its operator is zero outside S×S, S that block's support. `conditional_op`
     holds the k×k block ρ[P,P], P being S padded to the run's largest support size k by the
     first indices outside S, in increasing order: k×k for every block when support sizes
-    differ. The root holds the start state. `stats` only when the run classifies."""
+    differ. The root holds the start state. A classified run splits `weight` by terminal-run
+    class in `classes`, which is outside the merge key: classifying never changes the tree."""
 
     weight: float
     conditional_op: np.ndarray
     block: int | None = None
-    stats: RunStats | None = None
-
-
-@dataclass(frozen=True)
-class ClassMasses:
-    """Probability mass by terminal-run class: constant / even / odd."""
-
-    constant: float
-    even: float
-    odd: float
+    classes: ClassMasses | None = None
 
 
 @dataclass(frozen=True)
@@ -401,18 +392,6 @@ def _belief_lift(moves: list[tuple[int, object, float]], entropies: list[float],
     return BeliefLift(transitions=m, entropies=h, weights=weights, limit=limit)
 
 
-def _classes_of(branches: list[TrajectoryBranch]) -> ClassMasses:
-    c = e = o = 0.0
-    for b in branches:
-        if b.stats.constant:
-            c += b.weight
-        elif b.stats.parity == 1:
-            o += b.weight
-        else:
-            e += b.weight
-    return ClassMasses(constant=c, even=e, odd=o)
-
-
 def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensityState,
                    partition: Partition, opts: RunOptions | None = None) -> SZRun:
     """Expand the trajectory tree and estimate the SZ entropy of (Θ, T, ρ, C).
@@ -441,9 +420,9 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
     r = places[0].shape[0]
     buffer = np.zeros(t.dim * t.dim, dtype=complex)
 
-    # Depth 0 measures rho itself: the root is the one parent that is not evolved.
+    # Depth 0 measures rho, the one parent not evolved; its children repeat its constant mass.
     branches = [TrajectoryBranch(1.0, rho.matrix, None,
-                                 RunStats(True, 0, None) if opts.classify else None)]
+                                 ClassMasses(1.0, 0.0, 0.0) if opts.classify else None)]
     blocks = partition.blocks
     # A chunk's evolved parents (r×r each) and its children's blocks and diagonals, plus the
     # staging buffer and the one dense child alive at a time, stay near CHUNK_BYTES. A parent
@@ -491,18 +470,20 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
                 if op is None:  # pruned
                     pruned_mass += w
                     continue
-                stats = parent.stats.extend(parent.block, bi) if classify else None
-                key = (bi, fingerprint, stats) if merge else len(live)
+                classes = (parent.classes.child(parent.weight, w, parent.block in (None, bi))
+                           if classify else None)
+                key = (bi, fingerprint) if merge else len(live)
                 if moves is not None:
                     moves.append((start + s, key, ratio))
                 kept = live.get(key)
                 if kept is None:
-                    live[key] = TrajectoryBranch(w, op, bi, stats)
+                    live[key] = TrajectoryBranch(w, op, bi, classes)
                     if len(live) > budget:
                         raise ResourceLimitError(f"live branch count {len(live)} exceeds "
                                                  f"the budget of {opts.branch_budget}")
                 else:
                     kept.weight += w
+                    kept.classes = kept.classes + classes if classify else None
                     kept.conditional_op = kept.conditional_op + op
                     merged += 1
         branches = list(live.values())
@@ -515,7 +496,8 @@ def sz_entropy_run(walk_unitary: Operator | None, t: Instrument, rho: DensitySta
         records.append(DepthRecord(
             depth=depth, a_n=a_seq[depth], cesaro=report.cesaro_sequence[depth],
             branch_count=len(branches), merged_count=merged, pruned_mass=pruned_mass,
-            classes=_classes_of(branches) if opts.classify else None))
+            classes=(sum((b.classes for b in branches), ClassMasses(0.0, 0.0, 0.0))
+                     if classify else None)))
         if depth >= opts.min_steps:
             # Closed: every child landed on a parent's key, so the depth is a chain on them.
             if parents is not None and live.keys() <= parents.keys():

@@ -2,13 +2,16 @@
 
 import ast
 import importlib
+import json
 import re
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import szwalk
+from szwalk import RunOptions
 from szwalk.walks import coin_vertex_instrument, position_instrument
 
 SOURCE = Path(szwalk.__file__).parent
@@ -364,3 +367,38 @@ def test_guard_flags_the_long_lines():
     src = ("x = 1\n" + "y" * MAX_LINE + "\n" + "z" * (MAX_LINE + 1) + "\n"
            + "# " + "é" * (MAX_LINE - 2) + "\n" + "s = '" + "×" * MAX_LINE + "'\n")
     assert _long_lines(src) == [3, 5]
+
+
+def _option_rows(text: str) -> dict[str, object]:
+    """Each row of the `run` options table of a README (the table whose header reads
+    `| option | type | range | default | meaning |`): the option's name and its default read
+    as JSON, the way a config gives it."""
+    lines = [line.strip() for line in text.splitlines()]
+    start = lines.index("| option | type | range | default | meaning |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, _, _, default = (cell.strip() for cell in line.split("|")[1:5])
+        rows[name.strip("`")] = json.loads(default)
+    return rows
+
+
+def test_the_readme_lists_every_run_option_with_its_default():
+    """README's `run` options table has one row per `RunOptions` field, and each row's default
+    is the field's default, of the same type."""
+    rows = _option_rows((SOURCE.parents[1] / "README.md").read_text(encoding="utf-8"))
+    defaults = {f.name: getattr(RunOptions(), f.name) for f in fields(RunOptions)}
+    assert "classify" in rows
+    assert sorted(rows) == sorted(defaults)
+    assert {name: (type(value), value) for name, value in rows.items()} == {
+        name: (type(value), value) for name, value in defaults.items()}
+
+
+def test_guard_reads_the_option_rows():
+    text = ("| a | b |\n| --- | --- |\n| `x` | 1 |\n\n"
+            "  | option | type | range | default | meaning |\n  | --- | --- | --- | --- | --- |\n"
+            "  | `n_max` | integer | >= 0 | 25 | deepest |\n"
+            "  | `tol` | number | > 0 | 1e-7 | tol |\n"
+            "  | `merge` | boolean | | true | merge |\n\nafter\n| `later` | x | | 1 | y |\n")
+    assert _option_rows(text) == {"n_max": 25, "tol": 1e-7, "merge": True}

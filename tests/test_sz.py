@@ -294,7 +294,8 @@ class TestRankTwoSquaredRun:
             assert rec.a_n == pytest.approx(expected, abs=1e-10)
 
     def test_branch_child_distributions_are_the_two_cases(self, run):
-        # Odd-class branches split {1/2,1/2}; even/constant split {1/2,1/4,1/4}.
+        # Odd-class branches split {1/2,1/2}; even/constant split {1/2,1/4,1/4}. Odd and even
+        # beliefs split differently, so they never merge: a branch is all odd or not odd.
         N = 5
         t = position_instrument(N)
         part = Partition.atomic(N)
@@ -307,7 +308,8 @@ class TestRankTwoSquaredRun:
                 if w > 1e-13:
                     ws.append(w / branch.weight)
             ws = sorted(ws)
-            if branch.stats.constant or branch.stats.parity == 0:
+            assert branch.classes.odd in (0.0, branch.weight)
+            if branch.classes.odd == 0.0:
                 assert ws == pytest.approx([0.25, 0.25, 0.5], abs=1e-10)
             else:
                 assert ws == pytest.approx([0.5, 0.5], abs=1e-10)
@@ -341,6 +343,45 @@ class TestRankTwoSquaredRun:
         rec = run.records[0]
         assert rec.classes.constant == pytest.approx(1.0, abs=1e-14)
         assert rec.classes.even == 0.0 and rec.classes.odd == 0.0
+
+
+def _classified_case(case):
+    """(engine inputs, options) of a classified run to a fixed depth: rank-2 U² merged past its
+    closure or unmerged, or a random Kraus family merged or unmerged."""
+    if case.startswith("random-kraus"):
+        t = random_general(np.random.default_rng(11), 10, 2)
+        args, n_max = (hadamard_walk(5).unitary, t, maximally_mixed(10), _atomic_for(t)), 8
+    else:
+        args, n_max = _hadamard_setup(5, 2, "rank2"), 10 if case == "rank2-U2" else 6
+    return args, RunOptions(n_max=n_max, min_steps=n_max, merge=not case.endswith("unmerged"),
+                            classify=True)
+
+
+CLASSIFIED = ["rank2-U2", "rank2-U2-unmerged", "random-kraus", "random-kraus-unmerged"]
+
+
+class TestClassMasses:
+    """Each branch carries its mass by terminal-run class; classifying changes nothing else."""
+
+    @pytest.mark.parametrize("case", CLASSIFIED)
+    def test_the_classes_of_a_branch_sum_to_its_weight(self, case):
+        args, opts = _classified_case(case)
+        run = sz_entropy_run(*args, opts)
+        assert run.depth == opts.n_max
+        for branch in run.branches:
+            c = branch.classes
+            assert abs(c.constant + c.even + c.odd - branch.weight) <= 1e-15 * branch.weight
+
+    @pytest.mark.parametrize("case", CLASSIFIED)
+    def test_a_classified_run_is_the_unclassified_one(self, case):
+        args, opts = _classified_case(case)
+        classified = sz_entropy_run(*args, opts)
+        plain = sz_entropy_run(*args, replace(opts, classify=False))
+        assert [replace(rec, classes=None) for rec in classified.records] == plain.records
+        assert (classified.depth, classified.stop_reason) == (plain.depth, plain.stop_reason)
+        assert classified.report == plain.report
+        assert ([(b.weight, b.block) for b in classified.branches]
+                == [(b.weight, b.block) for b in plain.branches])
 
 
 class TestMergeExactness:
@@ -428,16 +469,24 @@ class TestClosure:
         assert lift.limit == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("N", [5, 9])
-    @pytest.mark.parametrize("power, depth, states", [(1, 2, 2), (2, 3, 5)])
+    @pytest.mark.parametrize("power, depth, states, classify", [
+        (1, 2, 2, False), (2, 3, 5, False), (1, 2, 2, True), (2, 3, 5, True)],
+        ids=["1-2-2", "2-3-5", "1-2-2-classify", "2-3-5-classify"])
     def test_rank2_closes_at_the_exact_depth_with_the_exact_state_count(self, N, power, depth,
-                                                                        states):
+                                                                        states, classify):
         """From I/2N with the rank-2 position instrument and the atomic partition, U closes at
         depth 2 on 2N lift states and U² at depth 3 on 5N: the counts of the exact-rational
         lift. A coarse `merge_tol` alone cannot reach them; they hang on the branch layout
-        and the merge keys it feeds."""
-        run = sz_entropy_run(*_hadamard_setup(N, power, "rank2"), RunOptions(n_max=12))
+        and the merge keys it feeds. Class masses ride on the branches, outside the keys, so
+        a classified run is the same tree with `classes` filled in."""
+        args = _hadamard_setup(N, power, "rank2")
+        run = sz_entropy_run(*args, RunOptions(n_max=12, classify=classify))
         assert run.stop_reason == "closed" and run.depth == depth
         assert len(run.lift.entropies) == run.lift.transitions.shape[0] == states * N
+        if classify:
+            plain = sz_entropy_run(*args, RunOptions(n_max=12))
+            assert [replace(rec, classes=None) for rec in run.records] == plain.records
+            assert run.lift.limit.hex() == plain.lift.limit.hex()
 
     def test_lift_predicts_the_unmerged_tree_on_random_coherent_runs(self):
         # A rank-1 outcome fixes the state, so these close at once whatever U and rho are.
@@ -639,7 +688,7 @@ class TestChunkedDepths:
         assert (lifts[1] is None) == (case == "random-kraus")
         assert len(chunked.branches) == len(whole.branches)
         for a, b in zip(chunked.branches, whole.branches):
-            assert (a.weight, a.block, a.stats) == (b.weight, b.block, b.stats)
+            assert (a.weight, a.block, a.classes) == (b.weight, b.block, b.classes)
             assert np.array_equal(a.conditional_op, b.conditional_op)
 
 
@@ -797,7 +846,7 @@ class TestSupportEvolution:
             padding = op[off[:, None] | off[None, :]]
             assert padding.view(np.float64).tobytes() == bytes(16 * padding.size)  # +0
             assert abs(op.trace().real - branch.weight) <= 1e-12 * branch.weight
-            assert (branch.stats is None) == (not opts.classify)  # no history unless classified
+            assert (branch.classes is None) == (not opts.classify)  # no masses unless classified
 
     @pytest.mark.parametrize("power", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["rank2", "coin-vertex"])
@@ -959,14 +1008,6 @@ class TestSupportEvolution:
                                                for b in run.branches)
         assert peak < 10 * 2 ** 20
 
-    def test_run_stats_follow_the_parent_block(self):
-        root = sz.RunStats(True, 0, None)
-        first = root.extend(None, 3)
-        assert first == sz.RunStats(True, 0, None)
-        assert first.extend(3, 3) == sz.RunStats(True, 1, None)
-        assert first.extend(3, 3).extend(3, 1) == sz.RunStats(False, 0, 3)
-        assert sz.RunStats(False, 0, 3).extend(1, 1) == sz.RunStats(False, 1, 3)
-
 
 def _booked_run(monkeypatch, args, opts, fresh_zero: bool):
     """(run, children of weight exactly 0.0, children that were the kernel's shared zero, eta
@@ -1013,7 +1054,7 @@ class TestSharedZero:
         assert (other.depth, other.stop_reason) == (run.depth, run.stop_reason)
         assert len(other.branches) == len(run.branches)
         for a, b in zip(other.branches, run.branches):
-            assert (a.weight, a.block, a.stats) == (b.weight, b.block, b.stats)
+            assert (a.weight, a.block, a.classes) == (b.weight, b.block, b.classes)
             assert a.conditional_op.tobytes() == b.conditional_op.tobytes()
 
     def test_a_nan_weight_still_reaches_eta(self, monkeypatch):

@@ -98,8 +98,12 @@ def stationary_distribution(P: TransitionMatrix) -> ProbVector:
 
 
 def _column_entropies(P: TransitionMatrix) -> np.ndarray:
-    # Only the nonzero entries: eta(0) adds an exact +0.0, so the sums are unchanged.
-    return np.array([sum(eta(x) for x in col[col > 0].tolist()) for col in P.entries.T])
+    """Σ_x eta(p_{x,y}) per column y, over the nonzero entries only (eta(0) adds an exact
+    +0.0): one pass in column-major order, each column summed from 0.0 in row order."""
+    cols, rows = np.nonzero(P.entries.T > 0)
+    h = np.zeros(P.size)
+    np.add.at(h, cols, [eta(x) for x in P.entries[rows, cols].tolist()])
+    return h
 
 
 def markov_entropy(P: TransitionMatrix, mu: ProbVector) -> float:

@@ -258,13 +258,15 @@ def lvn_instrument(projections: Instrument | Sequence,
     return t
 
 
-def orthonormal_columns(basis: Sequence, dim: int) -> np.ndarray:
-    """The matrix A whose columns are `basis`, checked to be an orthonormal basis of C^dim."""
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in basis]
-    if len(vecs) != dim or any(v.size != dim for v in vecs):
+def orthonormal_columns(rows, dim: int) -> np.ndarray:
+    """The matrix A whose columns are the rows of the 2-D array `rows`, checked to be an
+    orthonormal basis of C^dim. A is C-contiguous, as the products with it expect: the rows'
+    transpose, copied unless it already is (as for the transpose of a C-contiguous A)."""
+    rows = np.asarray(rows, dtype=complex)
+    if rows.shape != (dim, dim):
         raise ValidationError(
             f"need {dim} vectors of dimension {dim} for a full orthonormal basis")
-    A = np.column_stack(vecs)
+    A = np.ascontiguousarray(rows.T)
     res = identity_residual(A.conj().T @ A)
     require(res <= ORTHONORMAL_TOL,
             f"basis not orthonormal: max |A†A - 1| = {res:.3e} (tol {ORTHONORMAL_TOL:g})")
@@ -277,13 +279,17 @@ def coherent_instrument(basis: Sequence, labels: Sequence[str] | None = None) ->
     Orthonormality to ORTHONORMAL_TOL already bounds |P_iP_j|, |P_i² - P_i| and
     |tr P_i - 1| by the same tolerance, so nothing else is checked.
     """
-    basis = list(basis)
-    if not basis:
+    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in basis]
+    if not vecs:
         raise ValidationError("coherent instrument needs at least one basis vector")
-    A = orthonormal_columns(basis, np.size(basis[0]))
+    dim = vecs[0].size
+    if any(v.size != dim for v in vecs):  # they would not stack; the count is checked there
+        raise ValidationError(
+            f"need {dim} vectors of dimension {dim} for a full orthonormal basis")
+    A = orthonormal_columns(np.array(vecs), dim)
     supports = [np.flatnonzero(a) for a in A.T]  # |a><a| acts on the nonzero entries of a
-    return Instrument(A.shape[0], [(s, np.outer(a[s], a[s].conj()))
-                                   for s, a in zip(supports, A.T)], labels)
+    return Instrument(dim, [(s, np.outer(a[s], a[s].conj())) for s, a in zip(supports, A.T)],
+                      labels)
 
 
 def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> Operator:
@@ -353,10 +359,15 @@ def apply_instrument(t: Instrument, outcomes: Iterable[int], rho: Operator) -> O
 
 
 def outcome_pmf(t: Instrument, rho: DensityState) -> ProbVector:
-    """Outcome distribution tr(B_i rho B_i†) = <B_S, B_S rho[S,S]>_F, S the support of B_i."""
+    """Outcome distribution tr(B_i rho B_i†) = <B_S, B_S rho[S,S]>_F, S the support of B_i,
+    for one stack of `Instrument.stacks` at a time: each inner product is one stacked dot."""
     if rho.dim != t.dim:
         raise ValidationError(
             f"state dimension {rho.dim} does not match instrument dimension {t.dim}")
-    probs = [float(np.real(np.vdot(b, b @ rho.matrix.take(flat).reshape(b.shape))))
-             for flat, b, _ in t.supports]
+    probs = np.zeros(t.n_outcomes)
+    for index, s, b, _ in t.stacks:
+        n, k = s.shape
+        sub = rho.matrix.take(flat_index(s, t.dim)).reshape(n, k, k)
+        inner = b.conj().reshape(n, 1, k * k) @ (b @ sub).reshape(n, k * k, 1)
+        probs[index] = inner.real.ravel()
     return ProbVector(np.clip(probs, 0.0, None), tol=1e-10)

@@ -544,22 +544,33 @@ def dynamical_entropy(walk_unitary: Operator, t: Instrument, rho: DensityState,
 def markov_reduction(walk_unitary: Operator, t: Instrument, rho: DensityState) -> MarkovReduction:
     """Classical reduction of a coherent-state run: |<a_i|U|a_j>|² plus the initial pmf.
 
-    Only instruments made of rank-1 projections |a_i><a_i| admit this fast path. Each is
-    checked and a_i read off on its block B[S,S]: outside S×S both B and vv† are zero. The
-    entropy-rate computation itself is the classical module's job.
+    Only instruments made of rank-1 projections |a_i><a_i| admit this fast path. They are
+    checked and a_i read off on the blocks B[S,S], one stack of `Instrument.stacks` per
+    support size (outside S×S both B and vv† are zero): v is B's column at the largest |diag|,
+    normalized, and max |B - vv†| is its residual. The first outcome that fails, in outcome
+    order, raises: an empty support as zero, any other by its residual. The entropy-rate
+    computation itself is the classical module's job.
     """
     u = _checked_unitary(as_operator(walk_unitary), t, rho)  # as_operator rejects None
     A = np.zeros((t.dim, t.n_outcomes), dtype=complex)  # column i: the vector of outcome i
-    for i, (_, b, _) in enumerate(t.supports):
-        require(b.size > 0, lambda: f"Markov reduction needs rank-1 projections: outcome {i} "
-                "is zero", UnsupportedConfigurationError)
-        vec = b[:, int(np.argmax(np.abs(np.diagonal(b))))]
-        vec = vec / (np.linalg.norm(vec) or 1.0)  # a zero column stays zero and fails below
-        res = float(np.abs(b - np.outer(vec, vec.conj())).max())
-        require(res <= RANK1_TOL,
-                lambda: f"Markov reduction needs rank-1 projections: outcome {i} has "
-                f"max |B - vv†| = {res:.3e} (tol {RANK1_TOL:g})", UnsupportedConfigurationError)
-        A[t.support(i), i] = vec
+    res = np.full(t.n_outcomes, np.inf)  # an empty support keeps inf and fails as zero
+    for index, s, b, _ in t.stacks:
+        if not s.shape[1]:
+            continue
+        rows = np.arange(len(index))
+        vec = b[rows, :, np.abs(np.diagonal(b, axis1=1, axis2=2)).argmax(axis=1)]
+        # np.linalg.norm's sum, re·re + im·im on the strided views, as one stacked dot each.
+        re, im = vec.real[:, None], vec.imag[:, None]
+        norm = np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
+        vec = vec / np.where(norm == 0.0, 1.0, norm)  # a zero column stays zero and fails below
+        res[index] = np.abs(b - vec[:, :, None] * vec.conj()[:, None, :]).max(axis=(1, 2))
+        A[s, index[:, None]] = vec
+    i = int(np.argmin(res <= RANK1_TOL))  # the first outcome that fails, if any
+    require(t.supports[i][1].size > 0, lambda: "Markov reduction needs rank-1 projections: "
+            f"outcome {i} is zero", UnsupportedConfigurationError)
+    require(res[i] <= RANK1_TOL,
+            lambda: f"Markov reduction needs rank-1 projections: outcome {i} has "
+            f"max |B - vv†| = {res[i]:.3e} (tol {RANK1_TOL:g})", UnsupportedConfigurationError)
     A = orthonormal_columns(A.T, t.dim)
     P = TransitionMatrix(np.abs(A.conj().T @ u @ A) ** 2)
     return MarkovReduction(transition_matrix=P, initial_distribution=outcome_pmf(t, rho))

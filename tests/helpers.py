@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from szwalk import (DensityState, Instrument, NumericError, Partition, ProbVector,
-                    TransitionMatrix, coherent_instrument, cylinder_probability, eta,
-                    general_instrument, lvn_instrument)
-from szwalk.quantum import orthonormal_columns
+                    TransitionMatrix, UnsupportedConfigurationError, coherent_instrument,
+                    cylinder_probability, eta, general_instrument, lvn_instrument)
+from szwalk.errors import require
+from szwalk.quantum import as_operator, orthonormal_columns
+from szwalk.sz import RANK1_TOL
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -149,6 +151,40 @@ def ix_apply(t: Instrument, outcomes, rho: np.ndarray) -> np.ndarray:
 def ix_outcome_probs(t: Instrument, rho: DensityState) -> list[float]:
     """tr(B_i rho B_i†) per outcome, from the `np.ix_` blocks of `ix_supports`."""
     return [float(np.real(np.vdot(b, b @ rho.matrix[idx]))) for idx, b, _ in ix_supports(t)]
+
+
+def loop_markov_reduction(walk_unitary, t: Instrument, rho: DensityState):
+    """(P, initial pmf) of `markov_reduction` read off one outcome at a time, each checked in
+    turn with the same errors, A stacked from its vectors one by one and the pmf taken by one
+    `vdot` per outcome: the oracle for the per-stack `markov_reduction` and `outcome_pmf`.
+    Neither the dynamics nor the basis is checked."""
+    A = np.zeros((t.dim, t.n_outcomes), dtype=complex)
+    for i, (_, b, _) in enumerate(t.supports):
+        require(b.size > 0, lambda: f"Markov reduction needs rank-1 projections: outcome {i} "
+                "is zero", UnsupportedConfigurationError)
+        vec = b[:, int(np.argmax(np.abs(np.diagonal(b))))]
+        vec = vec / (np.linalg.norm(vec) or 1.0)
+        res = float(np.abs(b - np.outer(vec, vec.conj())).max())
+        require(res <= RANK1_TOL,
+                lambda: f"Markov reduction needs rank-1 projections: outcome {i} has "
+                f"max |B - vv†| = {res:.3e} (tol {RANK1_TOL:g})", UnsupportedConfigurationError)
+        A[t.support(i), i] = vec
+    A = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in A.T])
+    pmf = ProbVector(np.clip(ix_outcome_probs(t, rho), 0.0, None), tol=1e-10)
+    return TransitionMatrix(np.abs(A.conj().T @ as_operator(walk_unitary) @ A) ** 2), pmf
+
+
+def loop_column_entropies(entries: np.ndarray) -> np.ndarray:
+    """Σ_x eta(p_{x,y}) per column over its nonzero entries, each column added left to right
+    from 0.0 (as `sum` adds floats before Python 3.12): the oracle for
+    `classical._column_entropies`."""
+    out = []
+    for col in entries.T:
+        total = 0.0
+        for x in col[col > 0].tolist():
+            total += eta(x)
+        out.append(total)
+    return np.array(out)
 
 
 def eigencheck(u: np.ndarray, v) -> complex:

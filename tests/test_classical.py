@@ -1,14 +1,18 @@
 """Unit tests for the classical Markov baselines."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from szwalk import (ProbVector, TransitionMatrix, ValidationError, classical, cycle_walk,
-                    entropy_rate, eta, markov_entropy, matrix_power, stationary_distribution)
+                    entropy_rate, eta, markov_entropy, markov_reduction, matrix_power,
+                    maximally_mixed, stationary_distribution)
+from szwalk.walks import coin_vertex_instrument, hadamard_walk
 
-from helpers import process_joint_entropy, svd_cesaro_projector
+from helpers import (loop_column_entropies, process_joint_entropy, random_coherent,
+                     random_unitary, svd_cesaro_projector)
 
 LN2 = math.log(2.0)
 # Column-stochastic: 0 -> 1 (0.3) or 2 (0.7), 1 -> 3, 2 -> 3, 3 -> 0.
@@ -31,6 +35,43 @@ def test_column_entropies_skip_zero_entries(monkeypatch):
     assert markov_entropy(P, ProbVector.uniform(5)) == pytest.approx(1.5 * LN2, abs=1e-15)
     assert len(calls) == np.count_nonzero(P.entries) == 15
     assert min(calls) > 0
+
+
+def _column_entropy_chains():
+    """Chains whose columns hold 1 to 98 nonzero entries: coherent-state chains (coin-vertex
+    and random dense bases), random dense and sparse stochastic matrices, and chains with
+    entries of exactly 1.0, whose eta is -0.0."""
+    rng = np.random.default_rng(23)
+    chains = [markov_reduction(hadamard_walk(n).unitary, coin_vertex_instrument(n),
+                               maximally_mixed(2 * n)).transition_matrix for n in (3, 25, 49)]
+    for d in (2, 7, 40, 98):
+        chains.append(markov_reduction(random_unitary(rng, d), random_coherent(rng, d),
+                                       maximally_mixed(d)).transition_matrix)
+    for d in (3, 10, 60):
+        w = rng.random((d, d)) * (rng.random((d, d)) < 0.3)
+        w[rng.integers(d, size=d), np.arange(d)] += 0.1  # no empty column
+        chains.append(TransitionMatrix(w / w.sum(axis=0)))
+    chains += [TransitionMatrix(np.eye(4)), TransitionMatrix(np.eye(5)[[1, 2, 3, 4, 0]]),
+               TransitionMatrix(PERIOD_THREE)]
+    return chains
+
+
+def test_column_entropies_match_the_per_column_loop_bitwise():
+    """One column-major pass gives each column's sum bit for bit as the per-column loop: the
+    same eta values added in the same row order from 0.0."""
+    for P in _column_entropy_chains():
+        expected = loop_column_entropies(P.entries)
+        assert classical._column_entropies(P).tobytes() == expected.tobytes()
+
+
+def test_column_entropies_of_one_entry_and_of_no_entry():
+    """A column whose one entry is 1.0 sums eta(1.0) = -0.0 to +0.0, as the loop does; a
+    column with no nonzero entry (not stochastic, so passed as bare entries) sums to +0.0."""
+    assert math.copysign(1.0, eta(1.0)) == -1.0
+    entries = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
+    got = classical._column_entropies(SimpleNamespace(entries=entries, size=3))
+    assert got.tobytes() == loop_column_entropies(entries).tobytes()
+    assert got.tobytes() == np.array([0.0, 0.0, LN2]).tobytes()
 
 
 class TestCycleWalk:

@@ -267,6 +267,19 @@ class TestRunCommand:
         assert (json.dumps(summary, indent=2, sort_keys=True) + "\n"
                 == (GOLDEN / f"{stem}_summary.json").read_text())
 
+    @pytest.mark.parametrize("args, stem", [
+        (["paper-check"], "paper_check"),
+        (["paper-check", "--bits"], "paper_check_bits"),
+        (["markov", "--n", "5", "--power", "2"], "markov_n5_p2"),
+        (["markov", "--n", "7", "--power", "3", "--start", "point:2"], "markov_n7_p3_point2"),
+    ])
+    def test_stdout_matches_golden_files(self, capsys, args, stem):
+        """The paper-check table (its CS-eigenstate and coherent U² rows run the Markov
+        reduction) and the markov command's chain output, byte for byte."""
+        assert main(args) == 0
+        assert (capsys.readouterr().out.encode()
+                == (GOLDEN / f"{stem}_stdout.txt").read_bytes())
+
     def test_outputs_land_next_to_config_by_default(self, tmp_path):
         cfg = write_config(tmp_path / "here.json", run={"n_max": 3})
         record = run_config(cfg)

@@ -10,8 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from szwalk import (AccuracyError, DensityState, Partition, ResourceLimitError, RunOptions,
-                    UnsupportedConfigurationError, ValidationError, apply_instrument,
+from szwalk import (AccuracyError, DensityState, Instrument, Partition, ResourceLimitError,
+                    RunOptions, UnsupportedConfigurationError, ValidationError, apply_instrument,
                     coherent_instrument, cylinder_probability,
                     dynamical_entropy, entropy_rate, general_instrument, hadamard_walk,
                     lvn_instrument, markov_reduction, maximally_mixed, measurement_entropy, sz,
@@ -22,8 +22,8 @@ from szwalk.walks import (basis_index, coin_vertex_instrument, coined_walk, hada
                           integer_shift, position_instrument, vertex_partition)
 
 from helpers import (conditional_sequence_from_levels, cylinder_level_joints, dense_apply,
-                     dense_kraus_tree_family, random_coherent, random_density, random_general,
-                     random_lvn, random_unitary)
+                     dense_kraus_tree_family, loop_markov_reduction, random_coherent,
+                     random_density, random_general, random_lvn, random_unitary)
 
 LN2 = math.log(2.0)
 
@@ -1196,6 +1196,73 @@ class TestMarkovReduction:
                                   expected.transition_matrix.entries)
             assert np.array_equal(red.initial_distribution.entries,
                                   expected.initial_distribution.entries)
+
+    @staticmethod
+    def _assert_matches_the_loop(u, t, rho):
+        red = markov_reduction(u, t, rho)
+        P, pmf = loop_markov_reduction(u, t, rho)
+        assert red.transition_matrix.entries.tobytes() == P.entries.tobytes()
+        assert red.initial_distribution.entries.tobytes() == pmf.entries.tobytes()
+
+    @pytest.mark.parametrize("N", [3, 5, 25, 49])
+    def test_coin_vertex_matches_the_per_outcome_loop_bitwise(self, N):
+        """U and U², from the maximally mixed state and from the eigenstate."""
+        walk, t = hadamard_walk(N), coin_vertex_instrument(N)
+        for u in (walk.unitary, unitary_power(walk, 2)):
+            for rho in (maximally_mixed(2 * N), hadamard_eigenstate(N)):
+                self._assert_matches_the_loop(u, t, rho)
+
+    def test_random_dense_bases_match_the_per_outcome_loop_bitwise(self):
+        """30 random coherent bases of dimension 2-98, each with a random U and state: every
+        block is the whole space, so each vector's norm sums all its entries."""
+        rng = np.random.default_rng(29)
+        for d in rng.integers(2, 99, size=30).tolist():
+            t = random_coherent(rng, d)
+            self._assert_matches_the_loop(random_unitary(rng, d), t, random_density(rng, d))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_support_sizes_match_the_per_outcome_loop_bitwise(self, seed):
+        """Rank-1 projections onto random vectors within coordinate sets of sizes 1, 2, 3 and
+        4, so the outcomes fall into four stacks; built by `lvn_instrument` and, from the same
+        dense operators, by `general_instrument`."""
+        rng = np.random.default_rng(seed)
+        coordinates = [[int(x) for x in c] for c in np.split(rng.permutation(10), [1, 3, 6])]
+        t = random_lvn(rng, 10, 10, coordinates)
+        assert sorted(s.shape[1] for _, s, _, _ in t.stacks) == [1, 2, 3, 4]
+        u, rho = random_unitary(rng, 10), random_density(rng, 10)
+        for family in (t, general_instrument(t.kraus)):
+            self._assert_matches_the_loop(u, family, rho)
+
+    def test_the_first_failing_outcome_raises_as_the_per_outcome_loop_does(self):
+        """A zero outcome (an empty support, the stack of size 0), a rank-2 projection (size 2)
+        and two halves of a projection (size 1), among rank-1 outcomes of sizes 1 and 2, in 60
+        orders: each raises the error of the first failing outcome in outcome order, with the
+        message and type the per-outcome loop gives."""
+        plus = np.full((2, 2), 0.5)
+        minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
+        half = [[math.sqrt(0.5)]]
+        blocks = {"zero": ([], np.zeros((0, 0))), "rank-2": ([0, 1], np.eye(2)),
+                  "plus": ([2, 3], plus), "minus": ([2, 3], minus),
+                  "half-a": ([4], half), "half-b": ([4], half), "one": ([5], [[1.0]])}
+        failing = {"zero": "is zero", "rank-2": "max |B - vv†|", "half-a": "max |B - vv†|",
+                   "half-b": "max |B - vv†|"}
+        rng = np.random.default_rng(61)
+        orders = [list(blocks)] + [rng.permutation(list(blocks)).tolist() for _ in range(59)]
+        firsts = set()
+        for order in orders:
+            t = Instrument(6, [(np.array(blocks[k][0], dtype=np.intp), blocks[k][1])
+                               for k in order])
+            first = next(k for k in order if k in failing)
+            firsts.add(first)
+            with pytest.raises(UnsupportedConfigurationError) as expected:
+                loop_markov_reduction(np.eye(6), t, maximally_mixed(6))
+            with pytest.raises(UnsupportedConfigurationError) as caught:
+                markov_reduction(np.eye(6), t, maximally_mixed(6))
+            assert type(caught.value) is type(expected.value)
+            assert str(caught.value) == str(expected.value)
+            assert f"outcome {order.index(first)} " in str(caught.value)
+            assert failing[first] in str(caught.value)
+        assert firsts == set(failing)
 
     @pytest.mark.parametrize("make", [
         lambda: random_general(np.random.default_rng(7), 4, 4),
